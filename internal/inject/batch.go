@@ -8,8 +8,9 @@ import "mixedrel/internal/fp"
 // identical to the scalar path:
 //
 //   - if the configured fault could strike any of the batch's n dynamic
-//     operations (canStrike), the batch is decomposed into the scalar
-//     methods, which perform the exact per-operation matching,
+//     operations, or a DUE hook fire within them (canStrike, a test
+//     against the quiet horizon), the batch is decomposed into the
+//     scalar methods, which perform the exact per-operation matching,
 //     corruption, and counter bookkeeping;
 //   - otherwise the counters advance by n in one step, and the results
 //     are either served from the fault-free replay trace (before any
@@ -22,54 +23,16 @@ import "mixedrel/internal/fp"
 
 // canStrike reports whether the configured fault could corrupt any of
 // the next n dynamic operations of the given kind — or whether an armed
-// behavioral-DUE hook could fire within them. It must err on the side
-// of true: a true return only costs speed (the batch decomposes into
-// exact scalar matching), a false miss would skip a corruption or a
-// detector.
+// behavioral-DUE hook could fire within them. It answers from the quiet
+// horizon, the same gates the scalar fast path checks, applied to the
+// window's last counter values: a strike, watchdog trip, control strike,
+// skip mode or pending operand inside the window crosses a gate. A live
+// trap forces decomposition too, since a non-finite result anywhere in
+// the batch must fault at its exact operation. A true return only costs
+// speed (the batch decomposes into the exact scalar methods); a false
+// one guarantees that nothing in the window differs from plain compute.
 func (e *Env) canStrike(kind fp.Op, n uint64) bool {
-	if e.due && e.mustDecompose(n) {
-		return true
-	}
-	if e.fault.Target != TargetOperand && e.fault.Target != TargetResult {
-		return false
-	}
-	var ctr uint64
-	if e.fault.AnyKind {
-		ctr = e.all
-	} else {
-		if kind != e.fault.Kind {
-			return false
-		}
-		ctr = e.byKind[kind]
-	}
-	if m := e.fault.Modulo; m > 0 {
-		// Next counter value ≡ Index (mod m) within the window?
-		off := (e.fault.Index%m + m - ctr%m) % m
-		return off < n
-	}
-	return e.fault.Index >= ctr && e.fault.Index-ctr < n
-}
-
-// mustDecompose reports whether any armed behavioral-DUE hook could
-// fire within the next n operations, forcing exact scalar execution:
-// skip mode and a pending aliased operand change per-op semantics, the
-// watchdog would trip inside the window, the control strike site falls
-// inside the window, or the trap is live (a non-finite result anywhere
-// in the batch must fault at its exact operation).
-func (e *Env) mustDecompose(n uint64) bool {
-	if e.skip || e.ctlPending {
-		return true
-	}
-	if e.budget > 0 && e.all+n > e.budget {
-		return true
-	}
-	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site-e.all < n {
-		return true
-	}
-	if e.trap && (e.applied != 0 || e.trapAll) {
-		return true
-	}
-	return false
+	return e.all+n > e.quiet || e.byKind[kind]+n > e.kindAt[kind] || e.trapLive()
 }
 
 // advance moves the operation counters past n operations of one kind.
@@ -91,7 +54,7 @@ func (e *Env) replayable() bool {
 // replayable — may try the compiled trace program's compare-serving.
 // Every batch that reaches its bulk path already cleared canStrike, so
 // no operation in it is struck and no behavioral-DUE hook can fire
-// inside it (mustDecompose); compare-serving then answers each
+// inside it; compare-serving then answers each
 // operation from the trace exactly when its recorded operands match
 // the live ones, which is the post-fault cone partition: compares miss
 // precisely on the fault-dependent operations, and only those

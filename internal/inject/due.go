@@ -149,6 +149,10 @@ type dueSignal struct {
 	cause   DUECause
 }
 
+// ClassifiedOutcome implements exec.Classified: Guard recovers a
+// dueSignal without capturing a stack.
+func (dueSignal) ClassifiedOutcome() {}
+
 // FaultSpec is the full fault specification of one sample: at most one
 // of Op/Control, any number of memory faults, plus the runtime
 // detectors armed for the run.

@@ -185,6 +185,43 @@ func TestLoopFaultDownwardTruncates(t *testing.T) {
 	}
 }
 
+// TestInjectOpsCountsExecutedOnly: a loop-counter jump charges its
+// re-executed operations to the watchdog budget without executing them,
+// so inject_ops must count only the operations the run executed — the
+// golden count for a jump the budget absorbs, the prefix up to the
+// control site for one the watchdog kills.
+func TestInjectOpsCountsExecutedOnly(t *testing.T) {
+	r := NewRunner(kernels.NewGEMM(6, 1), fp.Single, "", nil)
+	golden := r.Counts().Total()
+	const site = 40
+	remaining := uint32(golden - site)
+	small := bits.TrailingZeros32(^remaining) // a clear bit: an upward jump of 2^small
+	if uint64(1)<<small > 3*golden {
+		t.Fatalf("jump 2^%d would not fit the budget", small)
+	}
+	for _, tc := range []struct {
+		bit     int
+		outcome Outcome
+		ops     uint64
+	}{
+		{bit: small, outcome: -1, ops: golden},     // absorbed: the run completes
+		{bit: 31, outcome: HangDUE, ops: site + 1}, // runaway: killed at the site
+	} {
+		cf := ControlFault{Class: LoopControl, Site: site, Bit: tc.bit}
+		before := snapshotCounter(t, "inject_ops")
+		rr, abort := r.RunSpec(FaultSpec{Control: &cf, Watchdog: DefaultWatchdogFactor}, false)
+		if abort != nil {
+			t.Fatalf("bit %d: abort: %v", tc.bit, abort)
+		}
+		if tc.outcome >= 0 && rr.Outcome != tc.outcome || tc.outcome < 0 && rr.Outcome.IsDUE() {
+			t.Fatalf("bit %d: outcome %v (%v)", tc.bit, rr.Outcome, rr.Cause)
+		}
+		if got := snapshotCounter(t, "inject_ops") - before; got != tc.ops {
+			t.Errorf("bit %d: inject_ops advanced %d, want the %d executed operations", tc.bit, got, tc.ops)
+		}
+	}
+}
+
 // TestWatchdogBudgetClampedToGolden: a sub-1 factor must not kill a
 // fault-free-length run — the budget clamps to the golden op count.
 func TestWatchdogBudgetClampedToGolden(t *testing.T) {

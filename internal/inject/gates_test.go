@@ -1,0 +1,470 @@
+package inject
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"mixedrel/internal/exec"
+	"mixedrel/internal/fp"
+	"mixedrel/internal/kernels"
+	"mixedrel/internal/rng"
+)
+
+// The quiet horizon (Env.quiet/kindAt, rearm, canStrike) is a cost
+// policy over exact per-operation semantics: it decides which operations
+// may skip matching and the DUE hooks, never what an operation does. The
+// tests below hold it to an oracle that matches the fault and runs the
+// DUE hooks on every single operation, as the injector did before the
+// horizon existed.
+
+// oracle is the reference injector. Its state lives in an Env so that it
+// shares the event effects (applyControl, duePre, duePost, flip, and
+// IntDecision) with the injector under test, but none of the gating:
+// every operation calls match and dueStep itself. It has no batch
+// methods, so the fp batch helpers decompose through it.
+type oracle struct{ e *Env }
+
+// match reports whether the current operation (of the given kind) is
+// struck, using the counters prior to increment.
+func (o oracle) match(kind fp.Op) bool {
+	e := o.e
+	var ctr uint64
+	if e.fault.AnyKind {
+		ctr = e.all
+	} else {
+		if kind != e.fault.Kind {
+			return false
+		}
+		ctr = e.byKind[kind]
+	}
+	if e.fault.Modulo > 0 {
+		return ctr%e.fault.Modulo == e.fault.Index%e.fault.Modulo
+	}
+	return ctr == e.fault.Index
+}
+
+// dueStep runs the watchdog and the control strike for the operation
+// just counted.
+func (o oracle) dueStep() {
+	e := o.e
+	if e.budget > 0 && e.all > e.budget {
+		panic(dueSignal{outcome: HangDUE, cause: CauseWatchdog})
+	}
+	if e.ctlArmed && e.all-1 == e.ctl.Site {
+		e.ctlArmed = false
+		e.applyControl()
+	}
+}
+
+func (o oracle) op(kind fp.Op, a, b, c fp.Bits) fp.Bits {
+	e := o.e
+	hit := o.match(kind)
+	e.all++
+	e.byKind[kind]++
+	if e.due {
+		o.dueStep()
+	}
+	hitOperand := hit && e.fault.Target == TargetOperand
+	hitResult := hit && e.fault.Target == TargetResult
+	if hitOperand {
+		switch kind {
+		case fp.OpSqrt, fp.OpExp:
+			a = e.flip(a)
+		case fp.OpFMA:
+			switch e.fault.OperandIdx % 3 {
+			case 0:
+				a = e.flip(a)
+			case 1:
+				b = e.flip(b)
+			default:
+				c = e.flip(c)
+			}
+		default:
+			if e.fault.OperandIdx%2 == 0 {
+				a = e.flip(a)
+			} else {
+				b = e.flip(b)
+			}
+		}
+		e.applied++
+	}
+	var skipped bool
+	if e.due {
+		a, skipped = e.duePre(a)
+	}
+	res := a
+	if kind == fp.OpFMA {
+		res = c
+	}
+	if !skipped {
+		switch kind {
+		case fp.OpAdd:
+			res = e.inner.Add(a, b)
+		case fp.OpSub:
+			res = e.inner.Sub(a, b)
+		case fp.OpMul:
+			res = e.inner.Mul(a, b)
+		case fp.OpDiv:
+			res = e.inner.Div(a, b)
+		case fp.OpFMA:
+			res = e.inner.FMA(a, b, c)
+		case fp.OpSqrt:
+			res = e.inner.Sqrt(a)
+		case fp.OpExp:
+			res = e.inner.Exp(a)
+		}
+	}
+	if hitResult {
+		res = e.flip(res)
+		e.applied++
+	}
+	if e.due {
+		res = e.duePost(res)
+	}
+	return res
+}
+
+func (o oracle) Format() fp.Format             { return o.e.Format() }
+func (o oracle) FromFloat64(v float64) fp.Bits { return o.e.FromFloat64(v) }
+func (o oracle) ToFloat64(b fp.Bits) float64   { return o.e.ToFloat64(b) }
+func (o oracle) IntDecision(k int) int         { return o.e.IntDecision(k) }
+func (o oracle) Add(a, b fp.Bits) fp.Bits      { return o.op(fp.OpAdd, a, b, 0) }
+func (o oracle) Sub(a, b fp.Bits) fp.Bits      { return o.op(fp.OpSub, a, b, 0) }
+func (o oracle) Mul(a, b fp.Bits) fp.Bits      { return o.op(fp.OpMul, a, b, 0) }
+func (o oracle) Div(a, b fp.Bits) fp.Bits      { return o.op(fp.OpDiv, a, b, 0) }
+func (o oracle) FMA(a, b, c fp.Bits) fp.Bits   { return o.op(fp.OpFMA, a, b, c) }
+func (o oracle) Sqrt(a fp.Bits) fp.Bits        { return o.op(fp.OpSqrt, a, 0, 0) }
+func (o oracle) Exp(a fp.Bits) fp.Bits         { return o.op(fp.OpExp, a, 0, 0) }
+
+// spyCall is one operation that reached an injector's inner machine,
+// with the injector's corruption count at that moment: an operand strike
+// shows as a corrupted operand in the entry it hits and as the count
+// rising there, a result strike as the count rising on the next entry.
+// Two injectors whose spy logs agree struck the same positions.
+type spyCall struct {
+	kind    fp.Op
+	a, b, c fp.Bits
+	applied uint64
+}
+
+// spy is an inner machine that logs every operation it computes.
+type spy struct {
+	fp.Env
+	owner *Env
+	log   []spyCall
+}
+
+func (s *spy) rec(kind fp.Op, a, b, c fp.Bits) {
+	s.log = append(s.log, spyCall{kind, a, b, c, s.owner.applied})
+}
+
+func (s *spy) Add(a, b fp.Bits) fp.Bits    { s.rec(fp.OpAdd, a, b, 0); return s.Env.Add(a, b) }
+func (s *spy) Sub(a, b fp.Bits) fp.Bits    { s.rec(fp.OpSub, a, b, 0); return s.Env.Sub(a, b) }
+func (s *spy) Mul(a, b fp.Bits) fp.Bits    { s.rec(fp.OpMul, a, b, 0); return s.Env.Mul(a, b) }
+func (s *spy) Div(a, b fp.Bits) fp.Bits    { s.rec(fp.OpDiv, a, b, 0); return s.Env.Div(a, b) }
+func (s *spy) FMA(a, b, c fp.Bits) fp.Bits { s.rec(fp.OpFMA, a, b, c); return s.Env.FMA(a, b, c) }
+func (s *spy) Sqrt(a fp.Bits) fp.Bits      { s.rec(fp.OpSqrt, a, 0, 0); return s.Env.Sqrt(a) }
+func (s *spy) Exp(a fp.Bits) fp.Bits       { s.rec(fp.OpExp, a, 0, 0); return s.Env.Exp(a) }
+
+// newSpied builds an injecting environment over a logging machine.
+func newSpied(f fp.Format) (*Env, *spy) {
+	s := &spy{Env: fp.NewMachine(f)}
+	e := NewEnv(s, neverFault)
+	s.owner = e
+	return e, s
+}
+
+// gateStream drives runStream's batch shapes between scalar operations
+// of every kind, so strikes, budgets and control sites land inside,
+// across and between batch windows of every shape. Its last batch
+// produces an infinity mid-window, which a live trap must catch at its
+// exact operation.
+func gateStream(env fp.Env, f fp.Format) []fp.Bits {
+	x := f.FromFloat64(1.25)
+	y := f.FromFloat64(0.75)
+	out := []fp.Bits{env.Sub(x, y), env.Div(x, y), env.Sqrt(x), env.Exp(y)}
+	out = append(out, runStream(env, f)...)
+	out = append(out, env.FMA(out[0], out[1], out[2]), env.Exp(out[3]), env.Div(out[5], x), env.Sqrt(out[6]))
+	out = append(out, runStream(env, f)...)
+	dst := make([]fp.Bits, 4)
+	fp.AddN(env, dst, []fp.Bits{x, y, f.FromFloat64(math.Inf(1)), x}, []fp.Bits{y, x, y, y})
+	return append(out, dst...)
+}
+
+// gateRun is everything observable about one run.
+type gateRun struct {
+	out     []fp.Bits
+	sig     *dueSignal
+	applied uint64
+	all     uint64
+	byKind  [fp.NumOps]uint64
+	log     []spyCall
+}
+
+// runGuarded runs fn under exec.Guard and returns the emulated DUE it
+// ended in, if any; any other panic fails the test.
+func runGuarded(t *testing.T, fn func()) *dueSignal {
+	t.Helper()
+	abort := exec.Guard(fn)
+	if abort == nil {
+		return nil
+	}
+	sig, ok := abort.Value.(dueSignal)
+	if !ok {
+		t.Fatalf("run panicked: %v\n%s", abort.Value, abort.Stack)
+	}
+	return &sig
+}
+
+// gateMem is the input footprint index and pointer faults read through.
+func gateMem(f fp.Format) [][]fp.Bits {
+	return [][]fp.Bits{
+		{f.FromFloat64(3), f.FromFloat64(-0.5), f.FromFloat64(7), f.FromFloat64(0.125), f.FromFloat64(2)},
+		{f.FromFloat64(-4), f.FromFloat64(1.5), f.FromFloat64(0.25)},
+	}
+}
+
+// checkGates runs spec through the oracle and through the injector
+// under test — once computing every operation, once with the fault-free
+// replay trace installed when the spec allows it — and requires the same
+// outputs, strike positions, corruption count, counters and outcome.
+func checkGates(t *testing.T, f fp.Format, spec FaultSpec, goldenOps uint64, trace []fp.Bits) {
+	t.Helper()
+	run := func(build func() (fp.Env, *Env, *spy)) gateRun {
+		env, e, s := build()
+		var r gateRun
+		r.sig = runGuarded(t, func() { r.out = gateStream(env, f) })
+		r.applied, r.all, r.byKind, r.log = e.applied, e.all, e.byKind, s.log
+		return r
+	}
+	want := run(func() (fp.Env, *Env, *spy) {
+		e, s := newSpied(f)
+		e.resetSpec(spec, goldenOps, gateMem(f))
+		return oracle{e}, e, s
+	})
+	got := run(func() (fp.Env, *Env, *spy) {
+		e, s := newSpied(f)
+		e.resetSpec(spec, goldenOps, gateMem(f))
+		return e, e, s
+	})
+	compare := func(mode string, got gateRun, logs bool) {
+		t.Helper()
+		if !reflect.DeepEqual(got.sig, want.sig) {
+			t.Fatalf("%s %s: outcome %+v, oracle %+v", spec.Desc(), mode, got.sig, want.sig)
+		}
+		if !reflect.DeepEqual(got.out, want.out) {
+			t.Fatalf("%s %s: outputs\n  %x\noracle\n  %x", spec.Desc(), mode, got.out, want.out)
+		}
+		if got.applied != want.applied || got.all != want.all || got.byKind != want.byKind {
+			t.Fatalf("%s %s: applied %d all %d byKind %v, oracle applied %d all %d byKind %v",
+				spec.Desc(), mode, got.applied, got.all, got.byKind, want.applied, want.all, want.byKind)
+		}
+		if logs && !reflect.DeepEqual(got.log, want.log) {
+			for i := range got.log {
+				if i >= len(want.log) || got.log[i] != want.log[i] {
+					t.Fatalf("%s %s: inner call %d is %+v, oracle's %+v", spec.Desc(), mode, i, got.log[i], want.log[min(i, len(want.log)-1)])
+				}
+			}
+			t.Fatalf("%s %s: %d inner calls, oracle %d", spec.Desc(), mode, len(got.log), len(want.log))
+		}
+	}
+	compare("computed", got, true)
+	if len(spec.Mem) > 0 {
+		return // pre-run corruption voids the replay induction
+	}
+	replayed := run(func() (fp.Env, *Env, *spy) {
+		e, s := newSpied(f)
+		e.resetSpec(spec, goldenOps, gateMem(f))
+		e.replay = trace
+		return e, e, s
+	})
+	compare("replayed", replayed, false)
+}
+
+// gateTrace records the fault-free result trace of gateStream.
+func gateTrace(f fp.Format) []fp.Bits {
+	rec := &traceRec{Env: fp.NewMachine(f)}
+	gateStream(rec, f)
+	return rec.trace
+}
+
+// TestQuietHorizonMatchesOracle sweeps every strike index of the stream
+// for AnyKind and Kind-specific faults, Modulo 0 and k, and operand,
+// result and int-state targets, each bare, under a watchdog whose budget
+// lands on every stream position, and with a control site of every
+// class; then adds random specs combining all of it with the trap and
+// pre-run memory corruption.
+func TestQuietHorizonMatchesOracle(t *testing.T) {
+	for _, f := range []fp.Format{fp.Half, fp.Single, fp.Double} {
+		trace := gateTrace(f)
+		n := uint64(len(trace))
+		// Ops of each kind in the stream, for Kind-specific index ranges.
+		var byKind [fp.NumOps]uint64
+		{
+			e := NewEnv(fp.NewMachine(f), neverFault)
+			gateStream(noBatch{e}, f)
+			byKind = e.byKind
+		}
+		top := f.Width() - 2 // top exponent bit: flips 1.x into Inf/NaN
+		type shape struct {
+			any  bool
+			kind fp.Op
+		}
+		shapes := []shape{{any: true}, {kind: fp.OpFMA}, {kind: fp.OpAdd}, {kind: fp.OpMul}, {kind: fp.OpExp}, {kind: fp.OpDiv}}
+		for _, sh := range shapes {
+			limit := n
+			if !sh.any {
+				limit = byKind[sh.kind]
+			}
+			for _, mod := range []uint64{0, 3, 7} {
+				for _, target := range []Target{TargetOperand, TargetResult, TargetIntState} {
+					for idx := uint64(0); idx <= limit+1; idx++ {
+						i := int(idx)
+						of := OpFault{AnyKind: sh.any, Kind: sh.kind, Index: idx, Modulo: mod,
+							Bit: (i * 5) % f.Width(), Target: target, OperandIdx: i % 3}
+						checkGates(t, f, FaultSpec{Op: &of}, n, trace)
+						// The watchdog's budget (goldenOps x 1) on every
+						// position: trips inside, at the edge of, and
+						// between batch windows.
+						checkGates(t, f, FaultSpec{Op: &of, Watchdog: 1}, 1+(idx*7)%n, trace)
+						for class := ControlClass(0); class < numControlClasses; class++ {
+							cf := ControlFault{Class: class, Site: (idx*5 + uint64(class)) % n, Bit: (i*11 + int(class)) % 48}
+							checkGates(t, f, FaultSpec{Op: &of, Control: &cf, Watchdog: 4, TrapNonFinite: i%2 == 0}, n, trace)
+						}
+					}
+				}
+			}
+		}
+
+		r := rng.New(0x9A7E + uint64(f.Width()))
+		for i := 0; i < 3000; i++ {
+			var spec FaultSpec
+			if r.Intn(4) != 0 {
+				sh := shapes[r.Intn(len(shapes))]
+				limit := n
+				if !sh.any {
+					limit = byKind[sh.kind]
+				}
+				bit := r.Intn(f.Width())
+				if r.Intn(3) == 0 {
+					bit = top
+				}
+				of := OpFault{AnyKind: sh.any, Kind: sh.kind, Index: r.Uint64n(limit + 2), Bit: bit,
+					Width: 1 + r.Intn(2), Target: Target(r.Intn(3)), OperandIdx: r.Intn(3)}
+				if r.Intn(2) == 0 {
+					of.Modulo = 1 + r.Uint64n(9)
+				}
+				spec.Op = &of
+			}
+			if r.Intn(2) == 0 {
+				cf := ControlFault{Class: ControlClass(r.Intn(NumControlClasses)), Site: r.Uint64n(n + 1), Bit: r.Intn(48)}
+				spec.Control = &cf
+			}
+			if r.Intn(2) == 0 {
+				spec.Watchdog = []float64{0.5, 1, 1.5, 4}[r.Intn(4)]
+			}
+			spec.TrapNonFinite = r.Intn(2) == 0
+			if r.Intn(4) == 0 {
+				spec.Mem = []MemFault{{}} // arms the trap from op 0
+			}
+			checkGates(t, f, spec, 1+r.Uint64n(2*n), trace)
+		}
+	}
+}
+
+// TestQuietHorizonMatchesOracleKernels runs real kernels — every batch
+// shape plus the compiled program's compare-serving — through Runner and
+// through the oracle, and requires the same classification, cause and
+// output bits.
+func TestQuietHorizonMatchesOracleKernels(t *testing.T) {
+	cases := []kernels.Kernel{
+		kernels.NewGEMM(5, 1),
+		kernels.NewCG(5, 3, 4),
+		kernels.NewLUD(5, 2),
+		kernels.NewHotspot(4, 2, 1),
+		kernels.NewLavaMD(1, 2, 3),
+	}
+	for _, k := range cases {
+		for _, f := range []fp.Format{fp.Half, fp.Double} {
+			t.Run(fmt.Sprintf("%s/%v", k.Name(), f), func(t *testing.T) {
+				runner := NewRunner(k, f, "", nil)
+				counts := runner.Counts()
+				var kinds []fp.Op
+				for op := fp.Op(0); int(op) < fp.NumOps; op++ {
+					if counts.ByOp[op] > 0 {
+						kinds = append(kinds, op)
+					}
+				}
+				r := rng.New(0x0AC1E + uint64(f.Width()))
+				for i := 0; i < 150; i++ {
+					spec := randomSpec(r, counts, runner.ArrayLens(), f, i)
+					if i%3 == 0 && spec.Op != nil {
+						// Kind-specific and persistent variants.
+						kind := kinds[r.Intn(len(kinds))]
+						of := SampleOpFault(r, counts, f, kind, false, spec.Op.Target)
+						if i%2 == 0 {
+							of.Modulo = 1 + r.Uint64n(counts.ByOp[kind])
+						}
+						spec.Op = &of
+					}
+					if i%4 == 1 && spec.Control == nil {
+						cf := SampleControlFault(r, counts)
+						spec.Control = &cf
+						spec.Watchdog = DefaultWatchdogFactor
+					}
+					checkKernelGates(t, runner, k, f, spec)
+				}
+			})
+		}
+	}
+}
+
+// checkKernelGates compares one Runner sample against the oracle.
+func checkKernelGates(t *testing.T, runner *Runner, k kernels.Kernel, f fp.Format, spec FaultSpec) {
+	t.Helper()
+	got, abort := runner.RunSpec(spec, true)
+	if abort != nil {
+		t.Fatalf("%s: runner aborted: %v", spec.Desc(), abort.Value)
+	}
+
+	in := runner.art.CopyInputs(nil)
+	for _, mf := range spec.Mem {
+		arr := in[mf.Array%len(in)]
+		i := mf.Elem % len(arr)
+		arr[i] = FlipBits(f, arr[i], mf.Bit, mf.Width)
+	}
+	e := NewEnv(fp.NewMachine(f), neverFault)
+	e.resetSpec(spec, runner.Counts().Total(), in)
+	var outBits []fp.Bits
+	sig := runGuarded(t, func() { outBits = k.Run(oracle{e}, in) })
+	want := RunResult{FaultApplied: len(spec.Mem) > 0 || e.applied > 0}
+	if sig != nil {
+		want = RunResult{Outcome: sig.outcome, Cause: sig.cause, FaultApplied: true}
+	} else {
+		golden := runner.Golden()
+		want.Output = kernels.Decode(f, outBits)
+		for i, v := range want.Output {
+			if v != golden[i] {
+				want.Outcome = SDC
+				if re := fp.RelErr(golden[i], v); re > want.MaxRelErr {
+					want.MaxRelErr = re
+				}
+			}
+		}
+	}
+	if got.Outcome != want.Outcome || got.Cause != want.Cause || got.FaultApplied != want.FaultApplied ||
+		math.Float64bits(got.MaxRelErr) != math.Float64bits(want.MaxRelErr) {
+		t.Fatalf("%s: runner %v/%v applied=%v relerr=%g, oracle %v/%v applied=%v relerr=%g", spec.Desc(),
+			got.Outcome, got.Cause, got.FaultApplied, got.MaxRelErr, want.Outcome, want.Cause, want.FaultApplied, want.MaxRelErr)
+	}
+	if len(got.Output) != len(want.Output) {
+		t.Fatalf("%s: runner output %d values, oracle %d", spec.Desc(), len(got.Output), len(want.Output))
+	}
+	for i := range got.Output {
+		if math.Float64bits(got.Output[i]) != math.Float64bits(want.Output[i]) {
+			t.Fatalf("%s: output %d: runner %v, oracle %v", spec.Desc(), i, got.Output[i], want.Output[i])
+		}
+	}
+}

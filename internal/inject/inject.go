@@ -98,6 +98,20 @@ type Env struct {
 	intCtr  uint64
 	applied uint64 // number of corruptions performed
 
+	// The quiet horizon: while all <= quiet and byKind[k] <= kindAt[k]
+	// (counters taken after the current operation's increment), no
+	// strike, watchdog trip, control strike, skip or pending operand can
+	// touch the operation, so it runs on the inlined fast path of its
+	// method. quiet gates everything counted over all operations (an
+	// AnyKind strike, the watchdog budget, the armed control site, and
+	// skip mode or a pending operand, which pin it to 0); kindAt gates a
+	// Kind-specific strike. The first operation past a gate takes the
+	// outlined slow path, which matches it exactly and recomputes both
+	// gates (rearm). A quiet operation therefore costs one counter tick
+	// and one compare, however many DUE hooks are armed.
+	quiet  uint64
+	kindAt [fp.NumOps]uint64
+
 	// replay, when non-nil, is the fault-free per-operation result trace
 	// of this configuration (exec.Artifacts.Results). Until the first
 	// corruption is applied every operation's operands are bit-identical
@@ -140,10 +154,11 @@ type Env struct {
 	statReplayed uint64 // operations served by replay induction
 	statServed   uint64 // operations served by compiled compare-serving
 	statBackoff  uint64 // times the scalar serve backoff tripped
+	statJumped   uint64 // operations a loop-counter jump added to all without executing them
 
-	// Behavioral-DUE state, armed per run by resetSpec. due gates every
-	// per-operation hook with a single branch so fault-free and
-	// data-fault-only runs pay (almost) nothing for the machinery.
+	// Behavioral-DUE state, armed per run by resetSpec. due records
+	// whether any hook is armed; the hooks themselves reach operations
+	// through the quiet horizon (and trap through duePost).
 	due        bool
 	ctl        ControlFault
 	ctlArmed   bool    // control fault not yet consumed
@@ -160,29 +175,65 @@ type Env struct {
 
 // NewEnv wraps inner with the given operation fault.
 func NewEnv(inner fp.Env, fault OpFault) *Env {
-	return &Env{inner: inner, fault: fault}
+	e := &Env{inner: inner, fault: fault}
+	e.rearm()
+	return e
 }
 
 // Applied returns how many corruptions were performed (0 means the fault
 // index was beyond the executed operation count).
 func (e *Env) Applied() uint64 { return e.applied }
 
-// match reports whether the current operation (of the given kind) is
-// struck, using the counters prior to increment.
-func (e *Env) match(kind fp.Op) bool {
-	var ctr uint64
+// nextStrike returns the first counter value at or after ctr that fault
+// strikes (its counter is all for AnyKind, byKind[Kind] otherwise); ok
+// is false when no later value can match.
+func nextStrike(fault OpFault, ctr uint64) (at uint64, ok bool) {
+	if m := fault.Modulo; m > 0 {
+		return ctr + (fault.Index%m+m-ctr%m)%m, true
+	}
+	return fault.Index, fault.Index >= ctr
+}
+
+// rearm recomputes the quiet horizon from the current counters and DUE
+// state. It runs after every slow-path operation, so it sees every event
+// that moves a gate: a strike (a Modulo fault's next instance), the
+// control strike and its effects (including a loop counter's jump of
+// all), and a consumed pending operand.
+//
+//mixedrelvet:hotpath re-arms the quiet horizon after every slow-path operation
+func (e *Env) rearm() {
+	for k := range e.kindAt {
+		e.kindAt[k] = ^uint64(0)
+	}
+	if e.skip || e.ctlPending {
+		e.quiet = 0
+		return
+	}
+	e.quiet = ^uint64(0)
+	if e.budget > 0 {
+		e.quiet = e.budget
+	}
+	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site < e.quiet {
+		e.quiet = e.ctl.Site
+	}
+	if t := e.fault.Target; t != TargetOperand && t != TargetResult {
+		return // TargetIntState strikes via IntDecision only
+	}
 	if e.fault.AnyKind {
-		ctr = e.all
-	} else {
-		if kind != e.fault.Kind {
-			return false
+		if at, ok := nextStrike(e.fault, e.all); ok && at < e.quiet {
+			e.quiet = at
 		}
-		ctr = e.byKind[kind]
+	} else if at, ok := nextStrike(e.fault, e.byKind[e.fault.Kind]); ok {
+		e.kindAt[e.fault.Kind] = at
 	}
-	if e.fault.Modulo > 0 {
-		return ctr%e.fault.Modulo == e.fault.Index%e.fault.Modulo
-	}
-	return ctr == e.fault.Index
+}
+
+// tick counts one dynamic operation of the given kind and reports
+// whether it lies inside the quiet horizon, i.e. can take the fast path.
+func (e *Env) tick(kind fp.Op) bool {
+	e.all++
+	e.byKind[kind]++
+	return e.all <= e.quiet && e.byKind[kind] <= e.kindAt[kind]
 }
 
 // flip corrupts b per the fault's bit position and width.
@@ -203,42 +254,124 @@ func FlipBits(f fp.Format, b fp.Bits, bit, width int) fp.Bits {
 	return b
 }
 
-// begin advances the operation counters for one dynamic operation and
-// reports whether the fault strikes it, split by target. Matching is
-// inlined into each arithmetic method (the former closure-based step
-// helper built an operand slice and a closure per dynamic operation —
-// pure overhead on the hot path).
-func (e *Env) begin(kind fp.Op) (hitOperand, hitResult bool) {
-	hit := e.match(kind)
-	e.all++
-	e.byKind[kind]++
-	if e.due {
-		e.dueStep()
+// struck reports whether the fault strikes the operation of the given
+// kind that tick just counted (its counter before the increment).
+func (e *Env) struck(kind fp.Op) bool {
+	ctr := e.all - 1
+	if !e.fault.AnyKind {
+		if kind != e.fault.Kind {
+			return false
+		}
+		ctr = e.byKind[kind] - 1
 	}
-	if !hit {
-		return false, false
+	at, ok := nextStrike(e.fault, ctr)
+	return ok && at == ctr
+}
+
+// slow executes an operation that tick placed past the quiet horizon,
+// with the exact per-operation semantics: strike matching, the watchdog
+// and control-state hooks, serving, corruption, skip mode and the trap.
+// It then re-arms the horizon. Unused operand slots are ignored per the
+// kind's arity.
+//
+//mixedrelvet:hotpath outlined per-operation slow path of the injection fast path
+func (e *Env) slow(kind fp.Op, a, b, c fp.Bits) fp.Bits {
+	var hitOperand, hitResult bool
+	if e.struck(kind) {
+		hitOperand = e.fault.Target == TargetOperand
+		hitResult = e.fault.Target == TargetResult
 	}
-	switch e.fault.Target {
-	case TargetOperand:
-		return true, false
-	case TargetResult:
-		return false, true
+	if e.budget > 0 && e.all > e.budget {
+		panic(dueSignal{outcome: HangDUE, cause: CauseWatchdog})
 	}
-	return false, false // TargetIntState strikes via IntDecision only
+	if e.ctlArmed && e.all-1 == e.ctl.Site {
+		e.ctlArmed = false
+		e.applyControl()
+	}
+	res := e.execute(kind, hitOperand, hitResult, a, b, c)
+	e.rearm()
+	return res
+}
+
+// execute is the body of a slow-path operation after its hooks ran.
+func (e *Env) execute(kind fp.Op, hitOperand, hitResult bool, a, b, c fp.Bits) fp.Bits {
+	if !hitOperand && !hitResult {
+		if res, ok := e.served(kind, a, b, c); ok {
+			return res
+		}
+	}
+	if hitOperand {
+		// The operand is OperandIdx modulo the operation's arity.
+		switch kind {
+		case fp.OpSqrt, fp.OpExp:
+			a = e.flip(a)
+		case fp.OpFMA:
+			switch e.fault.OperandIdx % 3 {
+			case 0:
+				a = e.flip(a)
+			case 1:
+				b = e.flip(b)
+			default:
+				c = e.flip(c)
+			}
+		default:
+			if e.fault.OperandIdx%2 == 0 {
+				a = e.flip(a)
+			} else {
+				b = e.flip(b)
+			}
+		}
+		e.applied++
+	}
+	a, skipped := e.duePre(a)
+	var res fp.Bits
+	switch {
+	case skipped && kind == fp.OpFMA:
+		// A skipped FMA passes its accumulator through: the multiply-add
+		// contribution of the skipped iteration is simply lost.
+		res = c
+	case skipped:
+		res = a
+	default:
+		res = e.compute(kind, a, b, c)
+	}
+	if hitResult {
+		res = e.flip(res)
+		e.applied++
+	}
+	return e.duePost(res)
+}
+
+// compute runs one operation through the inner environment.
+func (e *Env) compute(kind fp.Op, a, b, c fp.Bits) fp.Bits {
+	switch kind {
+	case fp.OpAdd:
+		return e.inner.Add(a, b)
+	case fp.OpSub:
+		return e.inner.Sub(a, b)
+	case fp.OpMul:
+		return e.inner.Mul(a, b)
+	case fp.OpDiv:
+		return e.inner.Div(a, b)
+	case fp.OpFMA:
+		return e.inner.FMA(a, b, c)
+	case fp.OpSqrt:
+		return e.inner.Sqrt(a)
+	}
+	return e.inner.Exp(a)
 }
 
 // replayed reports whether the current operation — already counted by
-// begin — can be served from the fault-free result trace, and returns
-// its recorded result. It can when a trace is installed, the operation
-// itself is not struck, and no corruption has been applied yet: every
-// operand is then bit-identical to the fault-free run's, so the recorded
-// result is exact. This skips the decode/compute/round cost of the whole
-// pre-fault prefix, which dominates campaign time (the struck index is
-// uniform over the operation stream, so the prefix is half of it on
-// average, and all of it when the fault index exceeds the executed
-// count).
-func (e *Env) replayed(hitOperand, hitResult bool) (fp.Bits, bool) {
-	if uint64(len(e.replay)) < e.all || hitOperand || hitResult || e.applied != 0 {
+// tick, and not struck — can be served from the fault-free result
+// trace, and returns its recorded result. It can when a trace is
+// installed and no corruption has been applied yet: every operand is
+// then bit-identical to the fault-free run's, so the recorded result is
+// exact. This skips the decode/compute/round cost of the whole pre-fault
+// prefix, which dominates campaign time (the struck index is uniform
+// over the operation stream, so the prefix is half of it on average, and
+// all of it when the fault index exceeds the executed count).
+func (e *Env) replayed() (fp.Bits, bool) {
+	if e.applied != 0 || uint64(len(e.replay)) < e.all {
 		return 0, false
 	}
 	e.statReplayed++
@@ -246,8 +379,8 @@ func (e *Env) replayed(hitOperand, hitResult bool) (fp.Bits, bool) {
 }
 
 // served reports whether the current operation — already counted by
-// begin — can be answered without computing it, and returns the result.
-// Two mechanisms stack:
+// tick, and not struck — can be answered without computing it, and
+// returns the result. Two mechanisms stack:
 //
 //   - replay induction (replayed): position-based, exact while nothing
 //     has been corrupted yet;
@@ -262,17 +395,14 @@ func (e *Env) replayed(hitOperand, hitResult bool) (fp.Bits, bool) {
 //     and the fault-independent rest (served from the trace).
 //
 // Compare-serving is bypassed whenever the operation's semantics
-// differ from plain compute: a struck operation, skip mode (the body
-// is bypassed), or a pending control-corrupted operand. The NaN/Inf
-// trap applies to served results exactly as to computed ones.
-func (e *Env) served(kind fp.Op, hitOperand, hitResult bool, a, b, c fp.Bits) (fp.Bits, bool) {
-	if res, ok := e.replayed(hitOperand, hitResult); ok {
+// differ from plain compute: skip mode (the body is bypassed) or a
+// pending control-corrupted operand. The NaN/Inf trap applies to served
+// results exactly as to computed ones.
+func (e *Env) served(kind fp.Op, a, b, c fp.Bits) (fp.Bits, bool) {
+	if res, ok := e.replayed(); ok {
 		return res, true
 	}
-	if e.prog == nil || hitOperand || hitResult || e.skip || e.ctlPending {
-		return 0, false
-	}
-	if !scalarServeWorthwhile(kind) {
+	if e.prog == nil || e.skip || e.ctlPending || !scalarServeWorthwhile(kind) {
 		return 0, false
 	}
 	if e.miss >= scalarServeStreak && e.miss%scalarServeProbe != 0 {
@@ -289,10 +419,7 @@ func (e *Env) served(kind fp.Op, hitOperand, hitResult bool, a, b, c fp.Bits) (f
 	}
 	e.miss = 0
 	e.statServed++
-	if e.due {
-		res = e.duePost(res)
-	}
-	return res, true
+	return e.duePost(res), true
 }
 
 // Scalar compare-serve backoff (see Env.miss): after scalarServeStreak
@@ -349,6 +476,7 @@ func (e *Env) reset(fault *OpFault) {
 	e.statReplayed = 0
 	e.statServed = 0
 	e.statBackoff = 0
+	e.statJumped = 0
 	e.due = false
 	e.ctlArmed = false
 	e.ctlPending = false
@@ -359,6 +487,7 @@ func (e *Env) reset(fault *OpFault) {
 	e.trapAll = false
 	e.mem = nil
 	e.memTotal = 0
+	e.rearm()
 }
 
 // resetSpec re-arms e for a fresh run with the full fault
@@ -393,18 +522,7 @@ func (e *Env) resetSpec(spec FaultSpec, goldenOps uint64, mem [][]fp.Bits) {
 		e.memTotal += uint64(len(arr))
 	}
 	e.due = e.ctlArmed || e.budget > 0 || e.trap
-}
-
-// dueStep runs the behavioral-DUE hooks for the operation just counted
-// by begin: the op-budget watchdog and the control-state strike.
-func (e *Env) dueStep() {
-	if e.budget > 0 && e.all > e.budget {
-		panic(dueSignal{outcome: HangDUE, cause: CauseWatchdog})
-	}
-	if e.ctlArmed && e.all-1 == e.ctl.Site {
-		e.ctlArmed = false
-		e.applyControl()
-	}
+	e.rearm()
 }
 
 // flatElem reads element i of the run's inputs under a flat indexing of
@@ -441,8 +559,12 @@ func (e *Env) applyControl() {
 			// operations. Account for them immediately — if the budget
 			// cannot absorb them the watchdog fires here; otherwise the
 			// re-executed iterations are idempotent on this machine and
-			// the run continues to a (possibly corrupted) output.
-			e.all += uint64(corrupted - remaining)
+			// the run continues to a (possibly corrupted) output. The
+			// jumped operations count toward the budget but were never
+			// executed, so statJumped keeps them out of inject_ops.
+			jump := uint64(corrupted - remaining)
+			e.all += jump
+			e.statJumped += jump
 			if e.budget > 0 && e.all > e.budget {
 				panic(dueSignal{outcome: HangDUE, cause: CauseWatchdog})
 			}
@@ -504,16 +626,28 @@ func (e *Env) duePre(a fp.Bits) (operand fp.Bits, skipped bool) {
 	return a, e.skip
 }
 
+// trapLive reports whether the NaN/Inf trap is armed and live: after a
+// corruption, or from the first operation when inputs were corrupted.
+func (e *Env) trapLive() bool {
+	return e.trap && (e.applied != 0 || e.trapAll)
+}
+
 // duePost applies the NaN/Inf trap to a computed result: the first
 // non-finite value produced after a corruption (or from corrupted
 // inputs) is delivered as an FP exception, i.e. a crash.
 func (e *Env) duePost(res fp.Bits) fp.Bits {
-	if e.trap && (e.applied != 0 || e.trapAll) {
-		if f := e.inner.Format(); f.IsNaN(res) || f.IsInf(res) {
-			panic(dueSignal{outcome: CrashDUE, cause: CauseTrap})
-		}
+	if e.trapLive() {
+		e.trapNonFinite(res)
 	}
 	return res
+}
+
+// trapNonFinite raises the trap's crash when res is NaN or Inf. It is
+// kept out of duePost so that the fast path inlines the liveness test.
+func (e *Env) trapNonFinite(res fp.Bits) {
+	if f := e.inner.Format(); f.IsNaN(res) || f.IsInf(res) {
+		panic(dueSignal{outcome: CrashDUE, cause: CauseTrap})
+	}
 }
 
 // IntDecision implements fp.IntDecider: when the fault targets integer
@@ -535,224 +669,93 @@ func (e *Env) IntDecision(k int) int {
 // Format implements fp.Env.
 func (e *Env) Format() fp.Format { return e.inner.Format() }
 
-// corrupt2 flips a bit of one of two operands per the fault's
-// OperandIdx (modulo arity, matching the former pointer-slice indexing).
-func (e *Env) corrupt2(a, b fp.Bits) (fp.Bits, fp.Bits) {
-	if e.fault.OperandIdx%2 == 0 {
-		a = e.flip(a)
-	} else {
-		b = e.flip(b)
-	}
-	e.applied++
-	return a, b
-}
+// The arithmetic methods below are the per-operation fast path: tick
+// counts the operation and checks the quiet horizon; a quiet operation
+// is served from the replay trace or computed (the trap still applies),
+// and anything else goes to the outlined slow path.
 
 // Add implements fp.Env.
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Add(a, b fp.Bits) fp.Bits {
-	hitOp, hitRes := e.begin(fp.OpAdd)
-	if res, ok := e.replayed(hitOp, hitRes); ok {
+	if !e.tick(fp.OpAdd) {
+		return e.slow(fp.OpAdd, a, b, 0)
+	}
+	if res, ok := e.replayed(); ok {
 		return res
 	}
-	if hitOp {
-		a, b = e.corrupt2(a, b)
-	}
-	var skipped bool
-	if e.due {
-		a, skipped = e.duePre(a)
-	}
-	res := a
-	if !skipped {
-		res = e.inner.Add(a, b)
-	}
-	if hitRes {
-		res = e.flip(res)
-		e.applied++
-	}
-	if e.due {
-		res = e.duePost(res)
-	}
-	return res
+	return e.duePost(e.inner.Add(a, b))
 }
 
 // Sub implements fp.Env.
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Sub(a, b fp.Bits) fp.Bits {
-	hitOp, hitRes := e.begin(fp.OpSub)
-	if res, ok := e.replayed(hitOp, hitRes); ok {
+	if !e.tick(fp.OpSub) {
+		return e.slow(fp.OpSub, a, b, 0)
+	}
+	if res, ok := e.replayed(); ok {
 		return res
 	}
-	if hitOp {
-		a, b = e.corrupt2(a, b)
-	}
-	var skipped bool
-	if e.due {
-		a, skipped = e.duePre(a)
-	}
-	res := a
-	if !skipped {
-		res = e.inner.Sub(a, b)
-	}
-	if hitRes {
-		res = e.flip(res)
-		e.applied++
-	}
-	if e.due {
-		res = e.duePost(res)
-	}
-	return res
+	return e.duePost(e.inner.Sub(a, b))
 }
 
 // Mul implements fp.Env.
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Mul(a, b fp.Bits) fp.Bits {
-	hitOp, hitRes := e.begin(fp.OpMul)
-	if res, ok := e.replayed(hitOp, hitRes); ok {
+	if !e.tick(fp.OpMul) {
+		return e.slow(fp.OpMul, a, b, 0)
+	}
+	if res, ok := e.replayed(); ok {
 		return res
 	}
-	if hitOp {
-		a, b = e.corrupt2(a, b)
-	}
-	var skipped bool
-	if e.due {
-		a, skipped = e.duePre(a)
-	}
-	res := a
-	if !skipped {
-		res = e.inner.Mul(a, b)
-	}
-	if hitRes {
-		res = e.flip(res)
-		e.applied++
-	}
-	if e.due {
-		res = e.duePost(res)
-	}
-	return res
+	return e.duePost(e.inner.Mul(a, b))
 }
 
 // Div implements fp.Env.
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Div(a, b fp.Bits) fp.Bits {
-	hitOp, hitRes := e.begin(fp.OpDiv)
-	if res, ok := e.served(fp.OpDiv, hitOp, hitRes, a, b, 0); ok {
+	if !e.tick(fp.OpDiv) {
+		return e.slow(fp.OpDiv, a, b, 0)
+	}
+	if res, ok := e.served(fp.OpDiv, a, b, 0); ok {
 		return res
 	}
-	if hitOp {
-		a, b = e.corrupt2(a, b)
-	}
-	var skipped bool
-	if e.due {
-		a, skipped = e.duePre(a)
-	}
-	res := a
-	if !skipped {
-		res = e.inner.Div(a, b)
-	}
-	if hitRes {
-		res = e.flip(res)
-		e.applied++
-	}
-	if e.due {
-		res = e.duePost(res)
-	}
-	return res
+	return e.duePost(e.inner.Div(a, b))
 }
 
 // FMA implements fp.Env.
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) FMA(a, b, c fp.Bits) fp.Bits {
-	hitOp, hitRes := e.begin(fp.OpFMA)
-	if res, ok := e.replayed(hitOp, hitRes); ok {
+	if !e.tick(fp.OpFMA) {
+		return e.slow(fp.OpFMA, a, b, c)
+	}
+	if res, ok := e.replayed(); ok {
 		return res
 	}
-	if hitOp {
-		switch e.fault.OperandIdx % 3 {
-		case 0:
-			a = e.flip(a)
-		case 1:
-			b = e.flip(b)
-		default:
-			c = e.flip(c)
-		}
-		e.applied++
-	}
-	var skipped bool
-	if e.due {
-		a, skipped = e.duePre(a)
-	}
-	// A skipped FMA passes its accumulator through: the multiply-add
-	// contribution of the skipped iteration is simply lost.
-	res := c
-	if !skipped {
-		res = e.inner.FMA(a, b, c)
-	}
-	if hitRes {
-		res = e.flip(res)
-		e.applied++
-	}
-	if e.due {
-		res = e.duePost(res)
-	}
-	return res
+	return e.duePost(e.inner.FMA(a, b, c))
 }
 
 // Sqrt implements fp.Env.
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Sqrt(a fp.Bits) fp.Bits {
-	hitOp, hitRes := e.begin(fp.OpSqrt)
-	if res, ok := e.served(fp.OpSqrt, hitOp, hitRes, a, 0, 0); ok {
+	if !e.tick(fp.OpSqrt) {
+		return e.slow(fp.OpSqrt, a, 0, 0)
+	}
+	if res, ok := e.served(fp.OpSqrt, a, 0, 0); ok {
 		return res
 	}
-	if hitOp {
-		a = e.flip(a)
-		e.applied++
-	}
-	var skipped bool
-	if e.due {
-		a, skipped = e.duePre(a)
-	}
-	res := a
-	if !skipped {
-		res = e.inner.Sqrt(a)
-	}
-	if hitRes {
-		res = e.flip(res)
-		e.applied++
-	}
-	if e.due {
-		res = e.duePost(res)
-	}
-	return res
+	return e.duePost(e.inner.Sqrt(a))
 }
 
 // Exp implements fp.Env.
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Exp(a fp.Bits) fp.Bits {
-	hitOp, hitRes := e.begin(fp.OpExp)
-	if res, ok := e.served(fp.OpExp, hitOp, hitRes, a, 0, 0); ok {
+	if !e.tick(fp.OpExp) {
+		return e.slow(fp.OpExp, a, 0, 0)
+	}
+	if res, ok := e.served(fp.OpExp, a, 0, 0); ok {
 		return res
 	}
-	if hitOp {
-		a = e.flip(a)
-		e.applied++
-	}
-	var skipped bool
-	if e.due {
-		a, skipped = e.duePre(a)
-	}
-	res := a
-	if !skipped {
-		res = e.inner.Exp(a)
-	}
-	if hitRes {
-		res = e.flip(res)
-		e.applied++
-	}
-	if e.due {
-		res = e.duePost(res)
-	}
-	return res
+	return e.duePost(e.inner.Exp(a))
 }
 
 // FromFloat64 implements fp.Env.

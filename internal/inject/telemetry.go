@@ -16,7 +16,10 @@ var (
 	mHangDUE  = telemetry.NewCounter("inject_hang_due")
 	mAborts   = telemetry.NewCounter("inject_aborts")
 
-	// mOps counts dynamic operations observed by injecting environments;
+	// mOps counts dynamic operations executed under injecting
+	// environments (a loop-counter jump's re-executed operations are
+	// accounted to the watchdog but never executed, so they are not
+	// counted);
 	// mReplayServed/mCompareServed are the fraction answered from the
 	// replay trace and the compiled program (the remainder recomputed
 	// through the softfloat machine — the serve-vs-recompute ratio).
@@ -38,7 +41,7 @@ var (
 // aborted marks a run that died on a non-DUE panic (a simulator bug).
 func flushRunStats(e *Env, outcome Outcome, cause DUECause, aborted bool) {
 	mSamples.Inc()
-	mOps.Add(e.all)
+	mOps.Add(e.all - e.statJumped)
 	if e.statReplayed > 0 {
 		mReplayServed.Add(e.statReplayed)
 	}

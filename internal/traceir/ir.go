@@ -181,42 +181,54 @@ type Cursor struct {
 	rowLo, rowHi, colLo, colHi int
 }
 
-// find locates the region containing pos, preferring the cursor's
-// last region and its successor before falling back to binary search.
+// find locates the region containing pos and moves the cursor to it.
+// Positions advance near-monotonically within a run, but not every
+// operation consults the program (cheap scalar kinds skip serving
+// entirely, and the scalar serve backoff probes only every few
+// operations), so the next lookup may land any number of regions past
+// the cursor. The search therefore gallops forward from the cursor —
+// probing 1, 2, 4, ... regions ahead until one starts past pos — and
+// binary-searches inside that bracket: the cursor's own region costs two
+// probes, and a skip of d regions O(log d). A position before the cursor
+// binary-searches the prefix.
+//
+//mixedrelvet:hotpath region lookup behind every compare-serve
 func (p *Program) find(c *Cursor, pos uint64) (int, bool) {
-	if pos >= p.ops {
+	rs := p.regions
+	if pos >= p.ops || len(rs) == 0 {
 		return 0, false
 	}
-	// Positions advance near-monotonically within a run, but not every
-	// operation consults the program (cheap scalar kinds skip serving
-	// entirely), so the next lookup may land several regions past the
-	// cursor. A short forward scan catches those skips without paying a
-	// full binary search per batch call.
-	if i := c.rgn; i < len(p.regions) {
-		if p.regions[i].contains(pos) {
-			return i, true
-		}
-		for j := i + 1; j < len(p.regions) && j <= i+8; j++ {
-			if p.regions[j].contains(pos) {
-				c.rgn = j
-				return j, true
-			}
-			if p.regions[j].Start > pos {
-				break
+	// Search [lo, hi) for the first region starting past pos; the one
+	// before it is the only candidate.
+	lo, hi := 0, len(rs)
+	if i := c.rgn; i < len(rs) {
+		if rs[i].Start > pos {
+			hi = i
+		} else {
+			lo = i + 1
+			for step := 1; ; step *= 2 {
+				j := i + step
+				if j >= len(rs) {
+					break
+				}
+				if rs[j].Start > pos {
+					hi = j
+					break
+				}
+				lo = j + 1
 			}
 		}
 	}
-	lo, hi := 0, len(p.regions)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.regions[mid].Start > pos {
+		mid := int(uint(lo+hi) >> 1)
+		if rs[mid].Start > pos {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	i := lo - 1
-	if i >= 0 && p.regions[i].contains(pos) {
+	if i >= 0 && rs[i].contains(pos) {
 		c.rgn = i
 		return i, true
 	}
