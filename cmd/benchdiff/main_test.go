@@ -62,13 +62,13 @@ func TestFindBenchPrefixInsensitive(t *testing.T) {
 
 func TestDiffWorstRegression(t *testing.T) {
 	oldE := map[string]entry{
-		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 100},
-		"BenchmarkB": {Name: "BenchmarkB", NsPerOp: 200},
+		"BenchmarkA":    {Name: "BenchmarkA", NsPerOp: 100},
+		"BenchmarkB":    {Name: "BenchmarkB", NsPerOp: 200},
 		"BenchmarkGone": {Name: "BenchmarkGone", NsPerOp: 50},
 	}
 	newE := map[string]entry{
-		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 150}, // +50%
-		"BenchmarkB": {Name: "BenchmarkB", NsPerOp: 190}, // improvement
+		"BenchmarkA":   {Name: "BenchmarkA", NsPerOp: 150}, // +50%
+		"BenchmarkB":   {Name: "BenchmarkB", NsPerOp: 190}, // improvement
 		"BenchmarkNew": {Name: "BenchmarkNew", NsPerOp: 10},
 	}
 	var buf strings.Builder

@@ -29,7 +29,7 @@
 //
 // Packages default to ./... resolved against the enclosing module. The
 // cache defaults to $MIXEDRELVET_CACHE or the user cache directory;
-// -cache '' disables it. The exit status is 1 if any diagnostic was
+// -cache ” disables it. The exit status is 1 if any diagnostic was
 // reported, 2 on usage or load/driver failure.
 package main
 

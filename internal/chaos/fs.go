@@ -65,13 +65,13 @@ func (o Op) String() string {
 
 // Stats counts the faults an FS injected, by kind.
 type Stats struct {
-	Ops    int64 // total operations observed (faulted or not)
-	Writes int64 // full write failures
-	Shorts int64 // short writes (partial payload + error)
-	Syncs  int64 // sync failures
-	Opens  int64 // open/create failures
+	Ops     int64 // total operations observed (faulted or not)
+	Writes  int64 // full write failures
+	Shorts  int64 // short writes (partial payload + error)
+	Syncs   int64 // sync failures
+	Opens   int64 // open/create failures
 	Renames int64 // rename failures
-	Space  int64 // writes rejected by the space budget
+	Space   int64 // writes rejected by the space budget
 }
 
 // Total returns the number of injected faults.

@@ -228,6 +228,7 @@ func GemmFMA(env Env, out, accs, a, bt []Bits, rows, cols, k int) {
 // re-decoded each step, exactly as the scalar chain would through Bits).
 
 // DotFMA implements BatchEnv.
+//
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) DotFMA(acc Bits, a, b []Bits) Bits {
 	switch m.f {
@@ -266,6 +267,7 @@ func (m *Machine) DotFMA(acc Bits, a, b []Bits) Bits {
 }
 
 // AddN implements BatchEnv.
+//
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) AddN(dst, a, b []Bits) {
 	switch m.f {
@@ -293,6 +295,7 @@ func (m *Machine) AddN(dst, a, b []Bits) {
 }
 
 // MulN implements BatchEnv.
+//
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) MulN(dst, a, b []Bits) {
 	switch m.f {
@@ -320,6 +323,7 @@ func (m *Machine) MulN(dst, a, b []Bits) {
 }
 
 // FMAN implements BatchEnv.
+//
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) FMAN(dst, a, b, c []Bits) {
 	switch m.f {
@@ -353,6 +357,7 @@ func (m *Machine) FMAN(dst, a, b, c []Bits) {
 }
 
 // AXPY implements BatchEnv.
+//
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) AXPY(dst []Bits, s Bits, x []Bits) {
 	switch m.f {
@@ -391,6 +396,7 @@ func (m *Machine) AXPY(dst []Bits, s Bits, x []Bits) {
 // chain's own operation sequence is untouched, so every out[t] is
 // bit-identical to a standalone DotFMA over the same slices. The shared
 // vector u is decoded once per step for all four chains.
+//
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) DotFMABlock(out []Bits, acc Bits, u, v []Bits, stride int) {
 	L := len(u)

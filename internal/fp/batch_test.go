@@ -13,14 +13,14 @@ type scalarOnly struct {
 	inner Env
 }
 
-func (s scalarOnly) Format() Format          { return s.inner.Format() }
-func (s scalarOnly) Add(a, b Bits) Bits      { return s.inner.Add(a, b) }
-func (s scalarOnly) Sub(a, b Bits) Bits      { return s.inner.Sub(a, b) }
-func (s scalarOnly) Mul(a, b Bits) Bits      { return s.inner.Mul(a, b) }
-func (s scalarOnly) Div(a, b Bits) Bits      { return s.inner.Div(a, b) }
-func (s scalarOnly) FMA(a, b, c Bits) Bits   { return s.inner.FMA(a, b, c) }
-func (s scalarOnly) Sqrt(a Bits) Bits        { return s.inner.Sqrt(a) }
-func (s scalarOnly) Exp(a Bits) Bits         { return s.inner.Exp(a) }
+func (s scalarOnly) Format() Format             { return s.inner.Format() }
+func (s scalarOnly) Add(a, b Bits) Bits         { return s.inner.Add(a, b) }
+func (s scalarOnly) Sub(a, b Bits) Bits         { return s.inner.Sub(a, b) }
+func (s scalarOnly) Mul(a, b Bits) Bits         { return s.inner.Mul(a, b) }
+func (s scalarOnly) Div(a, b Bits) Bits         { return s.inner.Div(a, b) }
+func (s scalarOnly) FMA(a, b, c Bits) Bits      { return s.inner.FMA(a, b, c) }
+func (s scalarOnly) Sqrt(a Bits) Bits           { return s.inner.Sqrt(a) }
+func (s scalarOnly) Exp(a Bits) Bits            { return s.inner.Exp(a) }
 func (s scalarOnly) FromFloat64(v float64) Bits { return s.inner.FromFloat64(v) }
 func (s scalarOnly) ToFloat64(b Bits) float64   { return s.inner.ToFloat64(b) }
 
@@ -28,15 +28,15 @@ func (s scalarOnly) ToFloat64(b Bits) float64   { return s.inner.ToFloat64(b) }
 // zeros of both signs, subnormals, Inf, NaN, and the format extremes.
 func batchEdgeValues(f Format) []Bits {
 	vals := []Bits{
-		0,                     // +0
-		f.signMask(),          // -0
-		1,                     // smallest subnormal
-		f.mantMask(),          // largest subnormal
-		f.mantMask() + 1,      // smallest normal
-		f.Inf(false) - 1,      // largest finite
-		f.Inf(false),          // +Inf
-		f.Inf(true),           // -Inf
-		f.QuietNaN(),          // NaN
+		0,                // +0
+		f.signMask(),     // -0
+		1,                // smallest subnormal
+		f.mantMask(),     // largest subnormal
+		f.mantMask() + 1, // smallest normal
+		f.Inf(false) - 1, // largest finite
+		f.Inf(false),     // +Inf
+		f.Inf(true),      // -Inf
+		f.QuietNaN(),     // NaN
 		f.FromFloat64(1),
 		f.FromFloat64(-1.5),
 		f.FromFloat64(0.333251953125),
@@ -337,7 +337,7 @@ func TestCountingBatchCountsMatchScalar(t *testing.T) {
 			DotFMABlock(env, blk, 0, a[:3], b, 3) // 4 chains x 3 FMAs
 			g := make([]Bits, 6)
 			GemmFMA(env, g, c[:2], a[:6], b[:9], 2, 3, 3) // 2x3 chains x 3 FMAs
-			_ = env.Sqrt(a[0]) // scalar op: tallied identically either way
+			_ = env.Sqrt(a[0])                            // scalar op: tallied identically either way
 		}
 
 		batch := NewCounting(NewMachine(format))
@@ -414,14 +414,17 @@ type opRecorder struct {
 	ops   []Op
 }
 
-func (r *opRecorder) Format() Format        { return r.inner.Format() }
-func (r *opRecorder) Add(a, b Bits) Bits    { r.ops = append(r.ops, OpAdd); return r.inner.Add(a, b) }
-func (r *opRecorder) Sub(a, b Bits) Bits    { r.ops = append(r.ops, OpSub); return r.inner.Sub(a, b) }
-func (r *opRecorder) Mul(a, b Bits) Bits    { r.ops = append(r.ops, OpMul); return r.inner.Mul(a, b) }
-func (r *opRecorder) Div(a, b Bits) Bits    { r.ops = append(r.ops, OpDiv); return r.inner.Div(a, b) }
-func (r *opRecorder) FMA(a, b, c Bits) Bits { r.ops = append(r.ops, OpFMA); return r.inner.FMA(a, b, c) }
-func (r *opRecorder) Sqrt(a Bits) Bits      { r.ops = append(r.ops, OpSqrt); return r.inner.Sqrt(a) }
-func (r *opRecorder) Exp(a Bits) Bits       { r.ops = append(r.ops, OpExp); return r.inner.Exp(a) }
+func (r *opRecorder) Format() Format     { return r.inner.Format() }
+func (r *opRecorder) Add(a, b Bits) Bits { r.ops = append(r.ops, OpAdd); return r.inner.Add(a, b) }
+func (r *opRecorder) Sub(a, b Bits) Bits { r.ops = append(r.ops, OpSub); return r.inner.Sub(a, b) }
+func (r *opRecorder) Mul(a, b Bits) Bits { r.ops = append(r.ops, OpMul); return r.inner.Mul(a, b) }
+func (r *opRecorder) Div(a, b Bits) Bits { r.ops = append(r.ops, OpDiv); return r.inner.Div(a, b) }
+func (r *opRecorder) FMA(a, b, c Bits) Bits {
+	r.ops = append(r.ops, OpFMA)
+	return r.inner.FMA(a, b, c)
+}
+func (r *opRecorder) Sqrt(a Bits) Bits           { r.ops = append(r.ops, OpSqrt); return r.inner.Sqrt(a) }
+func (r *opRecorder) Exp(a Bits) Bits            { r.ops = append(r.ops, OpExp); return r.inner.Exp(a) }
 func (r *opRecorder) FromFloat64(v float64) Bits { return r.inner.FromFloat64(v) }
 func (r *opRecorder) ToFloat64(b Bits) float64   { return r.inner.ToFloat64(b) }
 

@@ -43,6 +43,44 @@ type ExpDecomp struct {
 	// routine's *integer* state — which scale the result by a power of
 	// two — become injectable. Zero means 1.
 	IntSites int
+
+	// consts caches the encoded constants of the current (format,
+	// Terms, Squarings); built on first use and rebuilt if any changes.
+	consts *expConsts
+}
+
+// expConsts are the ExpDecomp constants that depend only on the format,
+// Terms and Squarings, encoded once instead of on every call.
+type expConsts struct {
+	format           Format
+	terms, squarings int
+	maxLog           float64 // ln of the format's largest finite value
+	negLn2           Bits    // -ln 2
+	halving          Bits    // 2^-Squarings
+	top              Bits    // 1/(Terms-1)!, the Horner seed
+	coef             []Bits  // coef[i] = 1/i!, i < Terms-1
+}
+
+// constants returns e's encoded constants for format f.
+func (e *ExpDecomp) constants(f Format) *expConsts {
+	if c := e.consts; c != nil && c.format == f && c.terms == e.Terms && c.squarings == e.Squarings {
+		return c
+	}
+	c := &expConsts{
+		format:    f,
+		terms:     e.Terms,
+		squarings: e.Squarings,
+		maxLog:    math.Log(f.MaxFinite()),
+		negLn2:    e.FromFloat64(-math.Ln2),
+		halving:   e.FromFloat64(math.Ldexp(1, -e.Squarings)),
+		top:       e.FromFloat64(1.0 / factorial(e.Terms-1)),
+		coef:      make([]Bits, max(e.Terms-1, 0)),
+	}
+	for i := range c.coef {
+		c.coef[i] = e.FromFloat64(1.0 / factorial(i))
+	}
+	e.consts = c
+	return c
 }
 
 // NewExpDecomp wraps inner with a software exp of the given shape.
@@ -110,31 +148,29 @@ func (e *ExpDecomp) Exp(x Bits) Bits {
 	}
 	// Beyond these bounds the result overflows/underflows the format
 	// regardless of the computation path.
-	maxLog := math.Log(f.MaxFinite())
-	if xf > maxLog+1 {
+	c := e.constants(f)
+	if xf > c.maxLog+1 {
 		return f.Inf(false)
 	}
-	if xf < -maxLog-float64(f.MantBits()) {
+	if xf < -c.maxLog-float64(f.MantBits()) {
 		return e.FromFloat64(0)
 	}
 
 	k := int(math.Round(xf / math.Ln2))
 
 	// r = x - k*ln2 via FMA with the format's rounded ln2.
-	kBits := e.FromFloat64(float64(k))
-	negLn2 := e.FromFloat64(-math.Ln2)
-	r := in.FMA(kBits, negLn2, x)
+	r := in.FMA(e.FromFloat64(float64(k)), c.negLn2, x)
 
 	// Argument halving: r' = r * 2^-m (exact scaling).
 	m := e.Squarings
 	if m > 0 {
-		r = in.Mul(r, e.FromFloat64(math.Ldexp(1, -m)))
+		r = in.Mul(r, c.halving)
 	}
 
 	// Horner polynomial for e^r', coefficients 1/i!.
-	acc := e.FromFloat64(1.0 / factorial(e.Terms-1))
-	for i := e.Terms - 2; i >= 0; i-- {
-		acc = in.FMA(acc, r, e.FromFloat64(1.0/factorial(i)))
+	acc := c.top
+	for i := len(c.coef) - 1; i >= 0; i-- {
+		acc = in.FMA(acc, r, c.coef[i])
 	}
 
 	// Undo the halving by repeated squaring.

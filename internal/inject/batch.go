@@ -3,36 +3,59 @@ package inject
 import "mixedrel/internal/fp"
 
 // The injecting environment implements fp.BatchEnv so that the bulk of a
-// faulty run — everything outside the struck operation's batch — moves
-// at the inner machine's batch speed while remaining observationally
-// identical to the scalar path:
+// faulty run — everything outside the operations a fault or DUE hook can
+// touch — moves at the inner machine's batch speed while remaining
+// observationally identical to the scalar path. Each batch method is one
+// gate-driven loop over its window:
 //
-//   - if the configured fault could strike any of the batch's n dynamic
-//     operations, or a DUE hook fire within them (canStrike, a test
-//     against the quiet horizon), the batch is decomposed into the
-//     scalar methods, which perform the exact per-operation matching,
-//     corruption, and counter bookkeeping;
-//   - otherwise the counters advance by n in one step, and the results
-//     are either served from the fault-free replay trace (before any
-//     corruption: every operand is still bit-identical to the recorded
-//     run, so a DotFMA chain collapses into ONE trace lookup) or
-//     computed through the inner environment's own batch fast path.
+//   - the quiet stretch up to the next gate of the quiet horizon
+//     (quietLen: the nearer of quiet and kindAt[kind]) runs in bulk:
+//     the counters advance in one step, and the results are served from
+//     the fault-free replay trace (before any corruption every operand is
+//     still bit-identical to the recorded run, so a DotFMA chain
+//     collapses into ONE trace lookup), compare-served from the compiled
+//     program, or computed through the inner environment's own batch
+//     fast path;
+//   - the gated operation runs through its scalar method, whose slow path
+//     performs the exact matching, corruption, DUE hooks and counter
+//     bookkeeping and re-arms the gates; the loop then repeats on the
+//     rest of the window.
+//
+// A batch no fault reaches is therefore one bulk stretch, a single strike
+// splits its batch in two around one scalar operation, and a persistent
+// (Modulo) fault costs one scalar operation per struck instance rather
+// than a per-operation decomposition of every window it touches. A live
+// trap has no quiet stretch (every result must be checked at its exact
+// operation), so the window decomposes fully.
 //
 // TargetIntState faults never strike arithmetic (they fire inside
 // IntDecision), so for them every batch takes the bulk path.
 
-// canStrike reports whether the configured fault could corrupt any of
-// the next n dynamic operations of the given kind — or whether an armed
-// behavioral-DUE hook could fire within them. It answers from the quiet
-// horizon, the same gates the scalar fast path checks, applied to the
-// window's last counter values: a strike, watchdog trip, control strike,
-// skip mode or pending operand inside the window crosses a gate. A live
-// trap forces decomposition too, since a non-finite result anywhere in
-// the batch must fault at its exact operation. A true return only costs
-// speed (the batch decomposes into the exact scalar methods); a false
-// one guarantees that nothing in the window differs from plain compute.
-func (e *Env) canStrike(kind fp.Op, n uint64) bool {
-	return e.all+n > e.quiet || e.byKind[kind]+n > e.kindAt[kind] || e.trapLive()
+// quietLen returns how many of the next n operations of the given kind
+// lie inside the quiet horizon, the same gates the scalar fast path
+// checks: the stretch ends before the first operation at which a
+// strike, watchdog trip, control strike, skip mode or pending operand
+// can act. A live trap returns 0. The returned stretch is guaranteed to
+// behave exactly like plain compute; only the operation after it needs
+// the exact scalar semantics.
+func (e *Env) quietLen(kind fp.Op, n int) int {
+	if e.trapLive() {
+		return 0
+	}
+	q := uint64(n)
+	if e.all+q > e.quiet {
+		q = 0
+		if e.quiet > e.all {
+			q = e.quiet - e.all
+		}
+	}
+	if c := e.byKind[kind]; c+q > e.kindAt[kind] {
+		q = 0
+		if e.kindAt[kind] > c {
+			q = e.kindAt[kind] - c
+		}
+	}
+	return int(q)
 }
 
 // advance moves the operation counters past n operations of one kind.
@@ -41,161 +64,153 @@ func (e *Env) advance(kind fp.Op, n uint64) {
 	e.byKind[kind] += n
 }
 
-// replayable reports whether a just-advanced batch of n operations can
-// be served from the fault-free result trace — same condition as the
-// scalar replayed(): trace long enough, nothing corrupted yet. The
-// caller guarantees (via canStrike) that none of the n operations is
-// struck.
+// replayable reports whether a just-advanced quiet stretch can be
+// served from the fault-free result trace — same condition as the
+// scalar replayed(): trace long enough, nothing corrupted yet.
 func (e *Env) replayable() bool {
 	return e.applied == 0 && uint64(len(e.replay)) >= e.all
 }
 
-// compiled reports whether a just-advanced batch — missed by
-// replayable — may try the compiled trace program's compare-serving.
-// Every batch that reaches its bulk path already cleared canStrike, so
-// no operation in it is struck and no behavioral-DUE hook can fire
-// inside it; compare-serving then answers each
-// operation from the trace exactly when its recorded operands match
-// the live ones, which is the post-fault cone partition: compares miss
-// precisely on the fault-dependent operations, and only those
-// recompute through the inner machine.
+// compiled reports whether a just-advanced quiet stretch — missed by
+// replayable — may try the compiled trace program's compare-serving. No
+// operation in the stretch is struck and no behavioral-DUE hook can fire
+// inside it; compare-serving then answers each operation from the trace
+// exactly when its recorded operands match the live ones, which is the
+// post-fault cone partition: compares miss precisely on the
+// fault-dependent operations, and only those recompute through the
+// inner machine.
 func (e *Env) compiled() bool {
 	return e.prog != nil
 }
 
 // DotFMA implements fp.BatchEnv.
+//
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) DotFMA(acc fp.Bits, a, b []fp.Bits) fp.Bits {
+	for {
+		q := e.quietLen(fp.OpFMA, len(a))
+		acc = e.dot(acc, a[:q], b[:q])
+		if q == len(a) {
+			return acc
+		}
+		acc = e.FMA(a[q], b[q], acc)
+		a, b = a[q+1:], b[q+1:]
+	}
+}
+
+// dot runs a quiet stretch of an FMA chain in bulk.
+//
+//mixedrelvet:hotpath batched injection inner loop
+func (e *Env) dot(acc fp.Bits, a, b []fp.Bits) fp.Bits {
 	n := uint64(len(a))
 	if n == 0 {
-		return acc
-	}
-	if e.canStrike(fp.OpFMA, n) {
-		for i, ai := range a {
-			acc = e.FMA(ai, b[i], acc)
-		}
 		return acc
 	}
 	e.advance(fp.OpFMA, n)
 	if e.replayable() {
 		// Only the final accumulator leaves the chain, so the whole
-		// batch is one lookup of the last recorded result.
+		// stretch is one lookup of the last recorded result.
 		e.statReplayed += n
 		return e.replay[e.all-1]
 	}
 	if e.compiled() {
 		// Serve the longest operand-matching prefix of the chain and
-		// recompute only the suffix the fault's cone reaches.
+		// recompute only the suffix the fault's cone reaches (a miss
+		// serves nothing and passes acc through).
 		res, served := e.prog.ChainPrefix(&e.cur, e.all-n, acc, a, b)
 		e.statServed += uint64(served)
-		if served == int(n) {
-			return res
-		}
-		if served > 0 {
-			return fp.DotFMA(e.inner, res, a[served:], b[served:])
-		}
+		acc, a, b = res, a[served:], b[served:]
+	}
+	if len(a) == 0 {
+		return acc
 	}
 	return fp.DotFMA(e.inner, acc, a, b)
 }
 
 // AddN implements fp.BatchEnv.
+//
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) AddN(dst, a, b []fp.Bits) {
-	n := uint64(len(a))
-	if n == 0 {
-		return
-	}
-	if e.canStrike(fp.OpAdd, n) {
-		for i, ai := range a {
-			dst[i] = e.Add(ai, b[i])
-		}
-		return
-	}
-	e.advance(fp.OpAdd, n)
-	if e.replayable() {
-		copy(dst, e.replay[e.all-n:e.all])
-		e.statReplayed += n
-		return
-	}
-	if e.compiled() {
-		if lo, hi, ok := e.prog.ServeMap(&e.cur, e.all-n, fp.OpAdd, dst, a, b, nil); ok {
-			e.statServed += n - uint64(hi-lo)
-			if lo < hi {
-				fp.AddN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
-			}
+	for {
+		q := e.quietLen(fp.OpAdd, len(a))
+		e.mapN(fp.OpAdd, dst[:q], a[:q], b[:q], nil)
+		if q == len(a) {
 			return
 		}
+		dst[q] = e.Add(a[q], b[q])
+		dst, a, b = dst[q+1:], a[q+1:], b[q+1:]
 	}
-	fp.AddN(e.inner, dst, a, b)
 }
 
 // MulN implements fp.BatchEnv.
+//
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) MulN(dst, a, b []fp.Bits) {
-	n := uint64(len(a))
-	if n == 0 {
-		return
-	}
-	if e.canStrike(fp.OpMul, n) {
-		for i, ai := range a {
-			dst[i] = e.Mul(ai, b[i])
-		}
-		return
-	}
-	e.advance(fp.OpMul, n)
-	if e.replayable() {
-		copy(dst, e.replay[e.all-n:e.all])
-		e.statReplayed += n
-		return
-	}
-	if e.compiled() {
-		if lo, hi, ok := e.prog.ServeMap(&e.cur, e.all-n, fp.OpMul, dst, a, b, nil); ok {
-			e.statServed += n - uint64(hi-lo)
-			if lo < hi {
-				fp.MulN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
-			}
+	for {
+		q := e.quietLen(fp.OpMul, len(a))
+		e.mapN(fp.OpMul, dst[:q], a[:q], b[:q], nil)
+		if q == len(a) {
 			return
 		}
+		dst[q] = e.Mul(a[q], b[q])
+		dst, a, b = dst[q+1:], a[q+1:], b[q+1:]
 	}
-	fp.MulN(e.inner, dst, a, b)
 }
 
 // FMAN implements fp.BatchEnv.
+//
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) FMAN(dst, a, b, c []fp.Bits) {
+	for {
+		q := e.quietLen(fp.OpFMA, len(a))
+		e.mapN(fp.OpFMA, dst[:q], a[:q], b[:q], c[:q])
+		if q == len(a) {
+			return
+		}
+		dst[q] = e.FMA(a[q], b[q], c[q])
+		dst, a, b, c = dst[q+1:], a[q+1:], b[q+1:], c[q+1:]
+	}
+}
+
+// mapN runs a quiet stretch of an element-wise batch in bulk: AddN or
+// MulN of op when c is nil, FMAN otherwise.
+//
+//mixedrelvet:hotpath batched injection inner loop
+func (e *Env) mapN(op fp.Op, dst, a, b, c []fp.Bits) {
 	n := uint64(len(a))
 	if n == 0 {
 		return
 	}
-	if e.canStrike(fp.OpFMA, n) {
-		for i, ai := range a {
-			dst[i] = e.FMA(ai, b[i], c[i])
-		}
-		return
-	}
-	e.advance(fp.OpFMA, n)
+	e.advance(op, n)
 	if e.replayable() {
 		copy(dst, e.replay[e.all-n:e.all])
 		e.statReplayed += n
 		return
 	}
+	lo, hi := 0, len(a)
 	if e.compiled() {
 		// ServeMap leaves dst's dirty interval untouched, so when dst
 		// aliases c the recompute below still reads pristine addends.
-		if lo, hi, ok := e.prog.ServeMap(&e.cur, e.all-n, fp.OpFMA, dst, a, b, c); ok {
-			e.statServed += n - uint64(hi-lo)
-			if lo < hi {
-				fp.FMAN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi], c[lo:hi])
-			}
-			return
+		if l, h, ok := e.prog.ServeMap(&e.cur, e.all-n, op, dst, a, b, c); ok {
+			e.statServed += n - uint64(h-l)
+			lo, hi = l, h
 		}
 	}
-	fp.FMAN(e.inner, dst, a, b, c)
+	switch {
+	case lo == hi:
+	case c != nil:
+		fp.FMAN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi], c[lo:hi])
+	case op == fp.OpAdd:
+		fp.AddN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
+	default:
+		fp.MulN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
+	}
 }
 
 // DotFMABlock implements fp.BatchEnv by running the chains in order,
-// each through DotFMA's own strike/replay/bulk logic — the block shape
-// adds no new fault semantics beyond its member chains.
+// each through DotFMA's own gate-driven loop — the block shape adds no
+// new fault semantics beyond its member chains.
+//
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) DotFMABlock(out []fp.Bits, acc fp.Bits, u, v []fp.Bits, stride int) {
 	for t := range out {
@@ -203,68 +218,44 @@ func (e *Env) DotFMABlock(out []fp.Bits, acc fp.Bits, u, v []fp.Bits, stride int
 	}
 }
 
-// GemmFMA implements fp.BatchEnv. The grid is handled at chain
-// granularity with one grid-level canStrike instead of one per chain:
+// GemmFMA implements fp.BatchEnv with DotFMA's gate-driven loop at chain
+// granularity: the chains wholly inside the quiet stretch run in bulk
+// through gemmChains, and the chain holding the next gate runs through
+// DotFMA, which splits it at that gate (and at any further gate inside
+// it). A fault that strikes once costs k operations of DotFMA plus two
+// bulk ranges; a persistent one, one DotFMA per struck chain.
 //
-//   - no possible strike: every chain bulk-serves via gemmChains;
-//   - a single operation fault in the window (the campaign common
-//     case): the struck chain alone decomposes through DotFMA's exact
-//     scalar matching, and the chain ranges before and after it
-//     bulk-serve — so a strike costs k scalar operations plus two
-//     bulk calls, not rows*cols chain dispatches;
-//   - modulo (persistent) faults and armed DUE hooks: the grid
-//     decomposes into its rows like the package fallback, with each
-//     row's chains going through DotFMABlock (and so DotFMA's
-//     strike/replay/bulk logic), keeping every per-operation hook
-//     exact.
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 	chains := rows * cols
-	n := uint64(chains) * uint64(k)
-	if n == 0 {
+	if chains == 0 || k == 0 {
 		return
 	}
-	if !e.canStrike(fp.OpFMA, n) {
-		e.gemmChains(out, accs, a, bt, rows, cols, k, 0, chains)
-		return
-	}
-	if !e.due && e.fault.Modulo == 0 {
-		// canStrike with no DUE hooks armed means exactly one dynamic
-		// operation in the window is struck (target operand/result,
-		// kind FMA or any); isolate its chain.
-		ctr := e.all
-		if !e.fault.AnyKind {
-			ctr = e.byKind[fp.OpFMA]
+	for t := 0; t < chains; t++ {
+		next := t + e.quietLen(fp.OpFMA, (chains-t)*k)/k
+		e.gemmChains(out, accs, a, bt, rows, cols, k, t, next)
+		if next == chains {
+			return
 		}
-		t0 := int((e.fault.Index - ctr) / uint64(k))
-		e.gemmChains(out, accs, a, bt, rows, cols, k, 0, t0)
+		t = next
+		i, j := t/cols, t%cols
 		acc := e.FromFloat64(0)
-		if accs != nil {
-			acc = accs[t0/cols]
-		}
-		row, col := t0/cols, t0%cols
-		out[t0] = e.DotFMA(acc, a[row*k:(row+1)*k], bt[col*k:col*k+k])
-		e.gemmChains(out, accs, a, bt, rows, cols, k, t0+1, chains)
-		return
-	}
-	zero := e.FromFloat64(0)
-	for i := 0; i < rows; i++ {
-		acc := zero
 		if accs != nil {
 			acc = accs[i]
 		}
-		e.DotFMABlock(out[i*cols:(i+1)*cols], acc, a[i*k:(i+1)*k], bt, k)
+		out[t] = e.DotFMA(acc, a[i*k:(i+1)*k], bt[j*k:j*k+k])
 	}
 }
 
-// gemmChains bulk-executes the grid's chains [first, limit): the
-// counters advance in one step, and the chains are served from the
-// replay trace (one lookup per chain), from the compiled program (one
-// slab compare resolves the fault's dirty rows/columns; clean chains
-// serve from the trace, dirty ones recompute), or recomputed through
-// the inner environment. The caller guarantees — via canStrike on a
-// window covering the range — that no strike or DUE hook fires within
-// these chains.
+// gemmChains runs the grid's chains [first, limit), all inside the quiet
+// stretch, in bulk: the counters advance in one step, and the chains are
+// served from the replay trace (one copy from the compiled program's
+// chain tails, or one lookup per chain without a program), from the
+// compiled program (one slab compare resolves the fault's dirty
+// rows/columns; the range copies from the tails and only dirty chains
+// recompute), or recomputed through the inner environment.
+//
+//mixedrelvet:hotpath batched injection inner loop
 func (e *Env) gemmChains(out, accs, a, bt []fp.Bits, rows, cols, k, first, limit int) {
 	if first >= limit {
 		return
@@ -273,20 +264,24 @@ func (e *Env) gemmChains(out, accs, a, bt []fp.Bits, rows, cols, k, first, limit
 	e.advance(fp.OpFMA, n)
 	pos := e.all - n
 	if e.replayable() {
-		// Only final accumulators leave the chains: absolute chain t
-		// ends at stream position pos + (t-first+1)*k - 1.
+		e.statReplayed += n
+		if e.compiled() {
+			if tails, ok := e.prog.GemmTails(&e.cur, pos, rows, cols, k, first, limit); ok {
+				copy(out[first:limit], tails)
+				return
+			}
+		}
+		// Absolute chain t ends at stream position pos + (t-first+1)*k - 1.
 		for t := first; t < limit; t++ {
 			out[t] = e.replay[pos+uint64((t-first+1)*k)-1]
 		}
-		e.statReplayed += n
 		return
 	}
-	if e.compiled() && e.prog.ServeGemm(&e.cur, pos, out, accs, a, bt, rows, cols, k, first, limit, e.inner) {
-		// Slab-granular: the program resolved the whole range, serving
-		// clean chains and recomputing dirty ones internally, so the
-		// serve counter attributes the full window to the slab path.
-		e.statServed += n
-		return
+	if e.compiled() {
+		if recomputed, ok := e.prog.ServeGemm(&e.cur, pos, out, accs, a, bt, rows, cols, k, first, limit, e.inner); ok {
+			e.statServed += n - recomputed
+			return
+		}
 	}
 	if first == 0 && limit == rows*cols {
 		// Whole grid: keep the inner machine's decode-once fast path.
@@ -305,16 +300,26 @@ func (e *Env) gemmChains(out, accs, a, bt []fp.Bits, rows, cols, k, first, limit
 }
 
 // AXPY implements fp.BatchEnv.
+//
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) AXPY(dst []fp.Bits, s fp.Bits, x []fp.Bits) {
+	for {
+		q := e.quietLen(fp.OpFMA, len(x))
+		e.axpy(dst[:q], s, x[:q])
+		if q == len(x) {
+			return
+		}
+		dst[q] = e.FMA(s, x[q], dst[q])
+		dst, x = dst[q+1:], x[q+1:]
+	}
+}
+
+// axpy runs a quiet stretch of an AXPY update in bulk.
+//
+//mixedrelvet:hotpath batched injection inner loop
+func (e *Env) axpy(dst []fp.Bits, s fp.Bits, x []fp.Bits) {
 	n := uint64(len(x))
 	if n == 0 {
-		return
-	}
-	if e.canStrike(fp.OpFMA, n) {
-		for i, xi := range x {
-			dst[i] = e.FMA(s, xi, dst[i])
-		}
 		return
 	}
 	e.advance(fp.OpFMA, n)

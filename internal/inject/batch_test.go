@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mixedrel/internal/fp"
+	"mixedrel/internal/traceir"
 )
 
 // noBatch hides the batch methods of an environment, forcing the fp
@@ -170,6 +171,69 @@ func TestBatchInjectionReplayMatchesScalar(t *testing.T) {
 					t.Fatalf("applied: batch %d != scalar %d", be.Applied(), se.Applied())
 				}
 			})
+		}
+	}
+}
+
+// TestGemmServedCountsOnlyServedOps corrupts a grid's operand slabs, as
+// a memory fault does, and requires the compare-serve counter to cover
+// exactly the operations ServeGemm did not recompute: each chain of a
+// dirty row or column recomputes from its first corrupted element on,
+// and everything else is served.
+func TestGemmServedCountsOnlyServedOps(t *testing.T) {
+	const rows, cols, k = 4, 5, 6
+	const n = rows * cols * k
+	f := fp.Single
+	m := fp.NewMachine(f)
+	mk := func(len, salt int) []fp.Bits {
+		out := make([]fp.Bits, len)
+		for i := range out {
+			out[i] = f.FromFloat64(0.5 + float64((i*5+salt)%17)/8)
+		}
+		return out
+	}
+	accs, a, bt := mk(rows, 1), mk(rows*k, 2), mk(cols*k, 3)
+	rec := traceir.NewRecorder(m)
+	rec.GemmFMA(make([]fp.Bits, rows*cols), accs, a, bt, rows, cols, k)
+	prog := rec.Compile()
+
+	const row, ea, col, eb = 2, 4, 3, 1
+	cases := []struct {
+		name       string
+		dirtyA     bool
+		dirtyBt    bool
+		recomputed uint64
+	}{
+		{"clean", false, false, 0},
+		{"row", true, false, cols * (k - ea)},
+		{"column", false, true, rows * (k - eb)},
+		// Chain (row, col) serves only the prefix before its first
+		// corrupted element, eb.
+		{"row-and-column", true, true, (cols-1)*(k-ea) + (rows-1)*(k-eb) + (k - eb)},
+	}
+	for _, tc := range cases {
+		ca := append([]fp.Bits(nil), a...)
+		cbt := append([]fp.Bits(nil), bt...)
+		if tc.dirtyA {
+			ca[row*k+ea] ^= 1 << 20
+		}
+		if tc.dirtyBt {
+			cbt[col*k+eb] ^= 1 << 21
+		}
+		e := NewEnv(m, neverFault)
+		e.prog = prog
+		got := make([]fp.Bits, rows*cols)
+		e.GemmFMA(got, accs, ca, cbt, rows, cols, k)
+		want := make([]fp.Bits, rows*cols)
+		fp.GemmFMA(m, want, accs, ca, cbt, rows, cols, k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: out[%d] = %#x, want %#x", tc.name, i, got[i], want[i])
+			}
+		}
+		if e.statServed != n-tc.recomputed || e.statReplayed != 0 {
+			t.Errorf("%s: served %d replayed %d, want served %d (%d of %d recomputed)",
+				tc.name, e.statServed, e.statReplayed, n-tc.recomputed, tc.recomputed, n)
 		}
 	}
 }

@@ -10,9 +10,10 @@ import (
 	"mixedrel/internal/fp"
 	"mixedrel/internal/kernels"
 	"mixedrel/internal/rng"
+	"mixedrel/internal/traceir"
 )
 
-// The quiet horizon (Env.quiet/kindAt, rearm, canStrike) is a cost
+// The quiet horizon (Env.quiet/kindAt, rearm, quietLen) is a cost
 // policy over exact per-operation semantics: it decides which operations
 // may skip matching and the DUE hooks, never what an operation does. The
 // tests below hold it to an oracle that matches the fault and runs the
@@ -226,16 +227,40 @@ func gateMem(f fp.Format) [][]fp.Bits {
 	}
 }
 
-// checkGates runs spec through the oracle and through the injector
-// under test — once computing every operation, once with the fault-free
-// replay trace installed when the spec allows it — and requires the same
-// outputs, strike positions, corruption count, counters and outcome.
-func checkGates(t *testing.T, f fp.Format, spec FaultSpec, goldenOps uint64, trace []fp.Bits) {
+// gateFixture is an operation stream under test with its fault-free
+// artifacts: the result trace and the compiled program recorded from it.
+type gateFixture struct {
+	f      fp.Format
+	stream func(fp.Env, fp.Format) []fp.Bits
+	trace  []fp.Bits
+	prog   *traceir.Program
+}
+
+// newGateFixture records stream's fault-free run in format f.
+func newGateFixture(t *testing.T, f fp.Format, stream func(fp.Env, fp.Format) []fp.Bits) *gateFixture {
 	t.Helper()
+	rec := traceir.NewRecorder(fp.NewMachine(f))
+	stream(rec, f)
+	fx := &gateFixture{f: f, stream: stream, trace: rec.Results(), prog: rec.Compile()}
+	if fx.trace == nil || fx.prog == nil {
+		t.Fatalf("%v: stream recorded no trace or program", f)
+	}
+	return fx
+}
+
+// check runs spec through the oracle and through the injector under
+// test — once computing every operation, once with the fault-free replay
+// trace installed when the spec allows it, and once with the compiled
+// program installed as well — and requires the same outputs, corruption
+// count, counters and outcome, plus the same strike positions in the
+// computed run.
+func (fx *gateFixture) check(t *testing.T, spec FaultSpec, goldenOps uint64) {
+	t.Helper()
+	f := fx.f
 	run := func(build func() (fp.Env, *Env, *spy)) gateRun {
 		env, e, s := build()
 		var r gateRun
-		r.sig = runGuarded(t, func() { r.out = gateStream(env, f) })
+		r.sig = runGuarded(t, func() { r.out = fx.stream(env, f) })
 		r.applied, r.all, r.byKind, r.log = e.applied, e.all, e.byKind, s.log
 		return r
 	}
@@ -244,11 +269,18 @@ func checkGates(t *testing.T, f fp.Format, spec FaultSpec, goldenOps uint64, tra
 		e.resetSpec(spec, goldenOps, gateMem(f))
 		return oracle{e}, e, s
 	})
-	got := run(func() (fp.Env, *Env, *spy) {
-		e, s := newSpied(f)
-		e.resetSpec(spec, goldenOps, gateMem(f))
-		return e, e, s
-	})
+	injector := func(replay bool, prog *traceir.Program) gateRun {
+		return run(func() (fp.Env, *Env, *spy) {
+			e, s := newSpied(f)
+			e.resetSpec(spec, goldenOps, gateMem(f))
+			if replay && len(spec.Mem) == 0 {
+				// Pre-run corruption voids the replay induction.
+				e.replay = fx.trace
+			}
+			e.prog = prog
+			return e, e, s
+		})
+	}
 	compare := func(mode string, got gateRun, logs bool) {
 		t.Helper()
 		if !reflect.DeepEqual(got.sig, want.sig) {
@@ -270,24 +302,11 @@ func checkGates(t *testing.T, f fp.Format, spec FaultSpec, goldenOps uint64, tra
 			t.Fatalf("%s %s: %d inner calls, oracle %d", spec.Desc(), mode, len(got.log), len(want.log))
 		}
 	}
-	compare("computed", got, true)
-	if len(spec.Mem) > 0 {
-		return // pre-run corruption voids the replay induction
+	compare("computed", injector(false, nil), true)
+	if len(spec.Mem) == 0 {
+		compare("replayed", injector(true, nil), false)
 	}
-	replayed := run(func() (fp.Env, *Env, *spy) {
-		e, s := newSpied(f)
-		e.resetSpec(spec, goldenOps, gateMem(f))
-		e.replay = trace
-		return e, e, s
-	})
-	compare("replayed", replayed, false)
-}
-
-// gateTrace records the fault-free result trace of gateStream.
-func gateTrace(f fp.Format) []fp.Bits {
-	rec := &traceRec{Env: fp.NewMachine(f)}
-	gateStream(rec, f)
-	return rec.trace
+	compare("compiled", injector(true, fx.prog), false)
 }
 
 // TestQuietHorizonMatchesOracle sweeps every strike index of the stream
@@ -298,8 +317,8 @@ func gateTrace(f fp.Format) []fp.Bits {
 // pre-run memory corruption.
 func TestQuietHorizonMatchesOracle(t *testing.T) {
 	for _, f := range []fp.Format{fp.Half, fp.Single, fp.Double} {
-		trace := gateTrace(f)
-		n := uint64(len(trace))
+		fx := newGateFixture(t, f, gateStream)
+		n := uint64(len(fx.trace))
 		// Ops of each kind in the stream, for Kind-specific index ranges.
 		var byKind [fp.NumOps]uint64
 		{
@@ -324,14 +343,14 @@ func TestQuietHorizonMatchesOracle(t *testing.T) {
 						i := int(idx)
 						of := OpFault{AnyKind: sh.any, Kind: sh.kind, Index: idx, Modulo: mod,
 							Bit: (i * 5) % f.Width(), Target: target, OperandIdx: i % 3}
-						checkGates(t, f, FaultSpec{Op: &of}, n, trace)
+						fx.check(t, FaultSpec{Op: &of}, n)
 						// The watchdog's budget (goldenOps x 1) on every
 						// position: trips inside, at the edge of, and
 						// between batch windows.
-						checkGates(t, f, FaultSpec{Op: &of, Watchdog: 1}, 1+(idx*7)%n, trace)
+						fx.check(t, FaultSpec{Op: &of, Watchdog: 1}, 1+(idx*7)%n)
 						for class := ControlClass(0); class < numControlClasses; class++ {
 							cf := ControlFault{Class: class, Site: (idx*5 + uint64(class)) % n, Bit: (i*11 + int(class)) % 48}
-							checkGates(t, f, FaultSpec{Op: &of, Control: &cf, Watchdog: 4, TrapNonFinite: i%2 == 0}, n, trace)
+							fx.check(t, FaultSpec{Op: &of, Control: &cf, Watchdog: 4, TrapNonFinite: i%2 == 0}, n)
 						}
 					}
 				}
@@ -369,7 +388,104 @@ func TestQuietHorizonMatchesOracle(t *testing.T) {
 			if r.Intn(4) == 0 {
 				spec.Mem = []MemFault{{}} // arms the trap from op 0
 			}
-			checkGates(t, f, spec, 1+r.Uint64n(2*n), trace)
+			fx.check(t, spec, 1+r.Uint64n(2*n))
+		}
+	}
+}
+
+// splitStream drives every batch method with windows long enough for a
+// persistent fault to gate them several times: a 20-element chain,
+// 16-element maps, an FMAN whose dst aliases its addends and an AXPY, a
+// 4x5x6 grid with per-row accumulators and a 3x3x4 grid without, and a
+// DotFMABlock. Earlier outputs feed a row of the first grid and a column
+// of the second, so a strike upstream dirties them for compare-serving.
+// Like gateStream, it ends in a batch that yields an infinity
+// mid-window.
+func splitStream(env fp.Env, f fp.Format) []fp.Bits {
+	mk := func(n, salt int) []fp.Bits {
+		out := make([]fp.Bits, n)
+		for i := range out {
+			out[i] = f.FromFloat64(0.25 + float64((i*7+salt*3)%23)/32)
+		}
+		return out
+	}
+	out := []fp.Bits{fp.DotFMA(env, f.FromFloat64(0.5), mk(20, 1), mk(20, 2))}
+	d := make([]fp.Bits, 16)
+	fp.AddN(env, d, mk(16, 3), mk(16, 4))
+	out = append(out, d...)
+	out = append(out, env.Mul(out[0], out[1]))
+	fp.MulN(env, d, mk(16, 5), mk(16, 6))
+	out = append(out, d...)
+	c := mk(16, 7)
+	fp.FMAN(env, c, mk(16, 8), mk(16, 9), c)
+	out = append(out, c...)
+	x := mk(16, 10)
+	fp.AXPY(env, x, out[2], mk(16, 11))
+	out = append(out, x...)
+
+	a := mk(24, 13)
+	a[7] = x[3] // row 1
+	g := make([]fp.Bits, 20)
+	fp.GemmFMA(env, g, mk(4, 12), a, mk(30, 14), 4, 5, 6)
+	out = append(out, g...)
+	out = append(out, env.Add(g[0], g[19]))
+	bt := mk(12, 16)
+	bt[5] = g[7] // column 1
+	g2 := make([]fp.Bits, 9)
+	fp.GemmFMA(env, g2, nil, mk(12, 15), bt, 3, 3, 4)
+	out = append(out, g2...)
+	blk := make([]fp.Bits, 3)
+	fp.DotFMABlock(env, blk, out[3], mk(5, 17), mk(15, 18), 5)
+	out = append(out, blk...)
+
+	inf := f.FromFloat64(math.Inf(1))
+	fp.AddN(env, d[:4], []fp.Bits{x[0], x[1], inf, x[2]}, []fp.Bits{g[0], g[1], g[2], g[3]})
+	return append(out, d[:4]...)
+}
+
+// TestSplitWindowsMatchOracle holds the gate-split batch windows to the
+// oracle's full per-operation decomposition on splitStream: persistent
+// faults of Modulo 1, 2, 13 and k+1 (7, for the 4x5x6 grid) at every
+// residue, and one-shot faults at every index, AnyKind and Kind-specific,
+// striking operands and results; each bare, under a watchdog, with a
+// control site (the trap armed on alternate ones), and with the trap
+// live from the first operation.
+func TestSplitWindowsMatchOracle(t *testing.T) {
+	for _, f := range []fp.Format{fp.Half, fp.Single, fp.Double} {
+		fx := newGateFixture(t, f, splitStream)
+		n := uint64(len(fx.trace))
+		var byKind [fp.NumOps]uint64
+		{
+			e := NewEnv(fp.NewMachine(f), neverFault)
+			splitStream(noBatch{e}, f)
+			byKind = e.byKind
+		}
+		type shape struct {
+			any  bool
+			kind fp.Op
+		}
+		for _, sh := range []shape{{any: true}, {kind: fp.OpFMA}, {kind: fp.OpAdd}, {kind: fp.OpMul}} {
+			for _, mod := range []uint64{0, 1, 2, 13, 7} {
+				limit := mod
+				if mod == 0 {
+					limit = byKind[sh.kind] + 1
+					if sh.any {
+						limit = n + 1
+					}
+				}
+				for idx := uint64(0); idx < limit; idx++ {
+					for _, target := range []Target{TargetOperand, TargetResult} {
+						i := int(idx)
+						of := OpFault{AnyKind: sh.any, Kind: sh.kind, Index: idx, Modulo: mod,
+							Bit: (i*5 + int(mod)) % f.Width(), Target: target, OperandIdx: i % 3}
+						fx.check(t, FaultSpec{Op: &of}, n)
+						fx.check(t, FaultSpec{Op: &of, Watchdog: 1}, 1+(idx*11+mod)%n)
+						cf := ControlFault{Class: ControlClass(i % NumControlClasses), Site: (idx*13 + mod) % n, Bit: (i*7 + int(mod)) % 48}
+						fx.check(t, FaultSpec{Op: &of, Control: &cf, Watchdog: 4, TrapNonFinite: i%2 == 0}, n)
+						fx.check(t, FaultSpec{Op: &of, TrapNonFinite: true, Mem: []MemFault{{}}}, n)
+					}
+				}
+			}
 		}
 	}
 }
@@ -415,6 +531,39 @@ func TestQuietHorizonMatchesOracleKernels(t *testing.T) {
 						spec.Watchdog = DefaultWatchdogFactor
 					}
 					checkKernelGates(t, runner, k, f, spec)
+				}
+			})
+		}
+	}
+}
+
+// TestSplitWindowsMatchOracleKernels runs persistent faults of Modulo
+// 1, 2, 13 and k+1 through Runner on GEMM and CG — GemmFMA grids split at
+// their gates, compare-served and replayed — and requires the oracle's
+// classification, cause and output bits.
+func TestSplitWindowsMatchOracleKernels(t *testing.T) {
+	const k = 6
+	for _, kern := range []kernels.Kernel{kernels.NewGEMM(k, 2), kernels.NewCG(k, 2, 5)} {
+		for _, f := range []fp.Format{fp.Half, fp.Single} {
+			t.Run(fmt.Sprintf("%s/%v", kern.Name(), f), func(t *testing.T) {
+				runner := NewRunner(kern, f, "", nil)
+				total := runner.Counts().Total()
+				for _, mod := range []uint64{1, 2, 13, k + 1} {
+					for i := 0; i < 8; i++ {
+						of := OpFault{AnyKind: i%2 == 0, Kind: fp.OpFMA, Index: uint64(i*5) % mod, Modulo: mod,
+							Bit: (i*3 + int(mod)) % f.Width(), Target: Target(i / 2 % 2), OperandIdx: i % 3}
+						spec := FaultSpec{Op: &of}
+						switch i % 4 {
+						case 1:
+							spec.Watchdog = DefaultWatchdogFactor
+						case 2:
+							cf := ControlFault{Class: ControlClass(i % NumControlClasses), Site: (uint64(i) * 97) % total, Bit: i * 5}
+							spec.Control, spec.Watchdog = &cf, DefaultWatchdogFactor
+						case 3:
+							spec.TrapNonFinite = true
+						}
+						checkKernelGates(t, runner, kern, f, spec)
+					}
 				}
 			})
 		}

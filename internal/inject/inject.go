@@ -112,6 +112,14 @@ type Env struct {
 	quiet  uint64
 	kindAt [fp.NumOps]uint64
 
+	// strikeAt is the fault's next strike: the first counter value (all
+	// for AnyKind, byKind[Kind] otherwise) not yet passed at the last
+	// rearm that the fault strikes, or ^0 when none can. Every
+	// operation between two rearms lies before it, so struck compares
+	// against it instead of recomputing, and rearm moves it one Modulo
+	// step at a time.
+	strikeAt uint64
+
 	// replay, when non-nil, is the fault-free per-operation result trace
 	// of this configuration (exec.Artifacts.Results). Until the first
 	// corruption is applied every operation's operands are bit-identical
@@ -175,8 +183,8 @@ type Env struct {
 
 // NewEnv wraps inner with the given operation fault.
 func NewEnv(inner fp.Env, fault OpFault) *Env {
-	e := &Env{inner: inner, fault: fault}
-	e.rearm()
+	e := &Env{inner: inner}
+	e.reset(&fault)
 	return e
 }
 
@@ -184,26 +192,51 @@ func NewEnv(inner fp.Env, fault OpFault) *Env {
 // index was beyond the executed operation count).
 func (e *Env) Applied() uint64 { return e.applied }
 
-// nextStrike returns the first counter value at or after ctr that fault
-// strikes (its counter is all for AnyKind, byKind[Kind] otherwise); ok
-// is false when no later value can match.
-func nextStrike(fault OpFault, ctr uint64) (at uint64, ok bool) {
-	if m := fault.Modulo; m > 0 {
-		return ctr + (fault.Index%m+m-ctr%m)%m, true
+// noStrike is strikeAt's value when the fault cannot strike again.
+const noStrike = ^uint64(0)
+
+// firstStrike returns the counter value of fault's first strike in a
+// fresh run: Index, reduced modulo a persistent fault's Modulo.
+// TargetIntState faults strike through IntDecision only.
+func firstStrike(fault OpFault) uint64 {
+	if t := fault.Target; t != TargetOperand && t != TargetResult {
+		return noStrike
 	}
-	return fault.Index, fault.Index >= ctr
+	if m := fault.Modulo; m > 0 {
+		return fault.Index % m
+	}
+	return fault.Index
 }
 
 // rearm recomputes the quiet horizon from the current counters and DUE
 // state. It runs after every slow-path operation, so it sees every event
 // that moves a gate: a strike (a Modulo fault's next instance), the
 // control strike and its effects (including a loop counter's jump of
-// all), and a consumed pending operand.
+// all), and a consumed pending operand. It first moves strikeAt past a
+// strike the counters have passed, even in skip mode, where every
+// operation takes the slow path and struck still reads it.
 //
 //mixedrelvet:hotpath re-arms the quiet horizon after every slow-path operation
 func (e *Env) rearm() {
+	ctr := e.all
+	if !e.fault.AnyKind {
+		ctr = e.byKind[e.fault.Kind]
+	}
+	if at := e.strikeAt; at < ctr {
+		// The strike passed: a one-shot fault is spent, and a
+		// persistent one's next instance is one Modulo step on, unless
+		// a loop counter's jump of all skipped several.
+		switch m := e.fault.Modulo; {
+		case m == 0:
+			e.strikeAt = noStrike
+		case ctr-at <= m:
+			e.strikeAt = at + m
+		default:
+			e.strikeAt = ctr + (at%m+m-ctr%m)%m
+		}
+	}
 	for k := range e.kindAt {
-		e.kindAt[k] = ^uint64(0)
+		e.kindAt[k] = noStrike
 	}
 	if e.skip || e.ctlPending {
 		e.quiet = 0
@@ -216,15 +249,10 @@ func (e *Env) rearm() {
 	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site < e.quiet {
 		e.quiet = e.ctl.Site
 	}
-	if t := e.fault.Target; t != TargetOperand && t != TargetResult {
-		return // TargetIntState strikes via IntDecision only
-	}
-	if e.fault.AnyKind {
-		if at, ok := nextStrike(e.fault, e.all); ok && at < e.quiet {
-			e.quiet = at
-		}
-	} else if at, ok := nextStrike(e.fault, e.byKind[e.fault.Kind]); ok {
-		e.kindAt[e.fault.Kind] = at
+	if !e.fault.AnyKind {
+		e.kindAt[e.fault.Kind] = e.strikeAt
+	} else if e.strikeAt < e.quiet {
+		e.quiet = e.strikeAt
 	}
 }
 
@@ -264,8 +292,7 @@ func (e *Env) struck(kind fp.Op) bool {
 		}
 		ctr = e.byKind[kind] - 1
 	}
-	at, ok := nextStrike(e.fault, ctr)
-	return ok && at == ctr
+	return ctr == e.strikeAt
 }
 
 // slow executes an operation that tick placed past the quiet horizon,
@@ -467,6 +494,7 @@ func (e *Env) reset(fault *OpFault) {
 	} else {
 		e.fault = neverFault
 	}
+	e.strikeAt = firstStrike(e.fault)
 	e.all = 0
 	e.byKind = [fp.NumOps]uint64{}
 	e.intCtr = 0
@@ -675,6 +703,7 @@ func (e *Env) Format() fp.Format { return e.inner.Format() }
 // and anything else goes to the outlined slow path.
 
 // Add implements fp.Env.
+//
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Add(a, b fp.Bits) fp.Bits {
 	if !e.tick(fp.OpAdd) {
@@ -687,6 +716,7 @@ func (e *Env) Add(a, b fp.Bits) fp.Bits {
 }
 
 // Sub implements fp.Env.
+//
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Sub(a, b fp.Bits) fp.Bits {
 	if !e.tick(fp.OpSub) {
@@ -699,6 +729,7 @@ func (e *Env) Sub(a, b fp.Bits) fp.Bits {
 }
 
 // Mul implements fp.Env.
+//
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Mul(a, b fp.Bits) fp.Bits {
 	if !e.tick(fp.OpMul) {
@@ -711,6 +742,7 @@ func (e *Env) Mul(a, b fp.Bits) fp.Bits {
 }
 
 // Div implements fp.Env.
+//
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Div(a, b fp.Bits) fp.Bits {
 	if !e.tick(fp.OpDiv) {
@@ -723,6 +755,7 @@ func (e *Env) Div(a, b fp.Bits) fp.Bits {
 }
 
 // FMA implements fp.Env.
+//
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) FMA(a, b, c fp.Bits) fp.Bits {
 	if !e.tick(fp.OpFMA) {
@@ -735,6 +768,7 @@ func (e *Env) FMA(a, b, c fp.Bits) fp.Bits {
 }
 
 // Sqrt implements fp.Env.
+//
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Sqrt(a fp.Bits) fp.Bits {
 	if !e.tick(fp.OpSqrt) {
@@ -747,6 +781,7 @@ func (e *Env) Sqrt(a fp.Bits) fp.Bits {
 }
 
 // Exp implements fp.Env.
+//
 //mixedrelvet:hotpath per-operation injection fast path, millions of calls per campaign
 func (e *Env) Exp(a fp.Bits) fp.Bits {
 	if !e.tick(fp.OpExp) {

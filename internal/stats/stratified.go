@@ -254,7 +254,7 @@ func DeficitAlloc(weights, scores []float64, counts []int64, budget int) []int {
 		if w <= 0 {
 			continue
 		}
-		if d := w * scores[h] / total * grand - float64(counts[h]); d > 0 {
+		if d := w*scores[h]/total*grand - float64(counts[h]); d > 0 {
 			deficits[h] = d
 			defTotal += d
 		}

@@ -84,7 +84,9 @@ func (k Kind) String() string {
 // Region is one segment of the dynamic operation stream. Its operand
 // block lives at Program.operands[Off:]; its results are
 // Program.results[Start : Start+N] (the flat result trace is shared
-// with the injector's replay slice).
+// with the injector's replay slice). A KGemm region's chain results —
+// the only values that leave the grid — are also stored contiguously at
+// Program.tails[Tail : Tail+Rows*Cols], row-major.
 //
 // Operand-block layouts (n = N, k = K):
 //
@@ -100,9 +102,10 @@ type Region struct {
 	Start uint64 // first dynamic stream position
 	N     uint32 // dynamic operation count
 	Off   uint32 // operand-block offset into Program.operands
-	// Rows, Cols, K describe the KGemm grid (Rows*Cols*K == N); zero
-	// for every other kind.
-	Rows, Cols, K uint32
+	// Rows, Cols, K describe the KGemm grid (Rows*Cols*K == N), and
+	// Tail is the offset of its chain results in Program.tails; all
+	// zero for every other kind.
+	Rows, Cols, K, Tail uint32
 }
 
 // contains reports whether stream position pos falls inside r.
@@ -140,15 +143,16 @@ func operandLen(r *Region) int {
 }
 
 // Program is the compiled golden trace: the optimized region stream
-// plus the flat operand and result bit arrays. A Program is immutable
-// after Compile and safe for concurrent use; per-run state lives in the
-// caller's Cursor.
+// plus the flat operand, result and GEMM chain-tail bit arrays. A
+// Program is immutable after Compile and safe for concurrent use;
+// per-run state lives in the caller's Cursor.
 type Program struct {
 	format   fp.Format
 	ops      uint64
 	regions  []Region
 	operands []fp.Bits
 	results  []fp.Bits
+	tails    []fp.Bits
 }
 
 // Ops returns the dynamic operation count of the recorded stream.
@@ -241,6 +245,7 @@ func (p *Program) find(c *Cursor, pos uint64) (int, bool) {
 // the fault-dependent cone (or the position left the recorded stream)
 // and must be recomputed. Unused operand slots are ignored per the
 // operation's arity.
+//
 //mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
 func (p *Program) ServeScalar(cur *Cursor, pos uint64, op fp.Op, a, b, c fp.Bits) (fp.Bits, bool) {
 	ri, ok := p.find(cur, pos)
@@ -324,6 +329,7 @@ func (p *Program) ServeScalar(cur *Cursor, pos uint64, op fp.Op, a, b, c fp.Bits
 // matched and acc passes through unchanged). Chains are resolved
 // against KChain regions and against chain-aligned interiors of KGemm
 // grids.
+//
 //mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
 func (p *Program) ChainPrefix(cur *Cursor, pos uint64, acc fp.Bits, a, b []fp.Bits) (fp.Bits, int) {
 	n := len(a)
@@ -407,6 +413,7 @@ func mismatch(live, rec []fp.Bits) (lo, hi int) {
 // FMAN whose dst aliases c still reads pristine accumulator inputs. A
 // false ok means the region shape did not match and the caller must
 // recompute the whole batch.
+//
 //mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
 func (p *Program) ServeMap(cur *Cursor, pos uint64, op fp.Op, dst, a, b, c []fp.Bits) (lo, hi int, ok bool) {
 	n := len(a)
@@ -452,6 +459,7 @@ func (p *Program) ServeMap(cur *Cursor, pos uint64, op fp.Op, dst, a, b, c []fp.
 // recorded results; the dirty interval [lo, hi) keeps its accumulator
 // inputs for the caller to recompute. A corrupted broadcast scalar s
 // dirties every element, reported as a full-range interval.
+//
 //mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
 func (p *Program) ServeAxpy(cur *Cursor, pos uint64, s fp.Bits, x, dst []fp.Bits) (lo, hi int, ok bool) {
 	n := len(x)
@@ -478,29 +486,57 @@ func (p *Program) ServeAxpy(cur *Cursor, pos uint64, s fp.Bits, x, dst []fp.Bits
 	return lo, hi, true
 }
 
-// ServeGemm partitions the chains [first, limit) of a GemmFMA grid —
-// pos is the stream position of chain first's initial operation — into
-// fault-independent chains, served from the recorded chain tails into
-// out[first:limit], and fault-dependent ones, recomputed as DotFMA
-// chains through inner. Dirtiness is resolved at slab granularity: one
-// compare of the live a, bt and accumulator slabs against the recorded
-// operand bits yields dirty row and chain-column intervals, instead of
-// re-comparing the slabs once per chain. The range form lets the
-// injector bulk-serve everything around a struck chain. A false return
-// means the region shape did not match and the caller must recompute
-// the chains itself.
-//mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
-func (p *Program) ServeGemm(cur *Cursor, pos uint64, out, accs, a, bt []fp.Bits, rows, cols, k, first, limit int, inner fp.Env) bool {
+// gemmRegion returns the index of the KGemm region whose chain first
+// starts at stream position pos, provided it records a rows x cols x k
+// grid and [first, limit) is a chain range of it.
+func (p *Program) gemmRegion(cur *Cursor, pos uint64, rows, cols, k, first, limit int) (int, bool) {
 	ri, found := p.find(cur, pos)
 	if !found {
-		return false
+		return 0, false
 	}
 	r := &p.regions[ri]
 	if r.Kind != KGemm || pos != r.Start+uint64(first)*uint64(k) ||
 		int(r.Rows) != rows || int(r.Cols) != cols || int(r.K) != k ||
-		first < 0 || limit > rows*cols {
-		return false
+		first < 0 || first > limit || limit > rows*cols {
+		return 0, false
 	}
+	return ri, true
+}
+
+// GemmTails returns the recorded final accumulators of chains
+// [first, limit) of the GemmFMA grid whose chain first starts at stream
+// position pos: one contiguous slice of the tails slab, element t-first
+// being results[Start+t*k+k-1]. A false return means no grid of that
+// shape is recorded there. Shared; do not mutate.
+func (p *Program) GemmTails(cur *Cursor, pos uint64, rows, cols, k, first, limit int) ([]fp.Bits, bool) {
+	ri, ok := p.gemmRegion(cur, pos, rows, cols, k, first, limit)
+	if !ok {
+		return nil, false
+	}
+	t := int(p.regions[ri].Tail)
+	return p.tails[t+first : t+limit], true
+}
+
+// ServeGemm serves the chains [first, limit) of a GemmFMA grid — pos is
+// the stream position of chain first's initial operation — into
+// out[first:limit]: the whole range is copied from the grid's recorded
+// tails, then the fault-dependent chains are recomputed as DotFMA chains
+// through inner. Dirtiness is resolved at slab granularity: one compare
+// of the live a, bt and accumulator slabs against the recorded operand
+// bits yields dirty row and chain-column intervals, and only the chains
+// in those rows and columns are visited. recomputed is the number of
+// operations re-executed through inner (a dirty chain still serves its
+// operand-matching prefix). The range form lets the injector bulk-serve
+// everything around a gated chain. A false ok means the region shape
+// did not match and the caller must recompute the chains itself.
+//
+//mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
+func (p *Program) ServeGemm(cur *Cursor, pos uint64, out, accs, a, bt []fp.Bits, rows, cols, k, first, limit int, inner fp.Env) (recomputed uint64, ok bool) {
+	ri, ok := p.gemmRegion(cur, pos, rows, cols, k, first, limit)
+	if !ok {
+		return 0, false
+	}
+	r := &p.regions[ri]
 	var rowLo, rowHi, colLo, colHi int
 	if cur.gemmRgn == ri+1 {
 		rowLo, rowHi = cur.rowLo, cur.rowHi
@@ -534,42 +570,51 @@ func (p *Program) ServeGemm(cur *Cursor, pos uint64, out, accs, a, bt []fp.Bits,
 		cur.colLo, cur.colHi = colLo, colHi
 	}
 
-	// fin[t*k] is chain t's final accumulator (its last recorded
-	// result).
-	fin := p.results[r.Start+uint64(k)-1:]
+	t0 := int(r.Tail)
+	copy(out[first:limit], p.tails[t0+first:t0+limit])
 	if rowLo == rowHi && colLo == colHi {
 		// No dirty interval — the fault never reached this grid's
 		// operands (an operation fault corrupts a value in flight, not
 		// the arrays), so every chain serves from the trace.
-		for t := first; t < limit; t++ {
-			out[t] = fin[t*k]
-		}
-		return true
+		return 0, true
 	}
-	i, j := first/cols, first%cols
-	for t := first; t < limit; t++ {
-		if (i >= rowLo && i < rowHi) || (j >= colLo && j < colHi) {
-			var acc fp.Bits
-			if accs != nil {
-				acc = accs[i]
-			}
-			ca, cb := a[i*k:(i+1)*k], bt[j*k:j*k+k]
-			// The chain's own prefix up to the first corrupted element
-			// still matches the recorded stream; recompute only the
-			// suffix the corruption reaches.
-			acc, srv := p.ChainPrefix(cur, r.Start+uint64(t)*uint64(k), acc, ca, cb)
-			if srv < k {
-				acc = fp.DotFMA(inner, acc, ca[srv:], cb[srv:])
-			}
-			out[t] = acc
-		} else {
-			out[t] = fin[t*k]
-		}
-		if j++; j == cols {
-			j, i = 0, i+1
+	// Rows [iLo, iHi) hold the range's chains. Every chain of a dirty
+	// row recomputes; a dirty column recomputes in the remaining rows.
+	iLo, iHi := first/cols, (limit-1)/cols+1
+	for i := max(rowLo, iLo); i < min(rowHi, iHi); i++ {
+		for t := max(first, i*cols); t < min(limit, (i+1)*cols); t++ {
+			recomputed += p.recomputeChain(cur, r, out, accs, a, bt, cols, t, inner)
 		}
 	}
-	return true
+	for i := iLo; i < iHi && colLo < colHi; i++ {
+		if i >= rowLo && i < rowHi {
+			continue
+		}
+		for t := max(first, i*cols+colLo); t < min(limit, i*cols+colHi); t++ {
+			recomputed += p.recomputeChain(cur, r, out, accs, a, bt, cols, t, inner)
+		}
+	}
+	return recomputed, true
+}
+
+// recomputeChain recomputes chain t of the KGemm grid r into out[t] and
+// returns the number of operations it re-executed through inner: the
+// chain's own prefix up to its first corrupted element still matches
+// the recorded stream, so only the suffix the corruption reaches runs.
+func (p *Program) recomputeChain(cur *Cursor, r *Region, out, accs, a, bt []fp.Bits, cols, t int, inner fp.Env) uint64 {
+	k := int(r.K)
+	i, j := t/cols, t%cols
+	var acc fp.Bits
+	if accs != nil {
+		acc = accs[i]
+	}
+	ca, cb := a[i*k:(i+1)*k], bt[j*k:j*k+k]
+	acc, srv := p.ChainPrefix(cur, r.Start+uint64(t)*uint64(k), acc, ca, cb)
+	if srv < k {
+		acc = fp.DotFMA(inner, acc, ca[srv:], cb[srv:])
+	}
+	out[t] = acc
+	return uint64(k - srv)
 }
 
 // union merges two half-open intervals into the smallest interval

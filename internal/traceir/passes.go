@@ -24,10 +24,12 @@ import "mixedrel/internal/fp"
 
 // stream is the mutable pass-pipeline representation: the region list
 // plus the operand slab the regions index into. Passes rebuild both;
-// the result trace is untouched by construction.
+// the result trace and the KGemm tails slab are untouched by
+// construction.
 type stream struct {
 	regions  []Region
 	operands []fp.Bits
+	tails    []fp.Bits
 }
 
 // block returns region r's operand block.
@@ -50,6 +52,7 @@ func passSuperword(s *stream) *stream {
 	out := &stream{
 		regions:  make([]Region, 0, len(s.regions)),
 		operands: make([]fp.Bits, 0, len(s.operands)),
+		tails:    s.tails,
 	}
 	rs := s.regions
 	for i := 0; i < len(rs); {
@@ -97,6 +100,7 @@ func passCollapse(s *stream) *stream {
 	out := &stream{
 		regions:  make([]Region, 0, len(s.regions)),
 		operands: make([]fp.Bits, 0, len(s.operands)),
+		tails:    s.tails,
 	}
 	rs := s.regions
 	for i := 0; i < len(rs); {
@@ -147,9 +151,9 @@ func (out *stream) copyRegion(s *stream, r *Region) {
 
 // finalize validates the optimized stream — regions must tile
 // positions [0, ops) exactly, with well-formed shapes and in-bounds
-// operand blocks — and builds the executable Program. Any violation
-// returns nil: the injector then simply keeps its uncompiled replay
-// paths, so a dropped program costs speed, never bits.
+// operand blocks and tails — and builds the executable Program. Any
+// violation returns nil: the injector then simply keeps its uncompiled
+// replay paths, so a dropped program costs speed, never bits.
 func finalize(s *stream, f fp.Format, ops uint64, results []fp.Bits) *Program {
 	if uint64(len(results)) != ops {
 		return nil
@@ -160,7 +164,8 @@ func finalize(s *stream, f fp.Format, ops uint64, results []fp.Bits) *Program {
 		if r.Start != pos || r.N == 0 {
 			return nil
 		}
-		if r.Kind == KGemm && uint64(r.Rows)*uint64(r.Cols)*uint64(r.K) != uint64(r.N) {
+		if r.Kind == KGemm && (uint64(r.Rows)*uint64(r.Cols)*uint64(r.K) != uint64(r.N) ||
+			uint64(r.Tail)+uint64(r.Rows)*uint64(r.Cols) > uint64(len(s.tails))) {
 			return nil
 		}
 		if int(r.Off)+operandLen(r) > len(s.operands) {
@@ -177,5 +182,6 @@ func finalize(s *stream, f fp.Format, ops uint64, results []fp.Bits) *Program {
 		regions:  s.regions,
 		operands: s.operands,
 		results:  results,
+		tails:    s.tails,
 	}
 }

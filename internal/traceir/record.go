@@ -34,8 +34,9 @@ type Recorder struct {
 	regions   []Region
 	operands  []fp.Bits
 	results   []fp.Bits
-	truncated bool // result trace exceeded MaxOps; nothing is usable
-	irDropped bool // IR exceeded maxCompiledOps; results still usable
+	tails     []fp.Bits // every KGemm grid's chain results, row-major
+	truncated bool      // result trace exceeded MaxOps; nothing is usable
+	irDropped bool      // IR exceeded maxCompiledOps; results still usable
 }
 
 // NewRecorder returns a recorder computing through inner (the
@@ -63,7 +64,7 @@ func (r *Recorder) Compile() *Program {
 	if r.truncated || r.irDropped {
 		return nil
 	}
-	s := &stream{regions: r.regions, operands: r.operands}
+	s := &stream{regions: r.regions, operands: r.operands, tails: r.tails}
 	s = passSuperword(s)
 	s = passCollapse(s)
 	return finalize(s, r.inner.Format(), r.ops, r.results)
@@ -77,7 +78,7 @@ func (r *Recorder) irFull(n int) bool {
 	}
 	if r.ops+uint64(n) > maxCompiledOps {
 		r.irDropped = true
-		r.regions, r.operands = nil, nil
+		r.regions, r.operands, r.tails = nil, nil, nil
 		return true
 	}
 	return false
@@ -285,14 +286,17 @@ func (r *Recorder) DotFMABlock(out []fp.Bits, acc fp.Bits, u, v []fp.Bits, strid
 
 // GemmFMA implements fp.BatchEnv: the whole grid becomes one KGemm
 // region with accumulator, a and bt slabs, executed chain-by-chain in
-// row-major order so every intermediate lands in the result trace.
+// row-major order so every intermediate lands in the result trace. The
+// grid's out is appended to the tails slab, so a replay serves a range
+// of chains with one copy instead of a strided gather from the results.
 func (r *Recorder) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 	n := rows * cols * k
 	if n == 0 {
 		return
 	}
 	zero := r.inner.FromFloat64(0)
-	if !r.irFull(n) {
+	recorded := !r.irFull(n)
+	if recorded {
 		off := len(r.operands)
 		if accs != nil {
 			r.operands = append(r.operands, accs[:rows]...)
@@ -305,7 +309,7 @@ func (r *Recorder) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 		r.operands = append(r.operands, bt[:cols*k]...)
 		r.regions = append(r.regions, Region{
 			Kind: KGemm, Op: fp.OpFMA, Start: r.ops, N: uint32(n), Off: uint32(off),
-			Rows: uint32(rows), Cols: uint32(cols), K: uint32(k),
+			Rows: uint32(rows), Cols: uint32(cols), K: uint32(k), Tail: uint32(len(r.tails)),
 		})
 	}
 	for i := 0; i < rows; i++ {
@@ -321,6 +325,9 @@ func (r *Recorder) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 			}
 			out[i*cols+j] = acc
 		}
+	}
+	if recorded {
+		r.tails = append(r.tails, out[:rows*cols]...)
 	}
 	r.ops += uint64(n)
 }

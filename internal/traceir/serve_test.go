@@ -271,7 +271,7 @@ func TestServeGemmConePartition(t *testing.T) {
 		t.Helper()
 		out := make([]fp.Bits, rows*cols)
 		var cur Cursor
-		if !p.ServeGemm(&cur, 0, out, accs, a, bt, rows, cols, k, 0, rows*cols, m) {
+		if _, ok := p.ServeGemm(&cur, 0, out, accs, a, bt, rows, cols, k, 0, rows*cols, m); !ok {
 			t.Fatal("ServeGemm rejected a matching grid")
 		}
 		return out
@@ -324,7 +324,7 @@ func TestServeGemmConePartition(t *testing.T) {
 		const first, limit = 5, 9
 		out := make([]fp.Bits, rows*cols)
 		var cur Cursor
-		if !p.ServeGemm(&cur, uint64(first*k), out, accs, a, bt, rows, cols, k, first, limit, m) {
+		if _, ok := p.ServeGemm(&cur, uint64(first*k), out, accs, a, bt, rows, cols, k, first, limit, m); !ok {
 			t.Fatal("range serve rejected")
 		}
 		for i := first; i < limit; i++ {
@@ -336,10 +336,10 @@ func TestServeGemmConePartition(t *testing.T) {
 	t.Run("shape-mismatch", func(t *testing.T) {
 		out := make([]fp.Bits, rows*cols)
 		var cur Cursor
-		if p.ServeGemm(&cur, 0, out, accs, a, bt, cols, rows, k, 0, rows*cols, m) {
+		if _, ok := p.ServeGemm(&cur, 0, out, accs, a, bt, cols, rows, k, 0, rows*cols, m); ok {
 			t.Error("transposed shape was served")
 		}
-		if p.ServeGemm(&cur, 1, out, accs, a, bt, rows, cols, k, 0, rows*cols, m) {
+		if _, ok := p.ServeGemm(&cur, 1, out, accs, a, bt, rows, cols, k, 0, rows*cols, m); ok {
 			t.Error("misaligned position was served")
 		}
 	})
@@ -356,7 +356,7 @@ func TestServeGemmNilAccs(t *testing.T) {
 	})
 	out := make([]fp.Bits, rows*cols)
 	var cur Cursor
-	if !p.ServeGemm(&cur, 0, out, nil, a, bt, rows, cols, k, 0, rows*cols, m) {
+	if _, ok := p.ServeGemm(&cur, 0, out, nil, a, bt, rows, cols, k, 0, rows*cols, m); !ok {
 		t.Fatal("nil-accs grid rejected")
 	}
 	want := make([]fp.Bits, rows*cols)
