@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race verify bench bench-smoke bench-replay bench-sampling bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
+.PHONY: build test vet lint race perfbench verify bench bench-smoke bench-replay bench-sampling bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
 
 build:
 	$(GO) build ./...
@@ -29,9 +29,16 @@ race:
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x ./...
 
+# perfbench vets and short-tests the benchmark module. It is a module
+# of its own in an underscore directory, which ./... skips, so without
+# this step a refactor that drops an exported name the benchmark uses
+# would pass verify and still break _perfbench/run.sh.
+perfbench:
+	cd _perfbench && $(GO) vet . && $(GO) test -short .
+
 # verify is the tier-1 gate: build, static analysis, full tests, race
-# pass, benchmark smoke.
-verify: build lint test race bench-smoke
+# pass, benchmark smoke, benchmark module check.
+verify: build lint test race bench-smoke perfbench
 
 # bench records the benchmark suite as BENCH_<date>.json (see
 # scripts/bench.sh for knobs).

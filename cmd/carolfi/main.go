@@ -34,7 +34,6 @@ func main() {
 	size := flag.Int("size", 16, "kernel size parameter")
 	sitesFlag := flag.String("sites", "operand,memory", "comma-separated fault sites: operation, operand, memory, control")
 	watchdog := flag.Float64("watchdog", 0, "hang watchdog budget as a multiple of the fault-free op count (0 = default when injecting control faults)")
-	compiledReplay := flag.Bool("compiled-replay", true, "serve fault-independent work from the compiled golden trace; disable to force fully interpreted execution (A/B verification, bisecting a suspected replay bug)")
 	trap := flag.Bool("trap", false, "classify NaN/Inf results produced by a fault as crash-DUEs")
 	checkpointPath := flag.String("checkpoint", "", "journal classified samples to this file and resume from it")
 	strata := flag.Int("strata", 0, "stratify the fault budget over (op-class x bit band x kernel phase) with this many phases (0 = uniform sampling)")
@@ -106,11 +105,6 @@ func main() {
 		Watchdog:      *watchdog,
 		TrapNonFinite: *trap,
 		Workers:       *sampleWorkers,
-
-		// The two paths are bit-identical by construction; the switch
-		// exists so a suspicious result can be re-derived without the
-		// compiled trace in the loop.
-		DisableCompiledReplay: !*compiledReplay,
 	}
 	if *checkpointPath != "" {
 		c.Checkpoint = &mixedrel.Checkpoint{Path: *checkpointPath}

@@ -2,8 +2,9 @@
 //
 // PR 1 centralized all concurrency in the campaign execution engine: a
 // single process-wide token pool bounds total parallelism, and the
-// engine's constructs (ForEach, Sample) are built so parallel results
-// are bitwise-identical to sequential execution. A goroutine launched
+// engine's constructs (ForEach and the Session campaign driver) are
+// built so parallel results are bitwise-identical to sequential
+// execution. A goroutine launched
 // anywhere else escapes both guarantees — it is invisible to the worker
 // bound (nested fan-out can multiply goroutines unboundedly) and its
 // interleaving can order side effects nondeterministically. Packages
@@ -26,7 +27,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "boundedgo",
 	Doc:      "forbid go statements outside internal/exec; all concurrency runs under the bounded deterministic scheduler",
-	Version:  1,
+	Version:  2,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -46,7 +47,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 		}
-		pass.Reportf(g.Go, "go statement outside internal/exec escapes the bounded deterministic scheduler; use exec.ForEach or exec.Sample")
+		pass.Reportf(g.Go, "go statement outside internal/exec escapes the bounded deterministic scheduler; use exec.ForEach or the exec.Session campaign driver")
 		return true
 	})
 	return nil, nil

@@ -36,10 +36,8 @@ package beam
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"mixedrel/internal/arch"
 	"mixedrel/internal/exec"
@@ -123,9 +121,9 @@ type Experiment struct {
 	// TrapNonFinite arms the FP trap in behavioral runs.
 	TrapNonFinite bool
 	// Checkpoint, when non-nil, journals classified trials for
-	// crash-tolerant resume, exactly like inject.Campaign.Checkpoint
-	// (per-trial random streams regardless of Workers; byte-identical
-	// aggregates across interruptions).
+	// crash-tolerant resume through the same driver (exec.Session) as
+	// inject.Campaign.Checkpoint: per-trial random streams regardless of
+	// Workers, byte-identical aggregates across interruptions.
 	Checkpoint *exec.Checkpoint
 	// Context, when non-nil, makes the campaign cancellable exactly like
 	// inject.Campaign.Context: in-flight trials drain, the journal (if
@@ -168,6 +166,57 @@ func (r *Result) Classified() int { return r.Trials - len(r.Aborted) }
 
 // Run executes the campaign. Results are deterministic in Experiment.Seed.
 func (e Experiment) Run() (*Result, error) {
+	ctx, err := e.trials()
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Trials: e.Trials, ExposureRate: ctx.rate,
+		ByClass: make(map[arch.ResourceClass]*ClassCounts)}
+	for _, x := range ctx.exposures {
+		res.ByClass[x.Class] = &ClassCounts{}
+	}
+
+	// A beam experiment is a different per-sample function on the same
+	// driver as an injection campaign: one flat batch of trials.
+	sess, err := exec.NewSession(e.Context, e.Workers, e.Checkpoint, trialOutcome.record, trialRecord.outcome)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	outs, seeds, err := sess.Run(exec.Flat(e.Seed, e.Trials), func(_ int, r *rng.Rand) trialOutcome {
+		return ctx.runTrial(r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for t, o := range outs {
+		if o.aborted {
+			var seed uint64
+			if seeds != nil {
+				seed = seeds[t]
+			}
+			res.Aborted = append(res.Aborted, inject.AbortedSample{
+				Index: t, Seed: seed, Fault: o.fault, Panic: o.panicMsg})
+			continue
+		}
+		res.record(o, e.KeepOutputs)
+	}
+	res.CheckpointDegraded, res.CheckpointError = sess.Close()
+
+	n := float64(res.Classified())
+	if n > 0 {
+		res.FITSDC = ctx.rate * float64(res.SDC) / n
+		res.FITDUE = ctx.rate * float64(res.DUE) / n
+		lo, hi := stats.PoissonCI(int64(res.SDC), 0.95)
+		res.FITSDCLo = ctx.rate * lo / n
+		res.FITSDCHi = ctx.rate * hi / n
+	}
+	return res, nil
+}
+
+// trials validates the experiment and builds the state its trials
+// share.
+func (e Experiment) trials() (*trialCtx, error) {
 	m := e.Mapping
 	if m == nil {
 		return nil, fmt.Errorf("beam: experiment has no mapping")
@@ -203,131 +252,12 @@ func (e Experiment) Run() (*Result, error) {
 	// most once per (kernel, format, wrap) in the whole process.
 	runner := inject.NewRunner(m.Kernel, m.Format, m.WrapKey, m.Wrap)
 
-	res := &Result{Trials: e.Trials, ExposureRate: rate,
-		ByClass: make(map[arch.ResourceClass]*ClassCounts)}
-	for _, x := range exposures {
-		res.ByClass[x.Class] = &ClassCounts{}
-	}
-
 	watchdog := e.Watchdog
 	if watchdog <= 0 && (e.BehavioralDUE || e.TrapNonFinite) {
 		watchdog = inject.DefaultWatchdogFactor
 	}
-	ctx := &trialCtx{exp: e, exposures: exposures, rate: rate,
-		runner: runner, arrayLens: runner.ArrayLens(), watchdog: watchdog}
-
-	// Sequential mode (Workers <= 1) threads one random stream through
-	// the trials in order; parallel mode gives every trial its own
-	// stream derived from the campaign seed, so the outcome is
-	// deterministic in Seed and independent of scheduling (but a
-	// different — equally valid — sample than the sequential one).
-	// Checkpointed campaigns always use per-trial streams (resume must
-	// not depend on which trials a previous invocation completed).
-	outs := make([]trialOutcome, e.Trials)
-	perTrial := e.Workers > 1
-	if e.Checkpoint != nil {
-		perTrial = true
-		if err := e.runCheckpointed(ctx, outs, res); err != nil {
-			return nil, err
-		}
-	} else {
-		err := exec.SampleCtx(e.Context, e.Workers, e.Trials, e.Seed, func(t int, r *rng.Rand) error {
-			outs[t] = ctx.runTrial(r)
-			return nil
-		})
-		if isCtxErr(err) {
-			return nil, &exec.Interrupted{Journaled: -1, Cause: err}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for t, o := range outs {
-		if o.aborted {
-			var seed uint64
-			if perTrial {
-				seed = exec.SampleSeed(e.Seed, t)
-			}
-			res.Aborted = append(res.Aborted, inject.AbortedSample{
-				Index: t, Seed: seed, Fault: o.fault, Panic: o.panicMsg})
-			continue
-		}
-		res.record(o, e.KeepOutputs)
-	}
-
-	n := float64(res.Classified())
-	if n > 0 {
-		res.FITSDC = rate * float64(res.SDC) / n
-		res.FITDUE = rate * float64(res.DUE) / n
-		lo, hi := stats.PoissonCI(int64(res.SDC), 0.95)
-		res.FITSDCLo = rate * lo / n
-		res.FITSDCHi = rate * hi / n
-	}
-	return res, nil
-}
-
-// isCtxErr reports whether err is a context cancellation or deadline —
-// the signals the campaign converts into graceful interruption.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// runCheckpointed executes the campaign's missing trials against the
-// checkpoint journal, returning exec.ErrPartial while incomplete, an
-// *exec.Interrupted after context cancellation (journal flushed), and
-// surfacing journal degradation on res.
-func (e Experiment) runCheckpointed(ctx *trialCtx, outs []trialOutcome, res *Result) error {
-	j, err := e.Checkpoint.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-
-	var ran atomic.Int64
-	limit := int64(e.Checkpoint.Limit)
-	err = exec.SampleResumeCtx(e.Context, e.Workers, e.Trials, e.Seed, func(t int) bool {
-		if _, ok := j.Done(t); ok {
-			return true
-		}
-		return limit > 0 && ran.Load() >= limit
-	}, func(t int, r *rng.Rand) error {
-		if limit > 0 && ran.Add(1) > limit {
-			return nil
-		}
-		return j.Record(t, ctx.runTrial(r).record())
-	})
-	if isCtxErr(err) {
-		if cerr := j.Close(); cerr != nil {
-			return cerr
-		}
-		journaled := j.Len()
-		if deg, _ := j.Degraded(); deg {
-			journaled = 0
-		}
-		return &exec.Interrupted{Journaled: journaled, Cause: err}
-	}
-	if err != nil {
-		return err
-	}
-	if err := j.Close(); err != nil {
-		return err
-	}
-	if deg, derr := j.Degraded(); deg {
-		res.CheckpointDegraded = true
-		res.CheckpointError = fmt.Sprint(derr)
-	}
-	for t := range outs {
-		raw, ok := j.Done(t)
-		if !ok {
-			return exec.ErrPartial
-		}
-		var rec trialRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("beam: corrupt checkpoint record %d: %w", t, err)
-		}
-		outs[t] = rec.outcome()
-	}
-	return nil
+	return &trialCtx{exp: e, exposures: exposures, rate: rate,
+		runner: runner, arrayLens: runner.ArrayLens(), watchdog: watchdog}, nil
 }
 
 // trialOutcome is the classified result of one simulated strike.
@@ -365,41 +295,29 @@ type trialRecord struct {
 }
 
 func (o trialOutcome) record() trialRecord {
-	rec := trialRecord{
+	return trialRecord{
 		Class:      int(o.class),
 		Outcome:    o.outcome,
 		Cause:      int(o.cause),
 		RelErrBits: math.Float64bits(o.relErr),
+		OutputBits: exec.MapSlice(o.output, math.Float64bits),
 		Aborted:    o.aborted,
 		Fault:      o.fault,
 		Panic:      o.panicMsg,
 	}
-	if o.output != nil {
-		rec.OutputBits = make([]uint64, len(o.output))
-		for i, v := range o.output {
-			rec.OutputBits[i] = math.Float64bits(v)
-		}
-	}
-	return rec
 }
 
 func (rec trialRecord) outcome() trialOutcome {
-	o := trialOutcome{
+	return trialOutcome{
 		class:    arch.ResourceClass(rec.Class),
 		outcome:  rec.Outcome,
 		cause:    inject.DUECause(rec.Cause),
 		relErr:   math.Float64frombits(rec.RelErrBits),
+		output:   exec.MapSlice(rec.OutputBits, math.Float64frombits),
 		aborted:  rec.Aborted,
 		fault:    rec.Fault,
 		panicMsg: rec.Panic,
 	}
-	if rec.OutputBits != nil {
-		o.output = make([]float64, len(rec.OutputBits))
-		for i, b := range rec.OutputBits {
-			o.output[i] = math.Float64frombits(b)
-		}
-	}
-	return o
 }
 
 // record folds one trial into the aggregate result.
@@ -619,11 +537,6 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	type alias Result
 	safe := alias(*r)
 	safe.RelErrs = stats.ClampNonFinite(r.RelErrs)
-	if r.Outputs != nil {
-		safe.Outputs = make([][]float64, len(r.Outputs))
-		for i, o := range r.Outputs {
-			safe.Outputs[i] = stats.ClampNonFinite(o)
-		}
-	}
+	safe.Outputs = exec.MapSlice(r.Outputs, stats.ClampNonFinite)
 	return json.Marshal(safe)
 }

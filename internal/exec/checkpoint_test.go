@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"mixedrel/internal/rng"
 )
 
 func TestGuardRecoversPanic(t *testing.T) {
@@ -135,51 +133,5 @@ func TestJournalTornTail(t *testing.T) {
 	raw, ok := j3.Done(3)
 	if !ok || strings.TrimSpace(string(raw)) != "42" {
 		t.Errorf("record 3 = %q, ok=%v, want 42", raw, ok)
-	}
-}
-
-// TestSampleResumeStreamDerivation: every item's stream must equal
-// rng.New(SampleSeed(seed, i)) regardless of worker count or skips, the
-// property byte-identical resume rests on.
-func TestSampleResumeStreamDerivation(t *testing.T) {
-	const n, seed = 12, 99
-	want := make([]uint64, n)
-	for i := range want {
-		want[i] = rng.New(SampleSeed(seed, i)).Uint64()
-	}
-	for _, workers := range []int{1, 3} {
-		got := make([]uint64, n)
-		err := SampleResume(workers, n, seed, nil, func(i int, r *rng.Rand) error {
-			got[i] = r.Uint64()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d item %d drew %#x, want %#x", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSampleResumeSkips(t *testing.T) {
-	const n, seed = 10, 7
-	ran := make([]bool, n)
-	err := SampleResume(1, n, seed, func(i int) bool { return i%2 == 0 }, func(i int, r *rng.Rand) error {
-		ran[i] = true
-		if want := rng.New(SampleSeed(seed, i)).Uint64(); r.Uint64() != want {
-			t.Errorf("item %d stream depends on skipped items", i)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range ran {
-		if r != (i%2 == 1) {
-			t.Errorf("item %d ran=%v", i, r)
-		}
 	}
 }

@@ -3,7 +3,6 @@ package inject
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -132,19 +131,14 @@ type Campaign struct {
 	// the output.
 	TrapNonFinite bool
 	// Checkpoint, when non-nil, makes the campaign crash-tolerant and
-	// resumable: classified samples are journaled to Checkpoint.Path
-	// and a re-run with the same configuration fills in only the
-	// missing ones, yielding a byte-identical result. Checkpointed
-	// campaigns always use per-sample random streams (the Workers > 1
-	// derivation) regardless of Workers, so a sample's value never
-	// depends on which samples a previous invocation completed.
+	// resumable: the driver (exec.Session) journals classified samples
+	// to Checkpoint.Path, and a re-run with the same configuration fills
+	// in only the missing ones, yielding a byte-identical result. A
+	// checkpoint takes the campaign out of sequential mode: every sample
+	// draws from its own stream (the Workers > 1 derivation) regardless
+	// of Workers, so its value never depends on which samples a previous
+	// invocation completed.
 	Checkpoint *exec.Checkpoint
-	// DisableCompiledReplay runs every sample through interpreted
-	// execution instead of the compiled trace program. The two paths
-	// are bit-identical by construction (and verified by the
-	// equivalence tests); this switch exists for A/B verification and
-	// for bisecting a suspected replay bug, not for normal use.
-	DisableCompiledReplay bool
 	// Sampling, when non-nil, runs the campaign through the
 	// variance-reduction sampling engine (stratified.go): the fault
 	// budget is allocated over (op-class x bit band x kernel phase)
@@ -225,9 +219,9 @@ func (r *Result) Classified() int { return r.Faults - len(r.Aborted) }
 type AbortedSample struct {
 	// Index is the sample's position in the campaign.
 	Index int
-	// Seed is the sample's private random-stream seed in per-sample
-	// modes (Workers > 1 or checkpointed): rng.New(Seed) reproduces its
-	// fault draw exactly. Zero in sequential mode, where replay means
+	// Seed is the sample's private random-stream seed: rng.New(Seed)
+	// reproduces its fault draw exactly. Zero in sequential mode
+	// (Workers <= 1, no checkpoint, no Sampling), where replay means
 	// re-running the campaign with the campaign seed.
 	Seed uint64
 	// Fault describes the sampled fault specification.
@@ -246,18 +240,23 @@ func (c Campaign) Run() (*Result, error) {
 	if c.Faults <= 0 {
 		return nil, fmt.Errorf("inject: campaign with %d faults", c.Faults)
 	}
+	return c.runOn(NewRunner(c.Kernel, c.Format, c.WrapKey, c.Wrap))
+}
+
+// runOn executes the campaign's samples on runner.
+func (c Campaign) runOn(runner *Runner) (*Result, error) {
 	sites := c.Sites
 	if len(sites) == 0 {
 		sites = []Site{SiteOperand, SiteMemory}
 	}
-
-	runner := NewRunner(c.Kernel, c.Format, c.WrapKey, c.Wrap)
-	runner.DisableCompiledReplay = c.DisableCompiledReplay
-	counts := runner.Counts()
-	if counts.Total() == 0 {
+	for _, s := range sites {
+		if s < SiteOperation || s > SiteControl {
+			return nil, fmt.Errorf("inject: unknown site %v", s)
+		}
+	}
+	if runner.Counts().Total() == 0 {
 		return nil, fmt.Errorf("inject: kernel %s executes no operations", c.Kernel.Name())
 	}
-	arrayLens := runner.ArrayLens()
 
 	watchdog := c.Watchdog
 	if watchdog <= 0 {
@@ -291,19 +290,35 @@ func (c Campaign) Run() (*Result, error) {
 		)
 	}
 
+	var res *Result
+	var err error
 	if c.Sampling != nil {
-		res, err := c.runStratified(runner, sites, watchdog)
-		if err == nil {
-			emitCampaignEnd(res)
-		}
-		return res, err
+		res, err = c.runStratified(runner, sites, watchdog)
+	} else {
+		res, err = c.runUniform(runner, sites, watchdog)
 	}
+	if err != nil {
+		return nil, err
+	}
+	emitCampaignEnd(res)
+	return res, nil
+}
 
+// runUniform draws every sample's site, then its fault, uniformly: the
+// campaign is one flat batch on the driver.
+func (c Campaign) runUniform(runner *Runner, sites []Site, watchdog float64) (*Result, error) {
+	sess, err := exec.NewSession(c.Context, c.Workers, c.Checkpoint, sample.record, sampleRecord.sample)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+
+	counts, arrayLens := runner.Counts(), runner.ArrayLens()
 	var done atomic.Int64
 	showProg := telemetry.ProgressActive()
-	runOne := func(r *rng.Rand) (sample, error) {
+	outs, seeds, err := sess.Run(exec.Flat(c.Seed, c.Faults), func(_ int, r *rng.Rand) sample {
 		var spec FaultSpec
-		switch site := sites[r.Intn(len(sites))]; site {
+		switch sites[r.Intn(len(sites))] {
 		case SiteOperation:
 			f := SampleOpFault(r, counts, c.Format, 0, true, TargetResult)
 			spec.Op = &f
@@ -316,78 +331,70 @@ func (c Campaign) Run() (*Result, error) {
 		case SiteControl:
 			cf := SampleControlFault(r, counts)
 			spec.Control = &cf
-		default:
-			return sample{}, fmt.Errorf("inject: unknown site %v", site)
 		}
-		spec.Watchdog = watchdog
-		spec.TrapNonFinite = c.TrapNonFinite
-		rr, abort := runner.RunSpec(spec, c.KeepOutputs)
+		s := c.runSample(runner, spec, watchdog)
 		if showProg {
-			telemetry.Progressf("%s: %d/%d samples", c.Kernel.Name(), done.Add(1), c.Faults)
+			sess.Progressf("%s: %d/%d samples", c.Kernel.Name(), done.Add(1), c.Faults)
 		}
-		if abort != nil {
-			return sample{aborted: true, fault: spec.Desc(), panicMsg: abort.String()}, nil
-		}
-		return sample{rr: rr}, nil
+		return s
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{Faults: c.Faults}
-	outcomes := make([]sample, c.Faults)
-	perSample := c.Workers > 1
-	if c.Checkpoint != nil {
-		perSample = true
-		if err := c.runCheckpointed(runOne, outcomes, res); err != nil {
-			return nil, err
+	for i, s := range outs {
+		var seed uint64
+		if seeds != nil {
+			seed = seeds[i]
 		}
-	} else {
-		err := exec.SampleCtx(c.Context, c.Workers, c.Faults, c.Seed, func(i int, r *rng.Rand) error {
-			s, err := runOne(r)
-			if err != nil {
-				return err
-			}
-			outcomes[i] = s
-			return nil
-		})
-		if isCtxErr(err) {
-			return nil, &exec.Interrupted{Journaled: -1, Cause: err}
-		}
-		if err != nil {
-			return nil, err
-		}
+		res.tally(s, c.KeepOutputs, i, seed)
 	}
+	res.rates()
+	res.CheckpointDegraded, res.CheckpointError = sess.Close()
+	return res, nil
+}
 
-	for i, s := range outcomes {
-		switch {
-		case s.aborted:
-			var seed uint64
-			if perSample {
-				seed = exec.SampleSeed(c.Seed, i)
-			}
-			res.Aborted = append(res.Aborted, AbortedSample{
-				Index: i, Seed: seed, Fault: s.fault, Panic: s.panicMsg})
-		case s.rr.Outcome == SDC:
-			res.SDCs++
-			res.RelErrs = append(res.RelErrs, s.rr.MaxRelErr)
-			if c.KeepOutputs {
-				res.Outputs = append(res.Outputs, s.rr.Output)
-			}
-		case s.rr.Outcome == CrashDUE:
-			res.CrashDUEs++
-		case s.rr.Outcome == HangDUE:
-			res.HangDUEs++
-		default:
-			res.Masked++
-		}
+// runSample runs one fault specification with the campaign's detectors
+// armed. A simulator panic becomes an aborted sample.
+func (c Campaign) runSample(runner *Runner, spec FaultSpec, watchdog float64) sample {
+	spec.Watchdog = watchdog
+	spec.TrapNonFinite = c.TrapNonFinite
+	rr, abort := runner.RunSpec(spec, c.KeepOutputs)
+	if abort != nil {
+		return sample{aborted: true, fault: spec.Desc(), panicMsg: abort.String()}
 	}
+	return sample{rr: rr}
+}
+
+// tally folds one sample into the result; key and seed are an aborted
+// sample's replay address.
+func (res *Result) tally(s sample, keep bool, key int, seed uint64) {
+	switch {
+	case s.aborted:
+		res.Aborted = append(res.Aborted, AbortedSample{
+			Index: key, Seed: seed, Fault: s.fault, Panic: s.panicMsg})
+	case s.rr.Outcome == SDC:
+		res.SDCs++
+		res.RelErrs = append(res.RelErrs, s.rr.MaxRelErr)
+		if keep {
+			res.Outputs = append(res.Outputs, s.rr.Output)
+		}
+	case s.rr.Outcome == CrashDUE:
+		res.CrashDUEs++
+	case s.rr.Outcome == HangDUE:
+		res.HangDUEs++
+	default:
+		res.Masked++
+	}
+}
+
+// rates sets PVF and PDUE from the tallies.
+func (res *Result) rates() {
 	if n := res.Classified(); n > 0 {
 		res.PVF = float64(res.SDCs) / float64(n)
 		res.PDUE = float64(res.DUEs()) / float64(n)
 	}
-	if showProg {
-		telemetry.ProgressDone()
-	}
-	emitCampaignEnd(res)
-	return res, nil
 }
 
 // emitCampaignEnd writes the campaign's aggregate classification into
@@ -408,80 +415,6 @@ func emitCampaignEnd(res *Result) {
 		telemetry.KV{K: "pdue", V: res.PDUE},
 		telemetry.KV{K: "early_stopped", V: res.EarlyStopped},
 	)
-}
-
-// isCtxErr reports whether err is a context cancellation or deadline —
-// the signals the campaign converts into graceful interruption.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// runCheckpointed executes the campaign's missing samples against the
-// checkpoint journal, always with per-sample random streams so resumed
-// samples are identical to first-run ones. It returns exec.ErrPartial
-// when the journal is still incomplete (Checkpoint.Limit reached), an
-// *exec.Interrupted after a context cancellation (journal flushed, no
-// half-written state), and surfaces journal degradation — persistent
-// I/O failure downgraded to in-memory completion — on res.
-func (c Campaign) runCheckpointed(runOne func(*rng.Rand) (sample, error), outcomes []sample, res *Result) error {
-	j, err := c.Checkpoint.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-
-	var ran atomic.Int64
-	limit := int64(c.Checkpoint.Limit)
-	err = exec.SampleResumeCtx(c.Context, c.Workers, c.Faults, c.Seed, func(i int) bool {
-		if _, ok := j.Done(i); ok {
-			return true
-		}
-		return limit > 0 && ran.Load() >= limit
-	}, func(i int, r *rng.Rand) error {
-		if limit > 0 && ran.Add(1) > limit {
-			return nil
-		}
-		s, err := runOne(r)
-		if err != nil {
-			return err
-		}
-		return j.Record(i, s.record())
-	})
-	if isCtxErr(err) {
-		// Graceful interruption: the drain finished every in-flight
-		// sample, so closing here leaves a whole, synced journal — the
-		// resume hint in the error is honest.
-		if cerr := j.Close(); cerr != nil {
-			return cerr
-		}
-		journaled := j.Len()
-		if deg, _ := j.Degraded(); deg {
-			journaled = 0 // nothing past the last durable flush is promised
-		}
-		return &exec.Interrupted{Journaled: journaled, Cause: err}
-	}
-	if err != nil {
-		return err
-	}
-	if err := j.Close(); err != nil {
-		return err
-	}
-	if deg, derr := j.Degraded(); deg {
-		res.CheckpointDegraded = true
-		res.CheckpointError = fmt.Sprint(derr)
-	}
-	for i := range outcomes {
-		raw, ok := j.Done(i)
-		if !ok {
-			return exec.ErrPartial
-		}
-		var rec sampleRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("inject: corrupt checkpoint record %d: %w", i, err)
-		}
-		outcomes[i] = rec.sample()
-	}
-	return nil
 }
 
 // sample is the classified outcome of one campaign sample, including
@@ -508,43 +441,31 @@ type sampleRecord struct {
 }
 
 func (s sample) record() sampleRecord {
-	rec := sampleRecord{
+	return sampleRecord{
 		Outcome:    s.rr.Outcome,
 		Cause:      s.rr.Cause,
 		RelErrBits: math.Float64bits(s.rr.MaxRelErr),
 		Applied:    s.rr.FaultApplied,
+		OutputBits: exec.MapSlice(s.rr.Output, math.Float64bits),
 		Aborted:    s.aborted,
 		Fault:      s.fault,
 		Panic:      s.panicMsg,
 	}
-	if s.rr.Output != nil {
-		rec.OutputBits = make([]uint64, len(s.rr.Output))
-		for i, v := range s.rr.Output {
-			rec.OutputBits[i] = math.Float64bits(v)
-		}
-	}
-	return rec
 }
 
 func (rec sampleRecord) sample() sample {
-	s := sample{
+	return sample{
 		rr: RunResult{
 			Outcome:      rec.Outcome,
 			Cause:        rec.Cause,
 			MaxRelErr:    math.Float64frombits(rec.RelErrBits),
 			FaultApplied: rec.Applied,
+			Output:       exec.MapSlice(rec.OutputBits, math.Float64frombits),
 		},
 		aborted:  rec.Aborted,
 		fault:    rec.Fault,
 		panicMsg: rec.Panic,
 	}
-	if rec.OutputBits != nil {
-		s.rr.Output = make([]float64, len(rec.OutputBits))
-		for i, b := range rec.OutputBits {
-			s.rr.Output[i] = math.Float64frombits(b)
-		}
-	}
-	return s
 }
 
 // MarshalJSON encodes the result with non-finite relative errors (and
@@ -553,11 +474,6 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	type alias Result
 	safe := alias(*r)
 	safe.RelErrs = stats.ClampNonFinite(r.RelErrs)
-	if r.Outputs != nil {
-		safe.Outputs = make([][]float64, len(r.Outputs))
-		for i, o := range r.Outputs {
-			safe.Outputs[i] = stats.ClampNonFinite(o)
-		}
-	}
+	safe.Outputs = exec.MapSlice(r.Outputs, stats.ClampNonFinite)
 	return json.Marshal(safe)
 }

@@ -25,7 +25,7 @@ import (
 func runnersFor(k kernels.Kernel, f fp.Format) (compiled, interpreted *Runner) {
 	compiled = NewRunner(k, f, "", nil)
 	interpreted = NewRunner(k, f, "", nil)
-	interpreted.DisableCompiledReplay = true
+	interpreted.disableCompiledReplay = true
 	return compiled, interpreted
 }
 
@@ -220,9 +220,8 @@ func TestCampaignByteIdentityCompiledVsInterpreted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			interpreted := c
-			interpreted.DisableCompiledReplay = true
-			resI, err := interpreted.Run()
+			_, interpreted := runnersFor(c.Kernel, c.Format)
+			resI, err := c.runOn(interpreted)
 			if err != nil {
 				t.Fatal(err)
 			}

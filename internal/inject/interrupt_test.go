@@ -1,15 +1,18 @@
 package inject
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
 	"mixedrel/internal/kernels"
+	"mixedrel/internal/telemetry"
 )
 
 // TestCampaignCancelledWithoutCheckpoint: cancellation of an
@@ -126,5 +129,61 @@ func TestStratifiedCampaignCancelThenResume(t *testing.T) {
 	gotJSON, _ := json.Marshal(res)
 	if string(gotJSON) != string(refJSON) {
 		t.Fatalf("resumed stratified result diverges:\n got %s\nwant %s", gotJSON, refJSON)
+	}
+}
+
+// cancelOnWrite is a progress writer that cancels the campaign at its
+// first frame, so the campaign stops right after a rendered line.
+type cancelOnWrite struct {
+	bytes.Buffer
+	cancel context.CancelFunc
+}
+
+func (w *cancelOnWrite) Write(p []byte) (int, error) {
+	if w.cancel != nil {
+		w.cancel()
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestEarlyExitEndsProgressLine: a campaign that stops early —
+// cancelled, or cut short by Checkpoint.Limit — still clears its
+// progress line, so the caller's next message starts on a clean line.
+func TestEarlyExitEndsProgressLine(t *testing.T) {
+	k := kernels.NewGEMM(4, 5)
+	cases := []struct {
+		name   string
+		c      Campaign
+		cancel bool
+		frame  string
+		want   error
+	}{
+		{"uniform cancelled", Campaign{Faults: 20}, true, "MxM: 1/20 samples", exec.ErrInterrupted},
+		{"stratified cancelled", Campaign{Faults: 40, Sampling: &Sampling{Round: 16, MinPerStratum: 1}},
+			true, "MxM: round 1, 24/40 samples", exec.ErrInterrupted},
+		{"uniform partial", Campaign{Faults: 20,
+			Checkpoint: &exec.Checkpoint{Path: filepath.Join(t.TempDir(), "ck.jsonl"), Limit: 1}},
+			false, "MxM: 1/20 samples", exec.ErrPartial},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			c.Kernel, c.Format, c.Seed, c.Workers = k, fp.Single, 3, 1
+			w := &cancelOnWrite{}
+			if tc.cancel {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				c.Context, w.cancel = ctx, cancel
+			}
+			telemetry.SetProgress(w)
+			defer telemetry.SetProgress(nil)
+			if _, err := c.Run(); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			clear := "\r" + strings.Repeat(" ", len(tc.frame)) + "\r"
+			if got, want := w.String(), "\r"+tc.frame+clear; got != want {
+				t.Errorf("progress output %q, want %q", got, want)
+			}
+		})
 	}
 }

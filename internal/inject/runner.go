@@ -37,12 +37,11 @@ type Runner struct {
 	// shortcut would disagree).
 	goldenNaN bool
 
-	// DisableCompiledReplay keeps runs off the compiled trace program,
+	// disableCompiledReplay keeps runs off the compiled trace program,
 	// restricting the injecting environments to interpreted execution
-	// (replay-trace induction plus inner-machine recompute). Intended
-	// for equivalence testing and A/B measurement; set it before the
-	// first run and do not change it while runs are in flight.
-	DisableCompiledReplay bool
+	// (replay-trace induction plus inner-machine recompute): the
+	// reference the equivalence tests compare the compiled path against.
+	disableCompiledReplay bool
 }
 
 // scratch is one worker's reusable run state.
@@ -151,7 +150,7 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 	// (immutable slices, per-run state in the env's cursor) — samples
 	// never copy them.
 	sc.ienv.prog = nil
-	if !r.DisableCompiledReplay {
+	if !r.disableCompiledReplay {
 		sc.ienv.prog = r.art.Prog()
 	}
 	var outBits []fp.Bits

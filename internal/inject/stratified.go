@@ -1,10 +1,8 @@
 package inject
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
@@ -115,8 +113,10 @@ type StratumResult struct {
 }
 
 // stratumState accumulates one stratum's outcomes. Sample j's private
-// stream seed is the j-th output of seedSrc; seeds caches the prefix
-// drawn so far so replay diagnostics can name any sample's seed.
+// stream seed is the j-th output of seedSrc; seeds[j] keeps it so
+// replay diagnostics can name any sample's seed. Every round runs all
+// the samples it plans or ends the campaign, so the two slices are the
+// same length between rounds.
 type stratumState struct {
 	outs    []sample
 	seedSrc *rng.Rand
@@ -124,8 +124,9 @@ type stratumState struct {
 }
 
 // runStratified executes the campaign under the sampling engine. The
-// runner, resolved sites and watchdog come from Run, which validated
-// the basic campaign fields already.
+// runner, resolved sites and watchdog come from runOn, which validated
+// the basic campaign fields already. Each allocation round is one batch
+// on the campaign's driver session, which spans all rounds.
 func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) (*Result, error) {
 	sp := c.Sampling.withDefaults(c.Format)
 	if err := sp.validate(); err != nil {
@@ -143,34 +144,14 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 		sts[h].seedSrc = rng.New(exec.StratumSeed(c.Seed, h))
 	}
 
-	var journal *exec.Journal
-	var limit int64
-	if c.Checkpoint != nil {
-		journal, err = c.Checkpoint.Open()
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-		limit = int64(c.Checkpoint.Limit)
+	sess, err := exec.NewSession(c.Context, c.Workers, c.Checkpoint, sample.record, sampleRecord.sample)
+	if err != nil {
+		return nil, err
 	}
+	defer sess.Close()
 
+	// Control sites always arm the watchdog (runOn), so this covers them.
 	dueArmed := watchdog > 0 || c.TrapNonFinite
-	for _, s := range sites {
-		if s == SiteControl {
-			dueArmed = true
-		}
-	}
-
-	runOne := func(h int, r *rng.Rand) sample {
-		spec := space.Sample(h, r)
-		spec.Watchdog = watchdog
-		spec.TrapNonFinite = c.TrapNonFinite
-		rr, abort := runner.RunSpec(spec, c.KeepOutputs)
-		if abort != nil {
-			return sample{aborted: true, fault: spec.Desc(), panicMsg: abort.String()}
-		}
-		return sample{rr: rr}
-	}
 
 	// tallies rebuilds the per-stratum counts for one outcome class;
 	// the denominators exclude aborted samples, like the pooled PVF.
@@ -214,9 +195,8 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 		return !dueArmed || stats.StratifiedHalfWidth(tallies(true), sp.Confidence) <= sp.CIHalfWidth
 	}
 
-	var ran atomic.Int64
-	spent, stopped, partial, round := 0, false, false, 0
-	for spent < c.Faults && !stopped && !partial {
+	spent, stopped, round := 0, false, 0
+	for spent < c.Faults && !stopped {
 		round++
 		roundBudget := sp.Round
 		if spent == 0 {
@@ -255,85 +235,32 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 			alloc = stats.DeficitAlloc(weights, unitScores, taken(), roundBudget)
 		}
 
-		type job struct {
-			h, idx int
-			seed   uint64
-		}
-		plan := make([]job, 0, roundBudget)
+		keys := make([]int, 0, roundBudget)
+		seeds := make([]uint64, 0, roundBudget)
 		for h, n := range alloc {
 			st := &sts[h]
 			for k := 0; k < n; k++ {
-				idx := len(st.outs) + k
-				for len(st.seeds) <= idx {
-					st.seeds = append(st.seeds, st.seedSrc.Uint64())
-				}
-				plan = append(plan, job{h: h, idx: idx, seed: st.seeds[idx]})
+				st.seeds = append(st.seeds, st.seedSrc.Uint64())
+				keys = append(keys, exec.SampleKey(h, len(st.outs)+k))
 			}
+			seeds = append(seeds, st.seeds[len(st.outs):]...)
 		}
-		if len(plan) == 0 {
+		if len(keys) == 0 {
 			break
 		}
-		results := make([]sample, len(plan))
-		got := make([]bool, len(plan))
-		err := exec.ForEachCtx(c.Context, c.Workers, len(plan), func(i int) error {
-			jb := plan[i]
-			if journal != nil {
-				if raw, ok := journal.Done(exec.SampleKey(jb.h, jb.idx)); ok {
-					var rec sampleRecord
-					if err := json.Unmarshal(raw, &rec); err != nil {
-						return fmt.Errorf("inject: corrupt checkpoint record (%d,%d): %w", jb.h, jb.idx, err)
-					}
-					results[i] = rec.sample()
-					got[i] = true
-					return nil
-				}
-				if limit > 0 && ran.Add(1) > limit {
-					return nil // deterministic interruption: resume fills this in
-				}
-			}
-			s := runOne(jb.h, rng.New(jb.seed))
-			if journal != nil {
-				if err := journal.Record(exec.SampleKey(jb.h, jb.idx), s.record()); err != nil {
-					return err
-				}
-			}
-			results[i] = s
-			got[i] = true
-			return nil
+		results, _, err := sess.Run(exec.Keyed(keys, seeds), func(key int, r *rng.Rand) sample {
+			return c.runSample(runner, space.Sample(exec.KeyStratum(key), r), watchdog)
 		})
-		if isCtxErr(err) {
-			// Cancellation between or inside rounds: in-flight samples
-			// drained and were journaled whole, so close the journal
-			// (flushing the tail) and report an honest resume point.
-			journaled := -1
-			if journal != nil {
-				if cerr := journal.Close(); cerr != nil {
-					return nil, cerr
-				}
-				journaled = journal.Len()
-				if deg, _ := journal.Degraded(); deg {
-					journaled = 0
-				}
-			}
-			return nil, &exec.Interrupted{Journaled: journaled, Cause: err}
-		}
 		if err != nil {
 			return nil, err
 		}
-		for i := range plan {
-			if !got[i] {
-				partial = true
-			}
-		}
-		if partial {
-			break
-		}
-		// Merge in plan order — grouped by stratum, ascending index —
+		// Merge in batch order — grouped by stratum, ascending index —
 		// so the aggregate never depends on scheduling.
-		for i, jb := range plan {
-			sts[jb.h].outs = append(sts[jb.h].outs, results[i])
+		for i, key := range keys {
+			h := exec.KeyStratum(key)
+			sts[h].outs = append(sts[h].outs, results[i])
 		}
-		spent += len(plan)
+		spent += len(keys)
 		stopped = converged()
 		// The round event and progress line trail the merge, so their
 		// content (allocation, CI trajectory, stopping decision) is a
@@ -348,7 +275,7 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 			}
 			telemetry.Emit("round",
 				telemetry.KV{K: "round", V: round},
-				telemetry.KV{K: "budget", V: len(plan)},
+				telemetry.KV{K: "budget", V: len(keys)},
 				telemetry.KV{K: "spent", V: spent},
 				telemetry.KV{K: "alloc", V: alloc},
 				telemetry.KV{K: "sdc_half_width", V: hwSDC},
@@ -357,12 +284,9 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 			)
 		}
 		if telemetry.ProgressActive() {
-			telemetry.Progressf("%s: round %d, %d/%d samples",
+			sess.Progressf("%s: round %d, %d/%d samples",
 				c.Kernel.Name(), round, spent, c.Faults)
 		}
-	}
-	if telemetry.ProgressActive() {
-		telemetry.ProgressDone()
 	}
 	if stopped && telemetry.SinkActive() {
 		telemetry.Emit("early_stop",
@@ -371,58 +295,33 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 			telemetry.KV{K: "rounds", V: round},
 		)
 	}
-	degraded := false
-	var degErr error
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			return nil, err
-		}
-		degraded, degErr = journal.Degraded()
-	}
-	if partial {
-		return nil, exec.ErrPartial
-	}
-	res := c.assembleStratified(space, sts, sp, spent, stopped)
-	if degraded {
-		res.CheckpointDegraded = true
-		res.CheckpointError = fmt.Sprint(degErr)
-	}
+	res := c.assembleStratified(space, sts, spent, stopped)
+	sdc, due := tallies(false), tallies(true)
+	res.StratifiedPVF = stats.PostStratified(sdc)
+	res.PVFCILow, res.PVFCIHigh = stats.StratifiedCI(sdc, sp.Confidence)
+	res.StratifiedPDUE = stats.PostStratified(due)
+	res.PDUECILow, res.PDUECIHigh = stats.StratifiedCI(due, sp.Confidence)
+	res.CheckpointDegraded, res.CheckpointError = sess.Close()
 	return res, nil
 }
 
 // assembleStratified folds the per-stratum outcomes into a Result, in
-// deterministic (stratum, index) order.
-func (c Campaign) assembleStratified(space *Space, sts []stratumState, sp Sampling, spent int, stopped bool) *Result {
+// deterministic (stratum, index) order; runStratified adds the
+// post-stratified estimates.
+func (c Campaign) assembleStratified(space *Space, sts []stratumState, spent int, stopped bool) *Result {
 	res := &Result{Faults: spent, EarlyStopped: stopped}
 	for h := range sts {
+		sdcs, dues, masked := res.SDCs, res.DUEs(), res.Masked
+		for idx, s := range sts[h].outs {
+			res.tally(s, c.KeepOutputs, exec.SampleKey(h, idx), sts[h].seeds[idx])
+		}
 		sr := StratumResult{
 			Desc:   space.Strata[h].Desc(),
 			Weight: space.Strata[h].Weight,
 			Faults: len(sts[h].outs),
-		}
-		for idx, s := range sts[h].outs {
-			switch {
-			case s.aborted:
-				res.Aborted = append(res.Aborted, AbortedSample{
-					Index: exec.SampleKey(h, idx), Seed: sts[h].seeds[idx],
-					Fault: s.fault, Panic: s.panicMsg})
-			case s.rr.Outcome == SDC:
-				res.SDCs++
-				sr.SDCs++
-				res.RelErrs = append(res.RelErrs, s.rr.MaxRelErr)
-				if c.KeepOutputs {
-					res.Outputs = append(res.Outputs, s.rr.Output)
-				}
-			case s.rr.Outcome == CrashDUE:
-				res.CrashDUEs++
-				sr.DUEs++
-			case s.rr.Outcome == HangDUE:
-				res.HangDUEs++
-				sr.DUEs++
-			default:
-				res.Masked++
-				sr.Masked++
-			}
+			SDCs:   res.SDCs - sdcs,
+			DUEs:   res.DUEs() - dues,
+			Masked: res.Masked - masked,
 		}
 		res.Strata = append(res.Strata, sr)
 		if telemetry.SinkActive() {
@@ -436,20 +335,6 @@ func (c Campaign) assembleStratified(space *Space, sts []stratumState, sp Sampli
 			)
 		}
 	}
-	if n := res.Classified(); n > 0 {
-		res.PVF = float64(res.SDCs) / float64(n)
-		res.PDUE = float64(res.DUEs()) / float64(n)
-	}
-	sdc := make([]stats.StratumCount, len(sts))
-	due := make([]stats.StratumCount, len(sts))
-	for h, sr := range res.Strata {
-		n := int64(sr.SDCs + sr.DUEs + sr.Masked)
-		sdc[h] = stats.StratumCount{Weight: sr.Weight, N: n, K: int64(sr.SDCs)}
-		due[h] = stats.StratumCount{Weight: sr.Weight, N: n, K: int64(sr.DUEs)}
-	}
-	res.StratifiedPVF = stats.PostStratified(sdc)
-	res.PVFCILow, res.PVFCIHigh = stats.StratifiedCI(sdc, sp.Confidence)
-	res.StratifiedPDUE = stats.PostStratified(due)
-	res.PDUECILow, res.PDUECIHigh = stats.StratifiedCI(due, sp.Confidence)
+	res.rates()
 	return res
 }
