@@ -82,50 +82,49 @@ func (m *MNIST) CleanAccuracy() float64 { return m.acc }
 // Labels returns the true labels of the test batch.
 func (m *MNIST) Labels() []int { return m.labels }
 
-// features64 runs the fixed convolutional stack in float64.
-func (m *MNIST) features64(img []float64) []float64 {
-	x, h, w := m.conv1.forward64(img, DigitSize, DigitSize)
-	relu64(x)
-	x, h, w = avgPool2x64(x, m.conv1.outC, h, w)
-	x, h, w = m.conv2.forward64(x, h, w)
-	relu64(x)
-	x, _, _ = avgPool2x64(x, m.conv2.outC, h, w)
-	return x
-}
-
 // trainReadout fits the dense layer with full-batch softmax-regression
 // gradient descent on the frozen convolutional features. Features are
 // standardized for training and the standardization affine is folded
 // back into the dense weights afterwards, so the inference path stays a
 // plain dense layer.
+//
+// Each iteration runs as two matrix products over the whole set — the
+// logits of every sample, then the weight gradient — so every logit and
+// every gradient element is one serial chain in the order of the
+// per-sample loop it replaces.
 func (m *MNIST) trainReadout(set *DigitSet) {
 	n := set.Len()
-	feats := make([][]float64, n)
-	for i, img := range set.Images {
-		feats[i] = m.features64(img)
+	nf, no := m.fc.in, m.fc.out
+	feats := make([]float64, n*nf) // sample-major: feats[s*nf+i]
+	st := m.newTrainState()
+	for s, img := range set.Images {
+		m.forwardTrain(st, img)
+		copy(feats[s*nf:], st.p2)
 	}
-	nf := m.fc.in
 	mu := make([]float64, nf)
 	sigma := make([]float64, nf)
-	for _, f := range feats {
-		for i, v := range f {
+	for s := 0; s < n; s++ {
+		for i, v := range feats[s*nf : (s+1)*nf] {
 			mu[i] += v
 		}
 	}
 	for i := range mu {
 		mu[i] /= float64(n)
 	}
-	for _, f := range feats {
-		for i, v := range f {
+	for s := 0; s < n; s++ {
+		for i, v := range feats[s*nf : (s+1)*nf] {
 			sigma[i] += (v - mu[i]) * (v - mu[i])
 		}
 	}
 	for i := range sigma {
 		sigma[i] = math.Sqrt(sigma[i]/float64(n)) + 1e-6
 	}
-	for _, f := range feats {
+	featsT := make([]float64, nf*n) // feature-major: featsT[i*n+s]
+	for s := 0; s < n; s++ {
+		f := feats[s*nf : (s+1)*nf]
 		for i := range f {
 			f[i] = (f[i] - mu[i]) / sigma[i]
+			featsT[i*n+s] = f[i]
 		}
 	}
 	const (
@@ -135,27 +134,39 @@ func (m *MNIST) trainReadout(set *DigitSet) {
 	w, b := m.fc.weight, m.fc.bias
 	gw := make([]float64, len(w))
 	gb := make([]float64, len(b))
+	logitsT := make([]float64, no*n) // output-major: logitsT[o*n+s]
+	dT := make([]float64, no*n)      // dL/dlogit, output-major
+	logits := make([]float64, no)
+	p := make([]float64, no)
 	for it := 0; it < iters; it++ {
-		for i := range gw {
-			gw[i] = 0
+		for o := 0; o < no; o++ {
+			row := logitsT[o*n : (o+1)*n]
+			for s := range row {
+				row[s] = b[o]
+			}
 		}
-		for i := range gb {
-			gb[i] = 0
-		}
+		mulABt64(logitsT, w, feats, no, n, nf)
 		for s := 0; s < n; s++ {
-			p := softmax64(m.fc.forward64(feats[s]))
-			for o := 0; o < 10; o++ {
-				d := p[o]
+			for o := range logits {
+				logits[o] = logitsT[o*n+s]
+			}
+			softmax64(p, logits)
+			for o, d := range p {
 				if o == set.Labels[s] {
 					d -= 1
 				}
-				gb[o] += d
-				base := o * m.fc.in
-				for i, f := range feats[s] {
-					gw[base+i] += d * f
-				}
+				dT[o*n+s] = d
 			}
 		}
+		for o := range gb {
+			var acc float64
+			for _, d := range dT[o*n : (o+1)*n] {
+				acc += d
+			}
+			gb[o] = acc
+		}
+		clear(gw)
+		mulABt64(gw, dT, featsT, no, nf, n)
 		inv := lr / float64(n)
 		for i := range w {
 			w[i] -= inv * gw[i]
@@ -177,10 +188,11 @@ func (m *MNIST) trainReadout(set *DigitSet) {
 
 // accuracy64 evaluates clean float64 accuracy on a digit set.
 func (m *MNIST) accuracy64(set *DigitSet) float64 {
+	st := m.newTrainState()
 	correct := 0
 	for i, img := range set.Images {
-		p := softmax64(m.fc.forward64(m.features64(img)))
-		if Argmax(p) == set.Labels[i] {
+		m.forwardTrain(st, img)
+		if Argmax(st.probs) == set.Labels[i] {
 			correct++
 		}
 	}

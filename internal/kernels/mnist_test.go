@@ -1,7 +1,11 @@
 package kernels
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"mixedrel/internal/fp"
@@ -56,6 +60,49 @@ func TestMNISTCleanAccuracy(t *testing.T) {
 	m := newTestMNIST(t)
 	if acc := m.CleanAccuracy(); acc < 0.9 {
 		t.Errorf("clean float64 accuracy %v < 0.9 — training failed", acc)
+	}
+}
+
+// trainedDigest pins the bits training produces for the shared
+// newTestMNIST instance: SHA-256 over the conv1, conv2 and fc weights
+// and biases, then CleanAccuracy, each float64 as its little-endian IEEE
+// bits. Reordering a single sum in training changes it.
+const trainedDigest = "92ef482a3fced2644bc635747155a185dd658b958f654178d74428afc9c153f2"
+
+func TestMNISTTrainedBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Go fuses x*y+z into one rounding on arm64, ppc64 and s390x,
+		// so training there produces other (equally valid) bits.
+		t.Skipf("digest recorded on amd64, not %s", runtime.GOARCH)
+	}
+	m := newTestMNIST(t)
+	h := sha256.New()
+	var b [8]byte
+	put := func(xs ...float64) {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	put(m.conv1.weight...)
+	put(m.conv1.bias...)
+	put(m.conv2.weight...)
+	put(m.conv2.bias...)
+	put(m.fc.weight...)
+	put(m.fc.bias...)
+	put(m.CleanAccuracy())
+	if got := hex.EncodeToString(h.Sum(nil)); got != trainedDigest {
+		t.Errorf("trained MNIST digest %s, want %s", got, trainedDigest)
+	}
+}
+
+var mnistSink *MNIST
+
+// BenchmarkMNISTBuild measures building the MNIST fixture at the seed
+// core's experiments use; nearly all of it is the float64 training.
+func BenchmarkMNISTBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		mnistSink = NewMNIST(1, 1005)
 	}
 }
 

@@ -94,28 +94,56 @@ func (l *convLayer) forward(env fp.Env, in tensor, w, b []fp.Bits) tensor {
 	return out
 }
 
-// forward64 is the float64 training-time version of forward.
-func (l *convLayer) forward64(in []float64, h, w int) ([]float64, int, int) {
+// convWork is the float64 training-time working set of a convLayer on
+// an h x w input: the offset off[t] of each patch element t, in
+// (ic, ky, kx) order, from the patch's top-left input pixel, and the
+// oh*ow patches col that forward64 gathers and convBackward reuses.
+type convWork struct {
+	h, w int
+	off  []int
+	col  []float64
+}
+
+func (l *convLayer) newWork(h, w int) *convWork {
 	oh, ow := l.outShape(h, w)
-	out := make([]float64, l.outC*oh*ow)
 	k := l.k
-	for oc := 0; oc < l.outC; oc++ {
-		wBase := oc * l.inC * k * k
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				acc := l.bias[oc]
-				for ic := 0; ic < l.inC; ic++ {
-					for ky := 0; ky < k; ky++ {
-						for kx := 0; kx < k; kx++ {
-							acc += l.weight[wBase+(ic*k+ky)*k+kx] * in[(ic*h+y+ky)*w+x+kx]
-						}
-					}
-				}
-				out[(oc*oh+y)*ow+x] = acc
+	cw := &convWork{h: h, w: w,
+		off: make([]int, 0, l.inC*k*k),
+		col: make([]float64, oh*ow*l.inC*k*k),
+	}
+	for ic := 0; ic < l.inC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				cw.off = append(cw.off, (ic*h+ky)*w+kx)
 			}
 		}
 	}
-	return out, oh, ow
+	return cw
+}
+
+// forward64 is the float64 training-time version of forward, writing
+// the outC x oh x ow result into dst. Like forward it gathers the input
+// into patches first, so every output pixel is one serial chain from
+// its bias in (ic, ky, kx) order.
+func (l *convLayer) forward64(dst, in []float64, cw *convWork) {
+	oh, ow := l.outShape(cw.h, cw.w)
+	plen := len(cw.off)
+	for y := 0; y < oh; y++ {
+		for x := 0; x < ow; x++ {
+			src := in[y*cw.w+x:]
+			p := cw.col[(y*ow+x)*plen:][:plen]
+			for t, o := range cw.off {
+				p[t] = src[o]
+			}
+		}
+	}
+	for oc, b := range l.bias {
+		row := dst[oc*oh*ow : (oc+1)*oh*ow]
+		for i := range row {
+			row[i] = b
+		}
+	}
+	mulABt64(dst, l.weight, cw.col, l.outC, oh*ow, plen)
 }
 
 // isPositive reports whether b encodes a value > 0 in env's format.
@@ -158,14 +186,6 @@ func leakyReLUT(env fp.Env, t tensor) {
 	}
 }
 
-func leakyReLU64(xs []float64) {
-	for i, v := range xs {
-		if v < 0 {
-			xs[i] = v * 0.125
-		}
-	}
-}
-
 // avgPool2 halves both spatial dimensions by averaging 2x2 windows.
 // Odd trailing rows/columns are dropped (as in LeNet-style nets).
 func avgPool2(env fp.Env, in tensor) tensor {
@@ -188,19 +208,21 @@ func avgPool2(env fp.Env, in tensor) tensor {
 	return out
 }
 
-func avgPool2x64(in []float64, c, h, w int) ([]float64, int, int) {
+// avgPool2x64 is the float64 version of avgPool2, writing the
+// c x h/2 x w/2 result into dst.
+func avgPool2x64(dst, in []float64, c, h, w int) {
 	oh, ow := h/2, w/2
-	out := make([]float64, c*oh*ow)
 	for ch := 0; ch < c; ch++ {
 		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				s := in[(ch*h+2*y)*w+2*x] + in[(ch*h+2*y)*w+2*x+1] +
-					in[(ch*h+2*y+1)*w+2*x] + in[(ch*h+2*y+1)*w+2*x+1]
-				out[(ch*oh+y)*ow+x] = s * 0.25
+			r0 := in[(ch*h+2*y)*w:][:2*ow]
+			r1 := in[(ch*h+2*y+1)*w:][:2*ow]
+			orow := dst[(ch*oh+y)*ow:][:ow]
+			for x := range orow {
+				s := r0[2*x] + r0[2*x+1] + r1[2*x] + r1[2*x+1]
+				orow[x] = s * 0.25
 			}
 		}
 	}
-	return out, oh, ow
 }
 
 // maxPool2 halves both spatial dimensions with 2x2 max windows.
@@ -222,25 +244,6 @@ func maxPool2(env fp.Env, in tensor) tensor {
 		}
 	}
 	return out
-}
-
-func maxPool2x64(in []float64, c, h, w int) ([]float64, int, int) {
-	oh, ow := h/2, w/2
-	out := make([]float64, c*oh*ow)
-	for ch := 0; ch < c; ch++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				best := in[(ch*h+2*y)*w+2*x]
-				for _, v := range []float64{in[(ch*h+2*y)*w+2*x+1], in[(ch*h+2*y+1)*w+2*x], in[(ch*h+2*y+1)*w+2*x+1]} {
-					if v > best {
-						best = v
-					}
-				}
-				out[(ch*oh+y)*ow+x] = best
-			}
-		}
-	}
-	return out, oh, ow
 }
 
 // denseLayer is a fully connected layer, weights laid out out x in.
@@ -276,17 +279,47 @@ func (l *denseLayer) forward(env fp.Env, in []fp.Bits, w, b []fp.Bits) []fp.Bits
 	return out
 }
 
-func (l *denseLayer) forward64(in []float64) []float64 {
-	out := make([]float64, l.out)
-	for o := 0; o < l.out; o++ {
-		acc := l.bias[o]
-		base := o * l.in
-		for i := 0; i < l.in; i++ {
-			acc += l.weight[base+i] * in[i]
+// forward64 is the float64 training-time version of forward, writing
+// the l.out outputs into dst.
+func (l *denseLayer) forward64(dst, in []float64) {
+	copy(dst, l.bias)
+	mulABt64(dst, in, l.weight, 1, l.out, l.in)
+}
+
+// mulABt64 adds a·bᵀ into c, where a is m x k, b is n x k and c is
+// m x n, all row-major: c[i][j] += a[i][0]*b[j][0] + ... +
+// a[i][k-1]*b[j][k-1], one product at a time in t order, so each c[i][j]
+// is the same serial chain as a scalar loop starting from c's value.
+// The main loop runs four adjacent columns' chains side by side, which
+// shares each load of a[i][t] and overlaps the add latencies.
+func mulABt64(c, a, b []float64, m, n, k int) {
+	for i := 0; i < m; i++ {
+		ar := a[i*k : (i+1)*k]
+		cr := c[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k:][:len(ar)]
+			b1 := b[(j+1)*k:][:len(ar)]
+			b2 := b[(j+2)*k:][:len(ar)]
+			b3 := b[(j+3)*k:][:len(ar)]
+			s0, s1, s2, s3 := cr[j], cr[j+1], cr[j+2], cr[j+3]
+			for t, av := range ar {
+				s0 += av * b0[t]
+				s1 += av * b1[t]
+				s2 += av * b2[t]
+				s3 += av * b3[t]
+			}
+			cr[j], cr[j+1], cr[j+2], cr[j+3] = s0, s1, s2, s3
 		}
-		out[o] = acc
+		for ; j < n; j++ {
+			bj := b[j*k:][:len(ar)]
+			s := cr[j]
+			for t, av := range ar {
+				s += av * bj[t]
+			}
+			cr[j] = s
+		}
 	}
-	return out
 }
 
 // softmaxT computes softmax through env with the usual max-subtraction
@@ -315,7 +348,9 @@ func softmaxT(env fp.Env, in []fp.Bits) []fp.Bits {
 	return out
 }
 
-func softmax64(in []float64) []float64 {
+// softmax64 is the float64 version of softmaxT, writing into dst.
+func softmax64(dst, in []float64) {
+	dst = dst[:len(in)]
 	max := in[0]
 	for _, v := range in[1:] {
 		if v > max {
@@ -323,15 +358,13 @@ func softmax64(in []float64) []float64 {
 		}
 	}
 	var sum float64
-	out := make([]float64, len(in))
 	for i, v := range in {
-		out[i] = math.Exp(v - max)
-		sum += out[i]
+		dst[i] = math.Exp(v - max)
+		sum += dst[i]
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range dst {
+		dst[i] /= sum
 	}
-	return out
 }
 
 // sigmoidT computes 1/(1+exp(-x)) through env.

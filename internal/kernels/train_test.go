@@ -19,32 +19,16 @@ func TestBackpropGradientCheck(t *testing.T) {
 	img := RenderDigit(3, r)
 	label := 3
 
+	st := m.newTrainState()
 	loss := func() float64 {
-		st := m.forwardTrain(img)
+		m.forwardTrain(st, img)
 		return -math.Log(st.probs[label] + 1e-300)
 	}
 
-	// Analytic gradients via one backward pass.
-	g1 := newConvGrads(m.conv1)
-	g2 := newConvGrads(m.conv2)
-	gw := make([]float64, len(m.fc.weight))
-	st := m.forwardTrain(img)
-	dLogits := append([]float64(nil), st.probs...)
-	dLogits[label] -= 1
-	dFeats := make([]float64, m.fc.in)
-	for o := 0; o < m.fc.out; o++ {
-		base := o * m.fc.in
-		for i := 0; i < m.fc.in; i++ {
-			gw[base+i] += dLogits[o] * st.p2[i]
-			dFeats[i] += dLogits[o] * m.fc.weight[base+i]
-		}
-	}
-	dC2 := avgPoolBackward(dFeats, m.conv2.outC, st.h2, st.w2)
-	reluBackward(dC2, st.c2Pre)
-	dP1 := convBackward(m.conv2, st.p1, st.ph1, st.pw1, dC2, g2, true)
-	dC1 := avgPoolBackward(dP1, m.conv1.outC, st.h1, st.w1)
-	reluBackward(dC1, st.c1Pre)
-	convBackward(m.conv1, img, DigitSize, DigitSize, dC1, g1, false)
+	// Analytic gradients via the backward pass training uses.
+	g := newMNISTGrads(m)
+	m.forwardTrain(st, img)
+	m.backward(st, label, g)
 
 	check := func(name string, params []float64, grad []float64, indices []int) {
 		const eps = 1e-6
@@ -61,11 +45,12 @@ func TestBackpropGradientCheck(t *testing.T) {
 			}
 		}
 	}
-	check("fc.weight", m.fc.weight, gw, []int{0, 7, 74, 100, 749})
-	check("conv2.weight", m.conv2.weight, g2.weight, []int{0, 5, 17, 53})
-	check("conv2.bias", m.conv2.bias, g2.bias, []int{0, 2})
-	check("conv1.weight", m.conv1.weight, g1.weight, []int{0, 4, 8, 17})
-	check("conv1.bias", m.conv1.bias, g1.bias, []int{0, 1})
+	check("fc.weight", m.fc.weight, g.fc.weight, []int{0, 7, 74, 100, 749})
+	check("fc.bias", m.fc.bias, g.fc.bias, []int{0, 3, 9})
+	check("conv2.weight", m.conv2.weight, g.conv2.weight, []int{0, 5, 17, 53})
+	check("conv2.bias", m.conv2.bias, g.conv2.bias, []int{0, 2})
+	check("conv1.weight", m.conv1.weight, g.conv1.weight, []int{0, 4, 8, 17})
+	check("conv1.bias", m.conv1.bias, g.conv1.bias, []int{0, 1})
 }
 
 func TestTrainFullImprovesLoss(t *testing.T) {
@@ -76,10 +61,11 @@ func TestTrainFullImprovesLoss(t *testing.T) {
 		fc:    newDenseLayer(128, 10, r),
 	}
 	set := NewDigitSet(5, 21)
+	st := m.newTrainState()
 	meanLoss := func() float64 {
 		var sum float64
 		for i, img := range set.Images {
-			st := m.forwardTrain(img)
+			m.forwardTrain(st, img)
 			sum += -math.Log(st.probs[set.Labels[i]] + 1e-300)
 		}
 		return sum / float64(set.Len())
@@ -94,7 +80,8 @@ func TestTrainFullImprovesLoss(t *testing.T) {
 
 func TestAvgPoolBackwardConservesGradient(t *testing.T) {
 	gradOut := []float64{4, 8, 12, 16}
-	gradIn := avgPoolBackward(gradOut, 1, 4, 4)
+	gradIn := make([]float64, 16)
+	avgPoolBackward(gradIn, gradOut, 1, 4, 4)
 	var sumOut, sumIn float64
 	for _, g := range gradOut {
 		sumOut += g
