@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race perfbench verify bench bench-smoke bench-replay bench-sampling bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
+.PHONY: build test vet lint race perfbench verify prove-fp16 bench bench-smoke bench-replay bench-sampling bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ perfbench:
 # verify is the tier-1 gate: build, static analysis, full tests, race
 # pass, benchmark smoke, benchmark module check.
 verify: build lint test race bench-smoke perfbench
+
+# prove-fp16 checks scalar Add, Sub and Mul of binary16 and bfloat16 on
+# every one of the 2^32 operand pairs against the integer-only
+# references (about ten CPU-minutes; verify runs a fixed 2^20-pair slice
+# of it, TestFP16PairSlice).
+prove-fp16:
+	$(GO) test -tags prove16 -run '^TestProveFP16AllPairs$$' -timeout 2h -v ./internal/fp
 
 # bench records the benchmark suite as BENCH_<date>.json (see
 # scripts/bench.sh for knobs).

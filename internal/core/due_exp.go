@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mixedrel/internal/arch"
 	"mixedrel/internal/beam"
 	"mixedrel/internal/inject"
 	"mixedrel/internal/report"
@@ -42,20 +43,7 @@ func ExtDUE(cfg Config) (*report.Table, error) {
 			return nil, err
 		}
 
-		// P(SDC)/P(DUE) split from a pure control-site campaign.
-		c := inject.Campaign{
-			Kernel:        m.Kernel,
-			Format:        f,
-			Faults:        cfg.faults(),
-			Seed:          cfg.seedFor("ext-due-pvf-"+name, uint64(fi)),
-			Sites:         []inject.Site{inject.SiteControl},
-			Wrap:          m.Wrap,
-			WrapKey:       m.WrapKey,
-			TrapNonFinite: true,
-			Workers:       cfg.SampleWorkers,
-			Checkpoint:    cfg.checkpointFor("ext-due-pvf", name, f.String()),
-		}
-		res, err := c.Run()
+		res, err := extDUEControl(cfg, m, name, fi)
 		if err != nil {
 			return nil, err
 		}
@@ -97,4 +85,23 @@ func ExtDUE(cfg Config) (*report.Table, error) {
 			fmtAU(konst.FITDUE),
 		}}, nil
 	})
+}
+
+// extDUEControl runs ext-due's control-site campaign for one cell, the
+// P(SDC)/P(DUE) split of control-state injection with the trap armed:
+// workload name mapped as m in format phiFormats[fi].
+func extDUEControl(cfg Config, m *arch.Mapping, name string, fi int) (*inject.Result, error) {
+	f := phiFormats[fi]
+	return inject.Campaign{
+		Kernel:        m.Kernel,
+		Format:        f,
+		Faults:        cfg.faults(),
+		Seed:          cfg.seedFor("ext-due-pvf-"+name, uint64(fi)),
+		Sites:         []inject.Site{inject.SiteControl},
+		Wrap:          m.Wrap,
+		WrapKey:       m.WrapKey,
+		TrapNonFinite: true,
+		Workers:       cfg.SampleWorkers,
+		Checkpoint:    cfg.checkpointFor("ext-due-pvf", name, f.String()),
+	}.Run()
 }

@@ -1,9 +1,6 @@
 package fp
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // BFloat16 is the bfloat16 format: 1 sign, 8 exponent, 7 significand
 // bits — the same exponent range as binary32 in half the width. The
@@ -23,8 +20,25 @@ var AllFormats = []Format{Half, BFloat16, Single, Double}
 // bfloat16 shares binary32's exponent field, so the conversion rounds
 // the binary64 significand from 52 to 7 bits and rebases the exponent,
 // handling subnormals (below 2^-126) and overflow past ~3.39e38.
+//
+// The normal range (biased binary64 exponent in [897, 1150]) takes the
+// same one-addition hot path as halfFromFloat64, rounding off 45 bits
+// and rebasing the exponent by 1023-127: the rounding carry runs from
+// the significand into the exponent, and out of the top binade it
+// yields 0x7f80, infinity.
 func bfloatFromFloat64(v float64) uint16 {
 	b := math.Float64bits(v)
+	if t := b &^ (1 << 63); t-897<<52 < 254<<52 {
+		t += 1<<44 - 1 + t>>45&1
+		return uint16(b>>48)&0x8000 | uint16(t>>45-896<<7)
+	}
+	return bfloatFromFloat64Slow(b)
+}
+
+// bfloatFromFloat64Slow narrows the binary64 encoding b outside the
+// normal bfloat16 range: overflow, subnormals, zeros, infinities and
+// NaNs.
+func bfloatFromFloat64Slow(b uint64) uint16 {
 	sign := uint16(b>>48) & 0x8000
 	exp := int(b>>52) & 0x7ff
 	mant := b & 0xfffffffffffff
@@ -35,30 +49,17 @@ func bfloatFromFloat64(v float64) uint16 {
 		}
 		return sign | 0x7fc0 // canonical quiet NaN
 	}
-
-	e := exp - 1023
-	sig := mant
-	if exp != 0 {
-		sig |= 1 << 52
-	} else {
+	if exp == 0 {
 		// binary64 subnormals are below bfloat16's subnormal range.
 		return sign
 	}
 
+	// The normal range [-126, 127] took the hot path.
+	e := exp - 1023
+	sig := mant | 1<<52
 	switch {
 	case e > 127:
 		return sign | 0x7f80 // overflow to infinity
-	case e >= -126:
-		// Normal range: keep 7 explicit significand bits.
-		s := rneShift(sig, 52-7)
-		if s >= 1<<8 {
-			s >>= 1
-			e++
-			if e > 127 {
-				return sign | 0x7f80
-			}
-		}
-		return sign | uint16(e+127)<<7 | uint16(s&0x7f)
 	case e >= -134:
 		// Subnormal range (including the half-ulp below the smallest
 		// subnormal, which can round up): value = mant7 * 2^-133.
@@ -102,144 +103,4 @@ func bfloatToFloat64(h uint16) float64 {
 		bits64 = uint64(exp-127+1023)<<52 | mant<<45
 	}
 	return math.Float64frombits(bits64 | sign<<63)
-}
-
-// The following mirrors soft16.go for bfloat16: an independent
-// integer-only addition and multiplication used to cross-check the
-// via-binary64 path in the tests.
-
-func decodeBF(h uint16) dec16 {
-	d := dec16{neg: h&0x8000 != 0}
-	e := int(h>>7) & 0xff
-	m := uint64(h) & 0x7f
-	if e == 0 {
-		d.sig = m
-		d.exp = -133
-		return d
-	}
-	d.sig = m | 1<<7
-	d.exp = e - 127 - 7
-	return d
-}
-
-// encodeBF rounds the exact value ±sig*2^exp to bfloat16 (RNE).
-func encodeBF(neg bool, sig uint64, exp int) uint16 {
-	var sign uint16
-	if neg {
-		sign = 0x8000
-	}
-	if sig == 0 {
-		return sign
-	}
-	p := bits.Len64(sig) - 1
-	e := p + exp
-	if e > 127 {
-		return sign | 0x7f80
-	}
-	if e >= -126 {
-		s := rneShift(sig, p-7)
-		if s >= 1<<8 {
-			s >>= 1
-			e++
-			if e > 127 {
-				return sign | 0x7f80
-			}
-		}
-		return sign | uint16(e+127)<<7 | uint16(s&0x7f)
-	}
-	mant := rneShift(sig, -(exp + 133))
-	return sign | uint16(mant)
-}
-
-func isNaNBF(h uint16) bool { return h&0x7f80 == 0x7f80 && h&0x7f != 0 }
-func isInfBF(h uint16) bool { return h&0x7fff == 0x7f80 }
-
-// softAddBF returns a+b in bfloat16 using integer-only arithmetic.
-func softAddBF(a, b uint16) uint16 {
-	if isNaNBF(a) || isNaNBF(b) {
-		return 0x7fc0
-	}
-	ai, bi := isInfBF(a), isInfBF(b)
-	switch {
-	case ai && bi:
-		if a == b {
-			return a
-		}
-		return 0x7fc0
-	case ai:
-		return a
-	case bi:
-		return b
-	}
-	da, db := decodeBF(a), decodeBF(b)
-	if da.sig == 0 && db.sig == 0 {
-		if da.neg && db.neg {
-			return 0x8000
-		}
-		return 0
-	}
-	// Exponents lie in [-133, 120]; with 8-bit significands the largest
-	// alignment shift (253 bits) would overflow int64. Beyond 45 bits
-	// the smaller operand is far below the final rounding position and
-	// only matters as a sticky contribution, so collapse it to one.
-	if da.exp-db.exp > 45 {
-		db.exp = da.exp - 45
-		if db.sig != 0 {
-			db.sig = 1
-		}
-	}
-	if db.exp-da.exp > 45 {
-		da.exp = db.exp - 45
-		if da.sig != 0 {
-			da.sig = 1
-		}
-	}
-	e := da.exp
-	if db.exp < e {
-		e = db.exp
-	}
-	va := int64(da.sig) << uint(da.exp-e)
-	vb := int64(db.sig) << uint(db.exp-e)
-	if da.neg {
-		va = -va
-	}
-	if db.neg {
-		vb = -vb
-	}
-	sum := va + vb
-	if sum == 0 {
-		return 0
-	}
-	neg := sum < 0
-	if neg {
-		sum = -sum
-	}
-	return encodeBF(neg, uint64(sum), e)
-}
-
-// softMulBF returns a*b in bfloat16 using integer-only arithmetic.
-func softMulBF(a, b uint16) uint16 {
-	if isNaNBF(a) || isNaNBF(b) {
-		return 0x7fc0
-	}
-	neg := (a^b)&0x8000 != 0
-	ai, bi := isInfBF(a), isInfBF(b)
-	az, bz := a&0x7fff == 0, b&0x7fff == 0
-	if ai || bi {
-		if az || bz {
-			return 0x7fc0
-		}
-		if neg {
-			return 0xff80
-		}
-		return 0x7f80
-	}
-	if az || bz {
-		if neg {
-			return 0x8000
-		}
-		return 0
-	}
-	da, db := decodeBF(a), decodeBF(b)
-	return encodeBF(neg, da.sig*db.sig, da.exp+db.exp)
 }

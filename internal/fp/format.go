@@ -15,7 +15,8 @@
 // 22 bits and the exact sum fits likewise, both far below binary64's 53
 // bits) and then rounded once to binary16 — which is the correctly
 // rounded result. An independent integer-only softfloat implementation in
-// soft16.go cross-checks this path in the tests.
+// softref_test.go cross-checks this path in the tests, on every operand
+// pair under make prove-fp16.
 package fp
 
 import (
@@ -162,6 +163,12 @@ func (f Format) FlipBit(b Bits, i int) Bits {
 	}
 	return b ^ (1 << uint(i))
 }
+
+// FlipMask returns b with every bit set in mask toggled: the one-XOR form
+// of a precomputed multi-bit upset (a mask of one bit is FlipBit). Like
+// FlipBit it works on the raw bit pattern; mask must lie within the
+// format's width.
+func FlipMask(b, mask Bits) Bits { return b ^ mask }
 
 // Majority returns the bitwise majority vote of three encodings: each
 // output bit is set iff it is set in at least two of a, b, c. This is

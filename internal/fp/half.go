@@ -42,34 +42,35 @@ func halfToFloat64(h uint16) float64 {
 
 // halfFromFloat64 rounds v to binary16 with round-to-nearest-even,
 // handling subnormals, overflow to infinity, and NaN canonicalization.
+//
+// Hot path: magnitude in the normal binary16 range, i.e. biased binary64
+// exponent in [1009, 1038] (unbiased [-14, 15]). The exponent field sits
+// directly above the significand field, so the magnitude's encoding t is
+// one integer in which a carry out of the significand moves into the
+// exponent by itself. Rounding is then one addition: half a binary16 ulp
+// minus one, plus the lowest kept bit, added to t carries into the kept
+// bits exactly when the 42 discarded bits exceed half an ulp, or equal it
+// with the kept part odd (ties to even). Shifting the discarded bits off
+// and rebasing the exponent by 1023-15 gives the binary16 encoding,
+// including a round-up that carries into the next binade; from the top
+// binade that lands on exponent 31 with a zero significand, 0x7c00,
+// infinity. Only the range check branches; everything else is in
+// halfFromFloat64Slow.
 func halfFromFloat64(v float64) uint16 {
 	b := math.Float64bits(v)
+	if t := b &^ (1 << 63); t-1009<<52 < 30<<52 {
+		t += 1<<41 - 1 + t>>42&1
+		return uint16(b>>48)&0x8000 | uint16(t>>42-1008<<10)
+	}
+	return halfFromFloat64Slow(b)
+}
+
+// halfFromFloat64Slow narrows the binary64 encoding b outside the normal
+// binary16 range: overflow, subnormals, zeros, infinities and NaNs.
+func halfFromFloat64Slow(b uint64) uint16 {
 	sign := uint16(b>>48) & 0x8000
 	exp := int(b>>52) & 0x7ff
 	mant := b & 0xfffffffffffff
-
-	// Hot path: magnitude in the normal binary16 range, i.e. unbiased
-	// binary64 exponent in [-14, 15] (biased in [1009, 1038]). This is
-	// bit-for-bit roundPack16(e+15, sig, 42) unrolled so the kernels'
-	// per-operation re-encode costs one branch and no second call.
-	if uint(exp-1009) <= 29 {
-		sig := mant | 1<<52
-		kept := sig >> 42
-		rem := sig & (1<<42 - 1)
-		const halfUlp = uint64(1) << 41
-		if rem > halfUlp || (rem == halfUlp && kept&1 == 1) {
-			kept++
-		}
-		be := uint16(exp - 1008) // e + 15
-		if kept >= 1<<11 {
-			kept >>= 1
-			be++
-			if be >= 0x1f {
-				return sign | 0x7c00 // overflow to infinity
-			}
-		}
-		return sign | be<<10 | uint16(kept&0x3ff)
-	}
 
 	if exp == 0x7ff { // Inf or NaN
 		if mant == 0 {
@@ -77,73 +78,29 @@ func halfFromFloat64(v float64) uint16 {
 		}
 		return sign | 0x7e00 // canonical quiet NaN
 	}
-
-	// Unbiased exponent and 53-bit significand with implicit bit.
-	e := exp - 1023
-	sig := mant
-	if exp != 0 {
-		sig |= 1 << 52
-	} else if mant == 0 {
-		return sign // signed zero
-	} else {
-		// binary64 subnormals are far below the binary16 subnormal
-		// range (< 2^-1022); they round to zero.
+	if exp == 0 {
+		// Signed zero; binary64 subnormals are far below the binary16
+		// subnormal range (< 2^-1022) and round to zero too.
 		return sign
 	}
 
+	// Unbiased exponent and 53-bit significand with implicit bit. The
+	// normal range [-14, 15] took the hot path.
+	e := exp - 1023
+	sig := mant | 1<<52
 	switch {
 	case e > 15:
 		return sign | 0x7c00 // overflow to infinity
-	case e >= -14:
-		// Normal binary16 range: keep 10 explicit significand bits,
-		// round the remaining 42.
-		return sign | roundPack16(uint16(e+15), sig, 42)
 	case e >= -25:
 		// Subnormal range: shift the significand so the value is
 		// sig * 2^-24 with the leading bit at position 10+extra.
 		// Total right shift from the 52-bit alignment: 42 + (-14 - e).
-		shift := uint(42 + (-14 - e))
-		return sign | roundPack16(0, sig, shift)
+		// A round-up to 2^10 is exactly the smallest normal's encoding.
+		return sign | uint16(rneShift(sig, 42+(-14-e)))
 	default:
 		// Too small for even the smallest subnormal's rounding range,
 		// except exactly half of the smallest subnormal, which rounds
 		// to zero under round-to-nearest-even anyway.
 		return sign
 	}
-}
-
-// roundPack16 rounds a significand right by shift bits with
-// round-to-nearest-even and assembles a binary16 from the biased exponent
-// and rounded significand, propagating significand overflow into the
-// exponent (including subnormal -> normal and normal -> infinity).
-func roundPack16(biasedExp uint16, sig uint64, shift uint) uint16 {
-	if shift >= 64 {
-		return 0
-	}
-	// Round-to-nearest-even on the discarded bits: increment when the
-	// remainder exceeds half an ulp, or equals it and the kept part is
-	// odd (equivalent to the round/sticky formulation, one mask cheaper).
-	kept := sig >> shift
-	rem := sig & (1<<shift - 1)
-	half := uint64(1) << (shift - 1)
-	if rem > half || (rem == half && kept&1 == 1) {
-		kept++
-	}
-	// kept holds implicit bit + 10 significand bits for normals
-	// (biasedExp > 0), or a pure subnormal significand (biasedExp == 0).
-	if biasedExp == 0 {
-		if kept >= 1<<10 {
-			// Rounded up into the normal range.
-			return uint16(kept) // exponent becomes 1, mant = kept-2^10
-		}
-		return uint16(kept)
-	}
-	if kept >= 1<<11 {
-		kept >>= 1
-		biasedExp++
-	}
-	if biasedExp >= 0x1f {
-		return 0x7c00 // overflow to infinity
-	}
-	return biasedExp<<10 | uint16(kept&0x3ff)
 }

@@ -1,71 +1,14 @@
 package fp
 
-import "math/bits"
-
-// This file implements binary16 addition and multiplication using only
-// integer arithmetic. It exists to cross-check the Machine's
-// via-binary64 half-precision path: the two implementations are fully
-// independent, so agreement over large random samples (see soft16_test.go)
-// validates both the conversion code and the rounding argument in the
-// package comment.
-
-// dec16 holds a decoded binary16 value: magnitude sig * 2^exp with the
-// stated sign. For normal numbers sig includes the implicit bit
-// (sig in [2^10, 2^11)); for subnormals sig is the raw fraction. Zero has
-// sig == 0. Infinities and NaNs are handled before decoding.
+// dec16 holds a decoded value: magnitude sig * 2^exp with the stated
+// sign. For normal numbers sig includes the implicit bit; for
+// subnormals sig is the raw fraction. Zero has sig == 0. Infinities and
+// NaNs are handled before decoding. The integer-only references of the
+// tests (softref_test.go, soft3264.go) share it.
 type dec16 struct {
 	neg bool
 	exp int // power-of-two scale of sig's integer value
 	sig uint64
-}
-
-func decode16(h uint16) dec16 {
-	d := dec16{neg: h&0x8000 != 0}
-	e := int(h>>10) & 0x1f
-	m := uint64(h) & 0x3ff
-	if e == 0 {
-		d.sig = m
-		d.exp = -24
-		return d
-	}
-	d.sig = m | 1<<10
-	d.exp = e - 15 - 10
-	return d
-}
-
-// encode16 rounds the exact value ±sig*2^exp to binary16 with
-// round-to-nearest-even. sig may be any uint64.
-func encode16(neg bool, sig uint64, exp int) uint16 {
-	var sign uint16
-	if neg {
-		sign = 0x8000
-	}
-	if sig == 0 {
-		return sign
-	}
-	p := bits.Len64(sig) - 1 // position of the leading bit
-	e := p + exp             // unbiased exponent of the value
-
-	if e > 15 {
-		return sign | 0x7c00
-	}
-	if e >= -14 {
-		// Normal: place the leading bit at position 10, round the rest.
-		s := rneShift(sig, p-10)
-		if s >= 1<<11 {
-			// Rounding carried past the leading bit.
-			s >>= 1
-			e++
-			if e > 15 {
-				return sign | 0x7c00
-			}
-		}
-		return sign | uint16(e+15)<<10 | uint16(s&0x3ff)
-	}
-	// Subnormal: mant = round(sig * 2^(exp+24)). When mant rounds up to
-	// 2^10 the encoding sign|mant is exactly the smallest normal.
-	mant := rneShift(sig, -(exp + 24))
-	return sign | uint16(mant)
 }
 
 // rneShift shifts sig right by n bits with round-to-nearest-even
@@ -96,89 +39,3 @@ func rneShift(sig uint64, n int) uint64 {
 	}
 	return kept
 }
-
-// softAdd16 returns a+b in binary16 using integer-only arithmetic.
-func softAdd16(a, b uint16) uint16 {
-	// Specials.
-	an, bn := isNaN16(a), isNaN16(b)
-	if an || bn {
-		return 0x7e00
-	}
-	ai, bi := isInf16(a), isInf16(b)
-	switch {
-	case ai && bi:
-		if a == b {
-			return a
-		}
-		return 0x7e00 // Inf + -Inf
-	case ai:
-		return a
-	case bi:
-		return b
-	}
-
-	da, db := decode16(a), decode16(b)
-	if da.sig == 0 && db.sig == 0 {
-		// Signed-zero rules for addition: -0 + -0 = -0, else +0.
-		if da.neg && db.neg {
-			return 0x8000
-		}
-		return 0
-	}
-
-	e := da.exp
-	if db.exp < e {
-		e = db.exp
-	}
-	// Exponents lie in [-24, 5]; max shift 29 with an 11-bit significand
-	// stays far inside uint64.
-	va := int64(da.sig << uint(da.exp-e))
-	vb := int64(db.sig << uint(db.exp-e))
-	if da.neg {
-		va = -va
-	}
-	if db.neg {
-		vb = -vb
-	}
-	sum := va + vb
-	if sum == 0 {
-		// Exact cancellation yields +0 under round-to-nearest.
-		return 0
-	}
-	neg := sum < 0
-	if neg {
-		sum = -sum
-	}
-	return encode16(neg, uint64(sum), e)
-}
-
-// softMul16 returns a*b in binary16 using integer-only arithmetic.
-func softMul16(a, b uint16) uint16 {
-	an, bn := isNaN16(a), isNaN16(b)
-	if an || bn {
-		return 0x7e00
-	}
-	neg := (a^b)&0x8000 != 0
-	ai, bi := isInf16(a), isInf16(b)
-	az, bz := a&0x7fff == 0, b&0x7fff == 0
-	if ai || bi {
-		if az || bz {
-			return 0x7e00 // Inf * 0
-		}
-		if neg {
-			return 0xfc00
-		}
-		return 0x7c00
-	}
-	if az || bz {
-		if neg {
-			return 0x8000
-		}
-		return 0
-	}
-	da, db := decode16(a), decode16(b)
-	return encode16(neg, da.sig*db.sig, da.exp+db.exp)
-}
-
-func isNaN16(h uint16) bool { return h&0x7c00 == 0x7c00 && h&0x3ff != 0 }
-func isInf16(h uint16) bool { return h&0x7fff == 0x7c00 }

@@ -3,7 +3,7 @@ package fp
 import "math/bits"
 
 // This file extends the independent integer-only softfloat cross-checks
-// of soft16.go to binary32 and binary64. For those formats the Machine
+// of softref_test.go to binary32 and binary64. For those formats the Machine
 // uses the host FPU, so agreement here validates the decode/normalize/
 // round-to-nearest-even machinery against actual IEEE-754 hardware —
 // the strongest ground truth available to the test suite.

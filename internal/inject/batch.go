@@ -24,9 +24,12 @@ import "mixedrel/internal/fp"
 // A batch no fault reaches is therefore one bulk stretch, a single strike
 // splits its batch in two around one scalar operation, and a persistent
 // (Modulo) fault costs one scalar operation per struck instance rather
-// than a per-operation decomposition of every window it touches. A live
-// trap has no quiet stretch (every result must be checked at its exact
-// operation), so the window decomposes fully.
+// than a per-operation decomposition of every window it touches. With no
+// DUE hook armed, that operation takes the slow path's struck-result
+// exit: its inner compute, one XOR with the fault's mask and a one-step
+// move of the strike and its gate, so no second strike path is needed
+// here. A live trap has no quiet stretch (every result must be checked
+// at its exact operation), so the window decomposes fully.
 //
 // TargetIntState faults never strike arithmetic (they fire inside
 // IntDecision), so for them every batch takes the bulk path.

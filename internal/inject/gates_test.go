@@ -490,6 +490,97 @@ func TestSplitWindowsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestFaultMaskMatchesFlipBits holds the per-run mask that every strike
+// XORs in to FlipBits at every bit position and widths 0-3, including the
+// top positions where a multi-bit upset wraps round to bit 0, in every
+// format.
+func TestFaultMaskMatchesFlipBits(t *testing.T) {
+	for _, f := range fp.AllFormats {
+		b := f.FromFloat64(-1.2345)
+		for width := 0; width <= 3; width++ {
+			for bit := 0; bit < f.Width(); bit++ {
+				for _, target := range []Target{TargetResult, TargetOperand} {
+					e := NewEnv(fp.NewMachine(f), OpFault{Bit: bit, Width: width, Target: target})
+					if got, want := e.flip(b), FlipBits(f, b, bit, width); got != want {
+						t.Fatalf("%v %v bit %d width %d: flip %#x, FlipBits %#x", f, target, bit, width, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStruckResultExitMatchesOracle pins both sides of the struck-result
+// exit of Env.slow. Result faults of Width 1-3 at the two top bits, where
+// the mask wraps round to bit 0, and at bit 0; persistent (Modulo 1, 2
+// and 13) and one-shot; AnyKind and Kind-specific — run on both gate
+// streams in every format, bare, where every strike takes the exit, and
+// with exactly one DUE hook armed, where none may: a watchdog whose
+// budget lands inside the stream, the trap, or one control site of each
+// class.
+func TestStruckResultExitMatchesOracle(t *testing.T) {
+	type shape struct {
+		any  bool
+		kind fp.Op
+	}
+	streams := []func(fp.Env, fp.Format) []fp.Bits{gateStream, splitStream}
+	for _, f := range fp.AllFormats {
+		for si, stream := range streams {
+			fx := newGateFixture(t, f, stream)
+			n := uint64(len(fx.trace))
+			w := f.Width()
+			for _, width := range []int{1, 2, 3} {
+				for _, bit := range []int{w - 1, w - 2, 0} {
+					for _, sh := range []shape{{any: true}, {kind: fp.OpFMA}, {kind: fp.OpAdd}} {
+						for _, mod := range []uint64{0, 1, 2, 13} {
+							for _, idx := range []uint64{uint64(si), uint64(width*5+si) % 11} {
+								of := OpFault{AnyKind: sh.any, Kind: sh.kind, Index: idx, Modulo: mod,
+									Bit: bit, Width: width, Target: TargetResult}
+								fx.check(t, FaultSpec{Op: &of}, n)
+								fx.check(t, FaultSpec{Op: &of, Watchdog: 1}, 1+(idx*7+mod)%n)
+								fx.check(t, FaultSpec{Op: &of, TrapNonFinite: true}, n)
+								for class := ControlClass(0); class < numControlClasses; class++ {
+									cf := ControlFault{Class: class, Site: (idx*5 + mod*3 + uint64(class)) % n, Bit: int(class)*7 + width}
+									fx.check(t, FaultSpec{Op: &of, Control: &cf}, n)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStruckResultExitMatchesOracleKernels runs persistent result faults
+// of Width 1-3 at the top bits — the FPGA configuration-memory MBU of
+// ext-mbu — through Runner on GEMM, bare and with one DUE hook armed, and
+// requires the oracle's classification, cause and output bits.
+func TestStruckResultExitMatchesOracleKernels(t *testing.T) {
+	kern := kernels.NewGEMM(6, 2)
+	for _, f := range fp.AllFormats {
+		runner := NewRunner(kern, f, "", nil)
+		total := runner.Counts().Total()
+		for _, mod := range []uint64{1, 13} {
+			for width := 1; width <= 3; width++ {
+				for i, bit := range []int{f.Width() - 1, f.Width() - 2} {
+					of := OpFault{AnyKind: i == 0, Kind: fp.OpFMA, Index: uint64(width) % mod, Modulo: mod,
+						Bit: bit, Width: width, Target: TargetResult}
+					cf := ControlFault{Class: ControlClass(width % NumControlClasses), Site: total / 3, Bit: width}
+					for _, spec := range []FaultSpec{
+						{Op: &of},
+						{Op: &of, Watchdog: DefaultWatchdogFactor},
+						{Op: &of, TrapNonFinite: true},
+						{Op: &of, Control: &cf},
+					} {
+						checkKernelGates(t, runner, kern, f, spec)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestQuietHorizonMatchesOracleKernels runs real kernels — every batch
 // shape plus the compiled program's compare-serving — through Runner and
 // through the oracle, and requires the same classification, cause and

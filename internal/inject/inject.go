@@ -120,6 +120,10 @@ type Env struct {
 	// step at a time.
 	strikeAt uint64
 
+	// mask is the fault's struck bits, FlipBits of zero, set per run by
+	// reset: every corruption the fault applies is one XOR with it.
+	mask fp.Bits
+
 	// replay, when non-nil, is the fault-free per-operation result trace
 	// of this configuration (exec.Artifacts.Results). Until the first
 	// corruption is applied every operation's operands are bit-identical
@@ -222,19 +226,7 @@ func (e *Env) rearm() {
 	if !e.fault.AnyKind {
 		ctr = e.byKind[e.fault.Kind]
 	}
-	if at := e.strikeAt; at < ctr {
-		// The strike passed: a one-shot fault is spent, and a
-		// persistent one's next instance is one Modulo step on, unless
-		// a loop counter's jump of all skipped several.
-		switch m := e.fault.Modulo; {
-		case m == 0:
-			e.strikeAt = noStrike
-		case ctr-at <= m:
-			e.strikeAt = at + m
-		default:
-			e.strikeAt = ctr + (at%m+m-ctr%m)%m
-		}
-	}
+	e.passStrike(ctr)
 	for k := range e.kindAt {
 		e.kindAt[k] = noStrike
 	}
@@ -256,6 +248,25 @@ func (e *Env) rearm() {
 	}
 }
 
+// passStrike moves strikeAt on once the fault's counter, now ctr, has
+// passed it: a one-shot fault is spent, and a persistent one's next
+// instance is one Modulo step on, unless a loop counter's jump of all
+// skipped several.
+func (e *Env) passStrike(ctr uint64) {
+	at := e.strikeAt
+	if at >= ctr {
+		return
+	}
+	switch m := e.fault.Modulo; {
+	case m == 0:
+		e.strikeAt = noStrike
+	case ctr-at <= m:
+		e.strikeAt = at + m
+	default:
+		e.strikeAt = ctr + (at%m+m-ctr%m)%m
+	}
+}
+
 // tick counts one dynamic operation of the given kind and reports
 // whether it lies inside the quiet horizon, i.e. can take the fast path.
 func (e *Env) tick(kind fp.Op) bool {
@@ -266,7 +277,7 @@ func (e *Env) tick(kind fp.Op) bool {
 
 // flip corrupts b per the fault's bit position and width.
 func (e *Env) flip(b fp.Bits) fp.Bits {
-	return FlipBits(e.inner.Format(), b, e.fault.Bit, e.fault.Width)
+	return fp.FlipMask(b, e.mask)
 }
 
 // FlipBits flips width adjacent bits of b starting at position bit,
@@ -301,8 +312,28 @@ func (e *Env) struck(kind fp.Op) bool {
 // It then re-arms the horizon. Unused operand slots are ignored per the
 // kind's arity.
 //
+// Its first branch is the struck-result exit. In a run with no DUE hook
+// armed, a result strike is all that can gate an operation, and none of
+// the hooks can act on it: there is no watchdog, control site, skip
+// mode, pending operand or trap, and a struck result is never served.
+// The operation is then its inner compute and one XOR with the fault's
+// mask, and the re-arm reduces to moving the strike one Modulo step on
+// and the one gate it sets with it. This is the cost of every instance
+// of a persistent FPGA configuration fault (a Modulo result fault).
+//
 //mixedrelvet:hotpath outlined per-operation slow path of the injection fast path
 func (e *Env) slow(kind fp.Op, a, b, c fp.Bits) fp.Bits {
+	if !e.due && e.fault.Target == TargetResult && e.struck(kind) {
+		res := fp.FlipMask(e.compute(kind, a, b, c), e.mask)
+		e.applied++
+		e.passStrike(e.strikeAt + 1)
+		if e.fault.AnyKind {
+			e.quiet = e.strikeAt
+		} else {
+			e.kindAt[e.fault.Kind] = e.strikeAt
+		}
+		return res
+	}
 	var hitOperand, hitResult bool
 	if e.struck(kind) {
 		hitOperand = e.fault.Target == TargetOperand
@@ -495,6 +526,7 @@ func (e *Env) reset(fault *OpFault) {
 		e.fault = neverFault
 	}
 	e.strikeAt = firstStrike(e.fault)
+	e.mask = FlipBits(e.inner.Format(), 0, e.fault.Bit, e.fault.Width)
 	e.all = 0
 	e.byKind = [fp.NumOps]uint64{}
 	e.intCtr = 0
