@@ -9,8 +9,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -21,49 +23,101 @@ import (
 	"mixedrel/internal/exec"
 )
 
+// options is beamsim's validated command line.
+type options struct {
+	device        mixedrel.Device
+	kernel        func() mixedrel.Kernel // builds the kernel (MNIST trains its weights)
+	format        mixedrel.Format
+	trials        int
+	seed          uint64
+	opScale       float64
+	dataScale     float64
+	json          bool
+	workers       int
+	sampleWorkers int
+}
+
+// parseArgs parses and validates the command line. A bad flag, value or
+// argument is reported on errOut followed by the usage text, so that it
+// fails before the campaign runs rather than panicking in it.
+func parseArgs(args []string, errOut io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("beamsim", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	deviceName := fs.String("device", "gpu", "device model: fpga, xeonphi, gpu")
+	kernelName := fs.String("kernel", "mxm", "kernel: mxm, lavamd, lud, hotspot, cg, micro-add, micro-mul, micro-fma, mnist, yolo")
+	formatName := fs.String("format", "single", "precision: half, single, double")
+	trials := fs.Int("trials", 2000, "simulated strikes")
+	seed := fs.Uint64("seed", 1, "campaign seed")
+	size := fs.Int("size", 16, "kernel size parameter (matrix n, micro ops/thread)")
+	opScale := fs.Float64("opscale", 1e6, "paper-scale multiplier for dynamic operations")
+	dataScale := fs.Float64("datascale", 1e3, "paper-scale multiplier for resident data")
+	jsonOut := fs.Bool("json", false, "emit the raw campaign result as JSON")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "scheduler goroutine bound for this process")
+	sampleWorkers := fs.Int("sample-workers", 1, "beam-trial goroutines (>1 changes the sample but stays deterministic)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	o := &options{trials: *trials, seed: *seed, opScale: *opScale, dataScale: *dataScale, json: *jsonOut,
+		workers: *workers, sampleWorkers: *sampleWorkers}
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *trials <= 0:
+		err = fmt.Errorf("-trials must be positive, got %d", *trials)
+	case *size <= 0:
+		err = fmt.Errorf("-size must be positive, got %d", *size)
+	case !(*opScale > 0):
+		err = fmt.Errorf("-opscale must be positive, got %g", *opScale)
+	case !(*dataScale > 0):
+		err = fmt.Errorf("-datascale must be positive, got %g", *dataScale)
+	case *workers <= 0:
+		err = fmt.Errorf("-workers must be positive, got %d", *workers)
+	case *sampleWorkers <= 0:
+		err = fmt.Errorf("-sample-workers must be positive, got %d", *sampleWorkers)
+	}
+	if err == nil {
+		o.device, err = pickDevice(*deviceName)
+	}
+	if err == nil {
+		o.kernel, err = pickKernel(*kernelName, *size, *seed)
+	}
+	if err == nil {
+		o.format, err = pickFormat(*formatName)
+	}
+	if err == nil && !o.device.Supports(o.format) {
+		err = fmt.Errorf("%s does not implement %v", o.device.Name(), o.format)
+	}
+	if err != nil {
+		fmt.Fprintln(errOut, "beamsim:", err)
+		fs.Usage()
+		return nil, err
+	}
+	return o, nil
+}
+
 func main() {
-	deviceName := flag.String("device", "gpu", "device model: fpga, xeonphi, gpu")
-	kernelName := flag.String("kernel", "mxm", "kernel: mxm, lavamd, lud, hotspot, cg, micro-add, micro-mul, micro-fma, mnist, yolo")
-	formatName := flag.String("format", "single", "precision: half, single, double")
-	trials := flag.Int("trials", 2000, "simulated strikes")
-	seed := flag.Uint64("seed", 1, "campaign seed")
-	size := flag.Int("size", 16, "kernel size parameter (matrix n, micro ops/thread)")
-	opScale := flag.Float64("opscale", 1e6, "paper-scale multiplier for dynamic operations")
-	dataScale := flag.Float64("datascale", 1e3, "paper-scale multiplier for resident data")
-	jsonOut := flag.Bool("json", false, "emit the raw campaign result as JSON")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scheduler goroutine bound for this process")
-	sampleWorkers := flag.Int("sample-workers", 1, "beam-trial goroutines (>1 changes the sample but stays deterministic)")
-	flag.Parse()
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	exec.SetMaxWorkers(o.workers)
+	device, kernel, format := o.device, o.kernel(), o.format
 
-	exec.SetMaxWorkers(*workers)
-
-	device, err := pickDevice(*deviceName)
+	m, err := device.Map(mixedrel.NewWorkload(kernel, o.opScale, o.dataScale), format)
 	if err != nil {
 		fail(err)
 	}
-	kernel, err := pickKernel(*kernelName, *size, *seed)
-	if err != nil {
-		fail(err)
-	}
-	format, err := pickFormat(*formatName)
-	if err != nil {
-		fail(err)
-	}
-	if !device.Supports(format) {
-		fail(fmt.Errorf("%s does not implement %v", device.Name(), format))
-	}
-
-	m, err := device.Map(mixedrel.NewWorkload(kernel, *opScale, *dataScale), format)
-	if err != nil {
-		fail(err)
-	}
-	res, err := mixedrel.BeamExperiment{Mapping: m, Trials: *trials, Seed: *seed,
-		Workers: *sampleWorkers}.Run()
+	res, err := mixedrel.BeamExperiment{Mapping: m, Trials: o.trials, Seed: o.seed,
+		Workers: o.sampleWorkers}.Run()
 	if err != nil {
 		fail(err)
 	}
 
-	if *jsonOut {
+	if o.json {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
@@ -115,28 +169,30 @@ func pickDevice(name string) (mixedrel.Device, error) {
 	return nil, fmt.Errorf("unknown device %q", name)
 }
 
-func pickKernel(name string, size int, seed uint64) (mixedrel.Kernel, error) {
+// pickKernel resolves a kernel name to its constructor, leaving the
+// (for MNIST, training) cost of building it to the caller.
+func pickKernel(name string, size int, seed uint64) (func() mixedrel.Kernel, error) {
 	switch strings.ToLower(name) {
 	case "mxm", "gemm":
-		return mixedrel.NewGEMM(size, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewGEMM(size, seed) }, nil
 	case "lavamd":
-		return mixedrel.NewLavaMD(2, size/4+1, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewLavaMD(2, size/4+1, seed) }, nil
 	case "lud":
-		return mixedrel.NewLUD(size, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewLUD(size, seed) }, nil
 	case "hotspot":
-		return mixedrel.NewHotspot(size, 8, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewHotspot(size, 8, seed) }, nil
 	case "cg":
-		return mixedrel.NewCG(size, size, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewCG(size, size, seed) }, nil
 	case "micro-add":
-		return mixedrel.NewMicro(mixedrel.MicroADD, 4, size, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewMicro(mixedrel.MicroADD, 4, size, seed) }, nil
 	case "micro-mul":
-		return mixedrel.NewMicro(mixedrel.MicroMUL, 4, size, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewMicro(mixedrel.MicroMUL, 4, size, seed) }, nil
 	case "micro-fma":
-		return mixedrel.NewMicro(mixedrel.MicroFMA, 4, size, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewMicro(mixedrel.MicroFMA, 4, size, seed) }, nil
 	case "mnist":
-		return mixedrel.NewMNIST(1, seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewMNIST(1, seed) }, nil
 	case "yolo", "yolov3":
-		return mixedrel.NewYOLO(seed), nil
+		return func() mixedrel.Kernel { return mixedrel.NewYOLO(seed) }, nil
 	}
 	return nil, fmt.Errorf("unknown kernel %q", name)
 }

@@ -309,6 +309,66 @@ func TestBlockGridScalarEquivalence(t *testing.T) {
 	}
 }
 
+// TestGemmStrikeMatchesScalar holds GemmStrike to the scalar definition
+// of a struck grid: each chain of [first, rows*cols) folds through
+// Machine.FMA, and the accumulator is XORed with the mask after every
+// FMA whose window offset lies on the schedule. It covers every format,
+// chain counts straddling the interleave widths, windows opening
+// mid-row, periods below, at and past the chain length, and schedules
+// whose first strike lies before, inside and past the window.
+func TestGemmStrikeMatchesScalar(t *testing.T) {
+	for _, format := range AllFormats {
+		m := NewMachine(format)
+		edges := batchEdgeValues(format)
+		mk := func(n, salt int) []Bits {
+			out := make([]Bits, n)
+			for i := range out {
+				out[i] = edges[(i*3+salt)%len(edges)]
+			}
+			return out
+		}
+		mask := Bits(1)<<(format.Width()-1) | 1
+		for _, shape := range [][2]int{{1, 1}, {3, 5}, {2, 9}, {9, 1}, {4, 6}} {
+			rows, cols := shape[0], shape[1]
+			n := rows * cols
+			for _, k := range []int{0, 1, 5} {
+				a, bt, accs := mk(rows*k, 3), mk(cols*k, 4), mk(rows, 5)
+				for _, first := range []int{0, 1, cols, n - 1, n} {
+					w := (n - first) * k
+					for _, period := range []int{1, 2, 4, k + 1, w + 3} {
+						for _, off := range []int{0, 1, period - 1, w - 1, w} {
+							if period < 1 || off < 0 {
+								continue
+							}
+							s := Strike{First: off, Period: period, Mask: mask}
+							got := make([]Bits, n)
+							want := make([]Bits, n)
+							m.GemmStrike(got, accs, a, bt, rows, cols, k, first, s)
+							for c := first; c < n; c++ {
+								i, j := c/cols, c%cols
+								acc := accs[i]
+								for kk := 0; kk < k; kk++ {
+									acc = m.FMA(a[i*k+kk], bt[j*k+kk], acc)
+									if o := (c-first)*k + kk; o >= off && (o-off)%period == 0 {
+										acc = FlipMask(acc, mask)
+									}
+								}
+								want[c] = acc
+							}
+							for c := range got {
+								if got[c] != want[c] {
+									t.Fatalf("%v GemmStrike %dx%d k=%d first=%d %+v: chain %d %#x, scalar %#x",
+										format, rows, cols, k, first, s, c, got[c], want[c])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCountingBatchCountsMatchScalar checks that a Counting wrapper
 // driven through the batch helpers reports OpCounts identical to the
 // same operations issued scalar-by-scalar — whatever environment sits
@@ -449,6 +509,33 @@ func BenchmarkDotFMABatch(b *testing.B) {
 			ref := scalarOnly{inner: m}
 			for i := 0; i < b.N; i++ {
 				_ = DotFMA(ref, 0, xs, ys)
+			}
+		})
+	}
+}
+
+// BenchmarkGemmFMA times Machine.GemmFMA on a 32x32x32 grid, the shape
+// of the benchmark's fp.gemm_ns_per_mac layer rows, fault-free and under
+// a Modulo 13 strike schedule; ns/op is per grid.
+func BenchmarkGemmFMA(b *testing.B) {
+	const dim = 32
+	for _, format := range AllFormats {
+		m := NewMachine(format)
+		a, bt := make([]Bits, dim*dim), make([]Bits, dim*dim)
+		for i := range a {
+			a[i] = format.FromFloat64(float64(i%17)/37 - 0.25)
+			bt[i] = format.FromFloat64(float64(i%13)/29 - 0.2)
+		}
+		out := make([]Bits, dim*dim)
+		b.Run("clean/"+format.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.GemmFMA(out, nil, a, bt, dim, dim, dim)
+			}
+		})
+		b.Run("mod13/"+format.String(), func(b *testing.B) {
+			s := Strike{First: 5, Period: 13, Mask: 1 << 3}
+			for i := 0; i < b.N; i++ {
+				m.GemmStrike(out, nil, a, bt, dim, dim, dim, 0, s)
 			}
 		})
 	}

@@ -21,15 +21,18 @@ import "mixedrel/internal/fp"
 //     bookkeeping and re-arms the gates; the loop then repeats on the
 //     rest of the window.
 //
-// A batch no fault reaches is therefore one bulk stretch, a single strike
-// splits its batch in two around one scalar operation, and a persistent
-// (Modulo) fault costs one scalar operation per struck instance rather
-// than a per-operation decomposition of every window it touches. With no
-// DUE hook armed, that operation takes the slow path's struck-result
-// exit: its inner compute, one XOR with the fault's mask and a one-step
-// move of the strike and its gate, so no second strike path is needed
-// here. A live trap has no quiet stretch (every result must be checked
-// at its exact operation), so the window decomposes fully.
+// A batch no fault reaches is therefore one bulk stretch, and a single
+// strike splits its batch in two around one scalar operation. A
+// persistent (Modulo) fault costs one scalar operation per struck
+// instance rather than a per-operation decomposition of every window it
+// touches; with no DUE hook armed (a scheduled fault, see Env.scheduled)
+// that operation takes the slow path's struck-result exit, its inner
+// compute plus one XOR with the fault's mask. GemmFMA goes further for a
+// scheduled fault: once its next gate is a strike, the rest of the grid
+// is one struck machine grid (strikeGrid), at interleaved speed however
+// many strikes it holds. A live trap has no quiet stretch (every result
+// must be checked at its exact operation), so the window decomposes
+// fully.
 //
 // TargetIntState faults never strike arithmetic (they fire inside
 // IntDecision), so for them every batch takes the bulk path.
@@ -226,7 +229,11 @@ func (e *Env) DotFMABlock(out []fp.Bits, acc fp.Bits, u, v []fp.Bits, stride int
 // through gemmChains, and the chain holding the next gate runs through
 // DotFMA, which splits it at that gate (and at any further gate inside
 // it). A fault that strikes once costs k operations of DotFMA plus two
-// bulk ranges; a persistent one, one DotFMA per struck chain.
+// bulk ranges. When the gate is the strike of a scheduled fault (a
+// persistent result fault with no DUE hook armed) and the inner
+// environment is the plain machine, the rest of the grid is instead one
+// struck machine grid (strikeGrid), whatever the number of strikes in
+// it.
 //
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
@@ -234,6 +241,7 @@ func (e *Env) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 	if chains == 0 || k == 0 {
 		return
 	}
+	m, machine := e.inner.(*fp.Machine)
 	for t := 0; t < chains; t++ {
 		next := t + e.quietLen(fp.OpFMA, (chains-t)*k)/k
 		e.gemmChains(out, accs, a, bt, rows, cols, k, t, next)
@@ -241,6 +249,10 @@ func (e *Env) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 			return
 		}
 		t = next
+		if machine && e.scheduled(fp.OpFMA) {
+			e.strikeGrid(m, out, accs, a, bt, rows, cols, k, t)
+			return
+		}
 		i, j := t/cols, t%cols
 		acc := e.FromFloat64(0)
 		if accs != nil {
@@ -248,6 +260,30 @@ func (e *Env) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 		}
 		out[t] = e.DotFMA(acc, a[i*k:(i+1)*k], bt[j*k:j*k+k])
 	}
+}
+
+// strikeGrid runs the grid's chains [first, rows*cols) under a scheduled
+// fault whose next strike lies among their FMAs, as one call of the
+// machine's struck grid: the counters advance past the window, and the
+// strikes it crossed are recorded in one step. Nothing but the strikes
+// can act on the window's operations, so they need no per-operation
+// gating, and the operations between strikes are plain compute.
+//
+//mixedrelvet:hotpath batched injection inner loop
+func (e *Env) strikeGrid(m *fp.Machine, out, accs, a, bt []fp.Bits, rows, cols, k, first int) {
+	n := uint64(rows*cols-first) * uint64(k)
+	ctr := e.all
+	if !e.fault.AnyKind {
+		ctr = e.byKind[fp.OpFMA]
+	}
+	off, mod := e.strikeAt-ctr, e.fault.Modulo
+	// A period past the window strikes it once, so it is clamped to the
+	// window to fit an int.
+	var s fp.Strike
+	s.First, s.Period, s.Mask = int(off), int(min(mod, n)), e.mask
+	m.GemmStrike(out, accs, a, bt, rows, cols, k, first, s)
+	e.advance(fp.OpFMA, n)
+	e.strikeOn((n-off-1)/mod + 1)
 }
 
 // gemmChains runs the grid's chains [first, limit), all inside the quiet

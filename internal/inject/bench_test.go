@@ -9,10 +9,10 @@ import (
 
 // BenchmarkPersistentResultFault times one Runner sample under a
 // persistent result fault, the FPGA configuration-memory strike: GEMM(16)
-// single with Modulo 1 (MxM, where every FMA is struck) and MNIST half
-// with Modulo 13 (every 13th FMA). Each run strikes another residue and
-// bit, in the same sequence on every build, and the reported ns/op is
-// per run.
+// single with Modulo 1 (MxM, where every FMA is struck) and MNIST with
+// Modulo 13 (every 13th FMA) in each of Fig. 3's precisions. Each run
+// strikes another residue and bit, in the same sequence on every build,
+// and the reported ns/op is per run.
 func BenchmarkPersistentResultFault(b *testing.B) {
 	cases := []struct {
 		name string
@@ -22,6 +22,8 @@ func BenchmarkPersistentResultFault(b *testing.B) {
 	}{
 		{"mxm16-single-mod1", func() kernels.Kernel { return kernels.NewGEMM(16, 1) }, fp.Single, 1},
 		{"mnist-half-mod13", func() kernels.Kernel { return kernels.NewMNIST(1, 1) }, fp.Half, 13},
+		{"mnist-single-mod13", func() kernels.Kernel { return kernels.NewMNIST(1, 1) }, fp.Single, 13},
+		{"mnist-double-mod13", func() kernels.Kernel { return kernels.NewMNIST(1, 1) }, fp.Double, 13},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

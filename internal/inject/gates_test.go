@@ -514,10 +514,10 @@ func TestFaultMaskMatchesFlipBits(t *testing.T) {
 // exit of Env.slow. Result faults of Width 1-3 at the two top bits, where
 // the mask wraps round to bit 0, and at bit 0; persistent (Modulo 1, 2
 // and 13) and one-shot; AnyKind and Kind-specific — run on both gate
-// streams in every format, bare, where every strike takes the exit, and
-// with exactly one DUE hook armed, where none may: a watchdog whose
-// budget lands inside the stream, the trap, or one control site of each
-// class.
+// streams in every format, bare, where every persistent strike takes the
+// exit (and a one-shot one the general path), and with exactly one DUE
+// hook armed, where none may: a watchdog whose budget lands inside the
+// stream, the trap, or one control site of each class.
 func TestStruckResultExitMatchesOracle(t *testing.T) {
 	type shape struct {
 		any  bool
@@ -552,28 +552,121 @@ func TestStruckResultExitMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestStruckGridMatchesSlowPath holds GemmFMA's struck grid, one machine
+// call for the grid's rest once its next gate is a scheduled strike, to
+// the per-operation slow path: the same grid decomposed into scalar FMAs
+// through the same injector. Persistent result faults of Modulo 1, 2,
+// 13, k-1, k, k+1 and one past the whole stream, at every residue,
+// AnyKind and FMA-only, of Width 1-3 at the top bits (where the mask
+// wraps round to bit 0), strike grids whose chain counts are not
+// multiples of the interleave widths, with and without row
+// accumulators, entered fresh or after scalar operations that already
+// struck. Outputs, corruption count, counters and the next strike must
+// agree; scalar FMAs after the grid then show where that strike lands.
+func TestStruckGridMatchesSlowPath(t *testing.T) {
+	type shape struct{ rows, cols, k int }
+	for _, f := range fp.AllFormats {
+		mk := func(n, salt int) []fp.Bits {
+			out := make([]fp.Bits, n)
+			for i := range out {
+				out[i] = f.FromFloat64(0.25 + float64((i*7+salt*3)%23)/32 - float64(i%3)/4)
+			}
+			return out
+		}
+		x, y := f.FromFloat64(1.25), f.FromFloat64(-0.75)
+		// prefix drives n scalar operations, two of every three FMAs.
+		prefix := func(env fp.Env, n int) []fp.Bits {
+			var out []fp.Bits
+			for i := 0; i < n; i++ {
+				if i%3 == 2 {
+					out = append(out, env.Add(x, y))
+				} else {
+					out = append(out, env.FMA(x, y, f.FromFloat64(float64(i))))
+				}
+			}
+			return out
+		}
+		for _, sh := range []shape{{3, 5, 6}, {2, 9, 4}, {5, 1, 7}, {1, 3, 2}} {
+			chains, k := sh.rows*sh.cols, sh.k
+			a, bt, rowAccs := mk(sh.rows*k, 1), mk(sh.cols*k, 2), mk(sh.rows, 3)
+			for _, mod := range []uint64{1, 2, 13, uint64(k - 1), uint64(k), uint64(k + 1), uint64(chains*k + 20)} {
+				for idx := uint64(0); idx < mod; idx++ {
+					for _, any := range []bool{true, false} {
+						for _, pre := range []int{0, 7} {
+							for _, accs := range [][]fp.Bits{nil, rowAccs} {
+								width := 1 + int(idx)%3
+								of := OpFault{AnyKind: any, Kind: fp.OpFMA, Index: idx, Modulo: mod,
+									Bit: f.Width() - 1 - int(idx/3)%2, Width: width, Target: TargetResult}
+								run := func(batch bool) ([]fp.Bits, *Env) {
+									e := NewEnv(fp.NewMachine(f), of)
+									var env fp.Env = noBatch{e}
+									if batch {
+										env = e
+									}
+									out := prefix(env, pre)
+									g := make([]fp.Bits, chains)
+									fp.GemmFMA(env, g, accs, a, bt, sh.rows, sh.cols, k)
+									out = append(out, g...)
+									if e.strikeAt != e.fault.Index%mod+(e.applied)*mod {
+										t.Fatalf("%v %+v: strike at %d after %d strikes", f, of, e.strikeAt, e.applied)
+									}
+									return append(out, prefix(env, int(min(mod, 16))+1)...), e
+								}
+								desc := fmt.Sprintf("%v %dx%dx%d %+v pre %d accs %v", f, sh.rows, sh.cols, k, of, pre, accs != nil)
+								got, ge := run(true)
+								want, we := run(false)
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s: outputs\n  %x\nslow path\n  %x", desc, got, want)
+								}
+								if ge.applied != we.applied || ge.all != we.all || ge.byKind != we.byKind ||
+									ge.strikeAt != we.strikeAt || ge.quiet != we.quiet || ge.kindAt != we.kindAt {
+									t.Fatalf("%s: applied %d all %d byKind %v strike %d, slow path applied %d all %d byKind %v strike %d",
+										desc, ge.applied, ge.all, ge.byKind, ge.strikeAt, we.applied, we.all, we.byKind, we.strikeAt)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStruckResultExitMatchesOracleKernels runs persistent result faults
 // of Width 1-3 at the top bits — the FPGA configuration-memory MBU of
-// ext-mbu — through Runner on GEMM, bare and with one DUE hook armed, and
-// requires the oracle's classification, cause and output bits.
+// ext-mbu — through Runner, bare and with one DUE hook armed, and
+// requires the oracle's classification, cause and output bits: on GEMM
+// in every format with Modulo 1 and 13, and on MNIST half with Modulo
+// 13, the configuration strike of Fig. 3 and Fig. 5, whose convolution
+// grids run struck.
 func TestStruckResultExitMatchesOracleKernels(t *testing.T) {
-	kern := kernels.NewGEMM(6, 2)
-	for _, f := range fp.AllFormats {
-		runner := NewRunner(kern, f, "", nil)
-		total := runner.Counts().Total()
-		for _, mod := range []uint64{1, 13} {
-			for width := 1; width <= 3; width++ {
-				for i, bit := range []int{f.Width() - 1, f.Width() - 2} {
-					of := OpFault{AnyKind: i == 0, Kind: fp.OpFMA, Index: uint64(width) % mod, Modulo: mod,
-						Bit: bit, Width: width, Target: TargetResult}
-					cf := ControlFault{Class: ControlClass(width % NumControlClasses), Site: total / 3, Bit: width}
-					for _, spec := range []FaultSpec{
-						{Op: &of},
-						{Op: &of, Watchdog: DefaultWatchdogFactor},
-						{Op: &of, TrapNonFinite: true},
-						{Op: &of, Control: &cf},
-					} {
-						checkKernelGates(t, runner, kern, f, spec)
+	type kcase struct {
+		kern    kernels.Kernel
+		formats []fp.Format
+		mods    []uint64
+	}
+	cases := []kcase{
+		{kernels.NewGEMM(6, 2), fp.AllFormats, []uint64{1, 13}},
+		{kernels.NewMNIST(1, 1), []fp.Format{fp.Half}, []uint64{13}},
+	}
+	for _, c := range cases {
+		for _, f := range c.formats {
+			runner := NewRunner(c.kern, f, "", nil)
+			total := runner.Counts().Total()
+			for _, mod := range c.mods {
+				for width := 1; width <= 3; width++ {
+					for i, bit := range []int{f.Width() - 1, f.Width() - 2} {
+						of := OpFault{AnyKind: i == 0, Kind: fp.OpFMA, Index: uint64(width) % mod, Modulo: mod,
+							Bit: bit, Width: width, Target: TargetResult}
+						cf := ControlFault{Class: ControlClass(width % NumControlClasses), Site: total / 3, Bit: width}
+						for _, spec := range []FaultSpec{
+							{Op: &of},
+							{Op: &of, Watchdog: DefaultWatchdogFactor},
+							{Op: &of, TrapNonFinite: true},
+							{Op: &of, Control: &cf},
+						} {
+							checkKernelGates(t, runner, c.kern, f, spec)
+						}
 					}
 				}
 			}

@@ -117,7 +117,8 @@ type Env struct {
 	// rearm that the fault strikes, or ^0 when none can. Every
 	// operation between two rearms lies before it, so struck compares
 	// against it instead of recomputing, and rearm moves it one Modulo
-	// step at a time.
+	// step at a time (strikeOn, for a scheduled fault, as many steps as
+	// strikes it records).
 	strikeAt uint64
 
 	// mask is the fault's struck bits, FlipBits of zero, set per run by
@@ -312,26 +313,17 @@ func (e *Env) struck(kind fp.Op) bool {
 // It then re-arms the horizon. Unused operand slots are ignored per the
 // kind's arity.
 //
-// Its first branch is the struck-result exit. In a run with no DUE hook
-// armed, a result strike is all that can gate an operation, and none of
-// the hooks can act on it: there is no watchdog, control site, skip
-// mode, pending operand or trap, and a struck result is never served.
-// The operation is then its inner compute and one XOR with the fault's
-// mask, and the re-arm reduces to moving the strike one Modulo step on
-// and the one gate it sets with it. This is the cost of every instance
-// of a persistent FPGA configuration fault (a Modulo result fault).
+// Its first branch is the struck-result exit, taken when the fault's
+// strikes on operations of this kind are a fixed schedule (scheduled)
+// and this operation is struck: the operation is then its inner compute
+// and one XOR with the fault's mask, and the re-arm reduces to moving
+// the strike one Modulo step on (strikeOn).
 //
 //mixedrelvet:hotpath outlined per-operation slow path of the injection fast path
 func (e *Env) slow(kind fp.Op, a, b, c fp.Bits) fp.Bits {
-	if !e.due && e.fault.Target == TargetResult && e.struck(kind) {
+	if e.scheduled(kind) && e.struck(kind) {
 		res := fp.FlipMask(e.compute(kind, a, b, c), e.mask)
-		e.applied++
-		e.passStrike(e.strikeAt + 1)
-		if e.fault.AnyKind {
-			e.quiet = e.strikeAt
-		} else {
-			e.kindAt[e.fault.Kind] = e.strikeAt
-		}
+		e.strikeOn(1)
 		return res
 	}
 	var hitOperand, hitResult bool
@@ -349,6 +341,35 @@ func (e *Env) slow(kind fp.Op, a, b, c fp.Bits) fp.Bits {
 	res := e.execute(kind, hitOperand, hitResult, a, b, c)
 	e.rearm()
 	return res
+}
+
+// scheduled reports whether the fault's strikes on operations of the
+// given kind are a fixed schedule: a persistent (Modulo) result fault
+// that matches the kind, in a run with no DUE hook armed. A result
+// strike is then all that can gate such an operation, and none of the
+// hooks can act on it: there is no watchdog, control site, skip mode,
+// pending operand or trap, and a struck result is never served. So every
+// operation whose counter is ≡ Index (mod Modulo) is its inner compute
+// followed by one XOR with the fault's mask, and every other one is
+// plain compute. This is every instance of a persistent FPGA
+// configuration fault. The slow path's struck-result exit and the
+// struck grid of GemmFMA both take it from here.
+func (e *Env) scheduled(kind fp.Op) bool {
+	return !e.due && e.fault.Target == TargetResult && e.fault.Modulo > 0 &&
+		(e.fault.AnyKind || e.fault.Kind == kind)
+}
+
+// strikeOn records n strikes of a scheduled fault, the next n
+// instances from strikeAt on: the corruption count grows by n, and the
+// strike and the one gate it sets move n Modulo steps on.
+func (e *Env) strikeOn(n uint64) {
+	e.applied += n
+	e.strikeAt += n * e.fault.Modulo
+	if e.fault.AnyKind {
+		e.quiet = e.strikeAt
+	} else {
+		e.kindAt[e.fault.Kind] = e.strikeAt
+	}
 }
 
 // execute is the body of a slow-path operation after its hooks ran.
