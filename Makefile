@@ -11,10 +11,10 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint is the static-analysis gate: go vet plus mixedrelvet, the repo's
-# own invariant checker (softfloat, bitsops, batchops, determinism,
-# boundedgo, chaos, compiledreplay, panicsafety, hotalloc, telemetry —
-# see DESIGN.md "Static invariants").
+# lint is the static-analysis gate: go vet, gofmt and mixedrelvet, the
+# repo's own invariant checker (softfloat, bitsops, batchops,
+# determinism, confine, hotalloc, telemetry — see DESIGN.md "Static
+# invariants").
 lint:
 	scripts/lint.sh
 

@@ -1,5 +1,5 @@
 // Command mixedrelvet is the repository's invariant checker: a
-// multichecker driving the analyzers under internal/analysis over the
+// multichecker driving the analyzers of internal/analysis/suite over the
 // module, built entirely on the standard library so it runs in offline
 // build environments.
 //
@@ -8,29 +8,24 @@
 // package Run reaches (softfloat), raw encodings are never treated as
 // numbers (bitsops), kernel inner loops use the batch execution layer
 // where one exists (batchops), results are a function of the seed alone
-// and render in deterministic order (determinism), all concurrency
-// stays under the bounded scheduler (boundedgo), emulated crash/hang
-// aborts are recovered only by the execution engine's guard
-// (panicsafety), compiled-trace serving stays behind exec/inject
-// (compiledreplay), the fault-injecting checkpoint filesystem stays
-// behind the soak harness (chaos), and annotated hot paths do not
-// allocate (hotalloc).
+// and render in deterministic order (determinism), go statements and
+// recover() stay in the execution engine while the compiled trace and
+// the fault-injecting checkpoint filesystem stay behind their owners
+// (confine), annotated hot paths do not allocate (hotalloc), and
+// telemetry stays observe-only (telemetry).
 //
 // The driver is interprocedural: requested packages plus everything
 // they transitively import are analyzed in topological order so facts
-// flow across package boundaries, import-independent packages run in
-// parallel, and per-package results are cached on disk (keyed by source
-// content, dependency keys and the analyzer fingerprint) so a warm run
-// with no source changes re-analyzes nothing.
+// flow across package boundaries, and import-independent packages run
+// in parallel on every CPU.
 //
 // Usage:
 //
-//	mixedrelvet [-only name,name] [-list] [-json] [-workers n] [-cache dir] [packages...]
+//	mixedrelvet [-only name,name] [-list] [-json] [packages...]
 //
 // Packages default to ./... resolved against the enclosing module. The
-// cache defaults to $MIXEDRELVET_CACHE or the user cache directory;
-// -cache ” disables it. The exit status is 1 if any diagnostic was
-// reported, 2 on usage or load/driver failure.
+// exit status is 1 if any diagnostic was reported, 2 on usage or
+// load/driver failure.
 package main
 
 import (
@@ -50,9 +45,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	workers := flag.Int("workers", runtime.NumCPU(), "max import-independent packages analyzed in parallel")
-	cacheDir := flag.String("cache", analysis.DefaultCacheDir(), "result cache directory ('' disables caching)")
-	stats := flag.Bool("stats", false, "print cache hit/miss counts to stderr")
 	flag.Parse()
 
 	if *list {
@@ -65,7 +57,7 @@ func main() {
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mixedrelvet:", err)
-		fmt.Fprintln(os.Stderr, "usage: mixedrelvet [-only name,name] [-list] [-json] [-workers n] [-cache dir] [packages...]")
+		fmt.Fprintln(os.Stderr, "usage: mixedrelvet [-only name,name] [-list] [-json] [packages...]")
 		os.Exit(2)
 	}
 	patterns := flag.Args()
@@ -77,40 +69,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cache *analysis.Cache
-	if *cacheDir != "" {
-		cache = &analysis.Cache{Dir: *cacheDir}
+	loader := &analysis.Loader{Dir: root, Module: module}
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		fatal(err)
 	}
-
-	// Warm fast path: if every package in the transitive closure has a
-	// cache entry under the current source hashes, serve the findings
-	// without parsing a single function body.
-	res, ok := analysis.TryCached(cache, root, module, patterns, analyzers, suite.Names())
-	if !ok {
-		loader := &analysis.Loader{Dir: root, Module: module}
-		pkgs, err := loader.Load(patterns...)
-		if err != nil {
-			fatal(err)
-		}
-		cfg := analysis.Config{
-			Workers: *workers,
-			Cache:   cache,
-			Known:   suite.Names(),
-			Lookup:  loader.Lookup,
-		}
-		res, err = analysis.Run(cfg, pkgs, analyzers)
-		if err != nil {
-			printFindings(res.Findings, *jsonOut)
-			fatal(err)
-		}
+	cfg := analysis.Config{
+		Workers: runtime.NumCPU(),
+		Known:   suite.Names(),
+		Lookup:  loader.Lookup,
 	}
-	if *stats {
-		// The telemetry counters are the single source of truth: both
-		// the warm fast path and the full driver account to them, and
-		// TryCached's commit-on-success discipline keeps a cold-cache
-		// fall-through from double-counting its partial hits.
-		hits, misses := analysis.CacheStats()
-		fmt.Fprintf(os.Stderr, "mixedrelvet: %d packages from cache, %d analyzed\n", hits, misses)
+	res, err := analysis.Run(cfg, pkgs, analyzers)
+	if err != nil {
+		printFindings(res.Findings, *jsonOut)
+		fatal(err)
 	}
 	printFindings(res.Findings, *jsonOut)
 	if len(res.Findings) > 0 {

@@ -15,7 +15,7 @@
 //
 //   - analyzers export typed Facts on functions, types and packages
 //     (e.g. softfloat.UsesNativeFloat, determinism.NondetSource,
-//     hotalloc.Allocates, compiledreplay.ConsumesTrace);
+//     hotalloc.Allocates);
 //   - packages are analyzed in topological import order, so a pass sees
 //     the facts of everything it imports — taint propagates through
 //     helpers in any package, not just the one under analysis;
@@ -24,11 +24,9 @@
 //     Requires;
 //   - import-independent packages run in parallel under the repo's own
 //     bounded scheduler (exec.ForEach), with diagnostics sorted into a
-//     byte-identical order at any worker count;
-//   - per-package results (diagnostics and facts) are memoized in an
-//     on-disk cache keyed by a content hash of the package's sources,
-//     its dependencies' keys, and the analyzer fingerprint, so a warm
-//     run re-analyzes nothing.
+//     byte-identical order at any worker count.
+//
+// Every run analyzes from source; nothing is cached between runs.
 package analysis
 
 import (
@@ -46,18 +44,10 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the enforced invariant. The
 	// first line is used as a summary.
 	Doc string
-	// Version participates in the result-cache key: bump it whenever the
-	// analyzer's logic changes so stale cached diagnostics and facts are
-	// invalidated.
-	Version int
 	// Requires lists analyzers whose results this analyzer consumes via
 	// Pass.ResultOf. They run first on the same package. Used for shared
 	// per-package artifacts (inspect.Analyzer, callgraph.Analyzer).
 	Requires []*Analyzer
-	// FactTypes lists prototype values (pointers to the concrete fact
-	// structs) for every fact type the analyzer exports. Facts of
-	// unlisted types cannot be exported, cached, or decoded.
-	FactTypes []Fact
 	// Run applies the analyzer to one type-checked package, reporting
 	// violations through pass.Report and exporting facts through
 	// pass.ExportObjectFact / pass.ExportPackageFact. The returned value
@@ -65,10 +55,10 @@ type Analyzer struct {
 	Run func(*Pass) (interface{}, error)
 }
 
-// Fact is a typed, serializable datum an analyzer attaches to a function,
-// type, or package, visible to later passes over importing packages.
-// Implementations must be pointers to JSON-(de)serializable structs and
-// should implement fmt.Stringer for fact assertions in analysistest.
+// Fact is a typed datum an analyzer attaches to a function, type, or
+// package, visible to later passes over importing packages.
+// Implementations must be pointers to structs and should implement
+// fmt.Stringer for fact assertions in analysistest.
 type Fact interface{ AFact() }
 
 // Pass carries one type-checked package through one analyzer.

@@ -24,7 +24,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "callgraph",
 	Doc:      "build a shared resolved call graph for other analyzers",
-	Version:  1,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }

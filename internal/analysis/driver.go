@@ -17,10 +17,6 @@ type Config struct {
 	// repo's own bounded scheduler (exec.ForEach), and output is
 	// byte-identical at any worker count.
 	Workers int
-	// Cache, when non-nil, memoizes per-package results (diagnostics and
-	// facts) on disk, keyed by source content hashes, dependency keys,
-	// and the analyzer fingerprint.
-	Cache *Cache
 	// Known lists every analyzer name that may legally appear in an
 	// //mixedrelvet:allow directive. Defaults to the names of the
 	// analyzers being run; cmd/mixedrelvet passes the full suite so a
@@ -42,25 +38,13 @@ type Result struct {
 	// Facts holds every fact exported during the run (requested packages
 	// and their dependencies), in deterministic order.
 	Facts []*FactRecord
-	// CacheHits / CacheMisses count per-package cache outcomes.
-	CacheHits, CacheMisses int
-}
-
-// RunAnalyzers applies the analyzers to the packages with default
-// configuration and returns the collected diagnostics in canonical
-// order. Analyzer run errors are returned after all packages have been
-// attempted.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	res, err := Run(Config{}, pkgs, analyzers)
-	return res.Findings, err
 }
 
 // Run analyzes the requested packages (and, through cfg.Lookup, every
 // first-party package they transitively import) with the given
 // analyzers. Packages are processed in topological import order so each
 // pass sees the facts of everything it imports; import-independent
-// packages run in parallel; per-package results are served from
-// cfg.Cache when the key matches.
+// packages run in parallel.
 func Run(cfg Config, requested []*Package, analyzers []*Analyzer) (*Result, error) {
 	closure, err := analyzerClosure(analyzers)
 	if err != nil {
@@ -77,17 +61,11 @@ func Run(cfg Config, requested []*Package, analyzers []*Analyzer) (*Result, erro
 		known[a.Name] = true
 	}
 
-	units, err := buildUniverse(cfg, requested)
-	if err != nil {
-		return &Result{}, err
-	}
-	waves, err := topoWaves(units)
+	waves, err := topoWaves(buildUniverse(cfg, requested))
 	if err != nil {
 		return &Result{}, err
 	}
 
-	reg := buildFactRegistry(closure)
-	fingerprint := suiteFingerprint(closure, known)
 	global := make(map[factKey]*FactRecord)
 	res := &Result{}
 	var errs []string
@@ -101,28 +79,12 @@ func Run(cfg Config, requested []*Package, analyzers []*Analyzer) (*Result, erro
 		type slot struct {
 			findings []Finding
 			facts    map[factKey]*FactRecord
-			hit      bool
 			err      error
 		}
 		slots := make([]slot, len(wave))
 		ferr := exec.ForEach(workers, len(wave), func(i int) error {
-			u := wave[i]
 			s := &slots[i]
-			if cfg.Cache != nil {
-				u.key = packageCacheKey(u, fingerprint)
-				if entry, ok := cfg.Cache.load(u.key); ok {
-					s.findings, s.facts, s.err = entry.decode(u.pkg.Path, reg)
-					if s.err == nil {
-						s.hit = true
-						return nil
-					}
-					// Undecodable entry: fall through to re-analysis.
-				}
-			}
-			s.findings, s.facts, s.err = analyzePackage(u, closure, analyzers, global, known, ran)
-			if s.err == nil && cfg.Cache != nil {
-				cfg.Cache.store(u.key, newCacheEntry(s.findings, s.facts))
-			}
+			s.findings, s.facts, s.err = analyzePackage(wave[i], closure, analyzers, global, known, ran)
 			return nil
 		})
 		if ferr != nil {
@@ -133,13 +95,6 @@ func Run(cfg Config, requested []*Package, analyzers []*Analyzer) (*Result, erro
 			if s.err != nil {
 				errs = append(errs, fmt.Sprintf("%s: %v", u.pkg.Path, s.err))
 				continue
-			}
-			if s.hit {
-				res.CacheHits++
-				mCacheHits.Inc()
-			} else if cfg.Cache != nil {
-				res.CacheMisses++
-				mCacheMisses.Inc()
 			}
 			for k, r := range s.facts {
 				global[k] = r
@@ -164,12 +119,11 @@ type unit struct {
 	pkg       *Package
 	requested bool
 	deps      []*unit
-	key       string // cache key, filled per run when caching
 }
 
 // buildUniverse collects the requested packages plus every first-party
 // package they transitively import (resolved through cfg.Lookup).
-func buildUniverse(cfg Config, requested []*Package) (map[string]*unit, error) {
+func buildUniverse(cfg Config, requested []*Package) map[string]*unit {
 	units := make(map[string]*unit)
 	byPath := make(map[string]*Package)
 	for _, p := range requested {
@@ -203,13 +157,12 @@ func buildUniverse(cfg Config, requested []*Package) (map[string]*unit, error) {
 	for _, p := range requested {
 		add(p, true)
 	}
-	return units, nil
+	return units
 }
 
 // packageImports returns the sorted import paths of the package's
 // non-test files. Test-file imports are excluded: analyzers skip test
-// files, so those dependencies contribute no facts and no cache-relevant
-// state.
+// files, so those dependencies contribute no facts.
 func packageImports(p *Package) []string {
 	seen := make(map[string]bool)
 	for _, f := range p.Files {
@@ -237,8 +190,8 @@ func packageImports(p *Package) []string {
 // members are deterministically ordered.
 func topoWaves(units map[string]*unit) ([][]*unit, error) {
 	depth := make(map[*unit]int)
-	var visit func(u *unit, stack map[*unit]bool) (int, error)
-	visit = func(u *unit, stack map[*unit]bool) (int, error) {
+	var visit func(u *unit) (int, error)
+	visit = func(u *unit) (int, error) {
 		if d, ok := depth[u]; ok {
 			if d == -1 {
 				return 0, fmt.Errorf("import cycle through %s", u.pkg.Path)
@@ -248,7 +201,7 @@ func topoWaves(units map[string]*unit) ([][]*unit, error) {
 		depth[u] = -1
 		max := 0
 		for _, dep := range u.deps {
-			d, err := visit(dep, stack)
+			d, err := visit(dep)
 			if err != nil {
 				return 0, err
 			}
@@ -266,7 +219,7 @@ func topoWaves(units map[string]*unit) ([][]*unit, error) {
 	sort.Strings(paths)
 	maxDepth := 0
 	for _, path := range paths {
-		d, err := visit(units[path], nil)
+		d, err := visit(units[path])
 		if err != nil {
 			return nil, err
 		}

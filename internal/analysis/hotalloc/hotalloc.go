@@ -11,12 +11,15 @@
 //
 // on a function declaration marks it as a hot-path root. The analyzer
 // walks everything a root (transitively) calls and reports every
-// allocation site it can see: make, new, append, composite literals,
-// function literals (closures capture), and calls into fmt (which
-// allocates for boxing and buffering). The facts are interprocedural: a
-// Allocates fact is exported for every allocating function in every
-// package, so a hot path calling a helper in another package is checked
-// against that helper's fact rather than being trusted blindly.
+// allocation site it can see: make, new, append, slice and map
+// literals, literals taken by address (&T{...}), function literals
+// (closures capture), and calls into fmt (which allocates for boxing
+// and buffering). A struct or array value literal is no site of its
+// own, but its elements are still checked. The facts are
+// interprocedural: a Allocates fact is exported for every allocating
+// function in every package, so a hot path calling a helper in another
+// package is checked against that helper's fact rather than being
+// trusted blindly.
 //
 // Two escapes keep the proof honest instead of noisy:
 //
@@ -56,12 +59,10 @@ func (f *Allocates) String() string { return "allocates(" + f.Why + ")" }
 
 // Analyzer is the hotalloc invariant checker.
 var Analyzer = &analysis.Analyzer{
-	Name:      "hotalloc",
-	Doc:       "prove //mixedrelvet:hotpath functions and everything they call allocation-free",
-	Version:   1,
-	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
-	FactTypes: []analysis.Fact{(*Allocates)(nil)},
-	Run:       run,
+	Name:     "hotalloc",
+	Doc:      "prove //mixedrelvet:hotpath functions and everything they call allocation-free",
+	Requires: []*analysis.Analyzer{callgraph.Analyzer},
+	Run:      run,
 }
 
 // allocSite is one visible allocation in a function body.
@@ -275,6 +276,9 @@ func collectSites(pass *analysis.Pass, file *ast.File, body *ast.BlockStmt, inPa
 				}
 			}
 		case *ast.CompositeLit:
+			if valueLit(pass, e, stack) {
+				return true // a stack value; its elements may still allocate
+			}
 			if !exempt() {
 				out = append(out, allocSite{e.Pos(), "composite literal"})
 			}
@@ -290,4 +294,26 @@ func collectSites(pass *analysis.Pass, file *ast.File, body *ast.BlockStmt, inPa
 		return true
 	})
 	return out
+}
+
+// valueLit reports whether lit builds a struct or array value that is
+// not the operand of &: such a literal lives wherever its value does
+// (typically the stack), so it is no allocation site of its own. A
+// value that later escapes (its address taken, or boxed into an
+// interface) is not tracked.
+func valueLit(pass *analysis.Pass, lit *ast.CompositeLit, stack []ast.Node) bool {
+	if len(stack) >= 2 {
+		if u, ok := stack[len(stack)-2].(*ast.UnaryExpr); ok && u.Op == token.AND {
+			return false
+		}
+	}
+	t := pass.TypesInfo.TypeOf(lit)
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Struct, *types.Array:
+		return true
+	}
+	return false
 }

@@ -14,6 +14,11 @@ type item struct{ a, b float64 }
 
 type trap struct{ pos int }
 
+type holder struct {
+	it  item
+	buf []float64
+}
+
 type state struct {
 	buf []float64
 	p   *pool.Pool
@@ -26,8 +31,13 @@ func Step(s *state, x float64) { // want fact:`Step: allocates\(append\)`
 }
 
 func mix(s *state, x float64) { // want fact:`mix: allocates\(composite literal\)`
-	it := item{a: x, b: x} // want `composite literal allocates in mix, reachable from hot path Step; hot paths must be allocation-free \(//mixedrelvet:allow hotalloc <reason> for amortized growth\)`
-	s.buf[0] = it.a + it.b
+	it := item{a: x, b: x} // clean: a struct value literal is no allocation site
+	pair := [2]item{it, {a: x}} // clean: nor is an array value literal
+	s.buf[0] = it.a + it.b + pair[1].a
+	p := &item{a: x} // want `composite literal allocates in mix, reachable from hot path Step; hot paths must be allocation-free \(//mixedrelvet:allow hotalloc <reason> for amortized growth\)`
+	h := holder{it: it, buf: []float64{x}} // want `composite literal allocates in mix, reachable from hot path Step`
+	m := map[int]float64{0: x} // want `composite literal allocates in mix, reachable from hot path Step`
+	s.buf[1] = p.a + h.buf[0] + m[0]
 }
 
 //mixedrelvet:hotpath compare-serving loop

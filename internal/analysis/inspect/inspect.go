@@ -20,9 +20,8 @@ import (
 //
 //	ins := pass.ResultOf[inspect.Analyzer].(*inspect.Inspector)
 var Analyzer = &analysis.Analyzer{
-	Name:    "inspect",
-	Doc:     "build a shared AST traversal index for other analyzers",
-	Version: 1,
+	Name: "inspect",
+	Doc:  "build a shared AST traversal index for other analyzers",
 	Run: func(pass *analysis.Pass) (interface{}, error) {
 		return New(pass.Files), nil
 	},

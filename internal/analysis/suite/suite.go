@@ -9,12 +9,9 @@ import (
 	"mixedrel/internal/analysis"
 	"mixedrel/internal/analysis/batchops"
 	"mixedrel/internal/analysis/bitsops"
-	"mixedrel/internal/analysis/boundedgo"
-	"mixedrel/internal/analysis/chaos"
-	"mixedrel/internal/analysis/compiledreplay"
+	"mixedrel/internal/analysis/confine"
 	"mixedrel/internal/analysis/determinism"
 	"mixedrel/internal/analysis/hotalloc"
-	"mixedrel/internal/analysis/panicsafety"
 	"mixedrel/internal/analysis/softfloat"
 	"mixedrel/internal/analysis/telemetry"
 )
@@ -24,12 +21,9 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		batchops.Analyzer,
 		bitsops.Analyzer,
-		boundedgo.Analyzer,
-		chaos.Analyzer,
-		compiledreplay.Analyzer,
+		confine.Analyzer,
 		determinism.Analyzer,
 		hotalloc.Analyzer,
-		panicsafety.Analyzer,
 		softfloat.Analyzer,
 		telemetry.Analyzer,
 	}

@@ -72,12 +72,10 @@ func (f *UsesTelemetry) String() string {
 
 // Analyzer is the telemetry observe-only boundary checker.
 var Analyzer = &analysis.Analyzer{
-	Name:      "telemetry",
-	Doc:       "prove telemetry is observe-only: instrumentation never reaches kernel Run paths, the report package, journaled state, or hot paths",
-	Version:   1,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer, callgraph.Analyzer},
-	FactTypes: []analysis.Fact{(*UsesTelemetry)(nil)},
-	Run:       run,
+	Name:     "telemetry",
+	Doc:      "prove telemetry is observe-only: instrumentation never reaches kernel Run paths, the report package, journaled state, or hot paths",
+	Requires: []*analysis.Analyzer{inspect.Analyzer, callgraph.Analyzer},
+	Run:      run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -34,7 +34,7 @@ func (a *Abort) String() string { return fmt.Sprint(a.Value) }
 
 // Guard runs fn and converts a panic into an *Abort diagnostic (nil
 // when fn returns normally). It is the ONLY recover point in the
-// simulator — enforced by the panicsafety analyzer — so panic isolation
+// simulator — enforced by the confine analyzer — so panic isolation
 // stays a property of the execution engine instead of being scattered
 // through campaign code, and a swallowed panic can never silently turn
 // a simulator bug into a masked outcome.

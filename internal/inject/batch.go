@@ -279,8 +279,7 @@ func (e *Env) strikeGrid(m *fp.Machine, out, accs, a, bt []fp.Bits, rows, cols, 
 	off, mod := e.strikeAt-ctr, e.fault.Modulo
 	// A period past the window strikes it once, so it is clamped to the
 	// window to fit an int.
-	var s fp.Strike
-	s.First, s.Period, s.Mask = int(off), int(min(mod, n)), e.mask
+	s := fp.Strike{First: int(off), Period: int(min(mod, n)), Mask: e.mask}
 	m.GemmStrike(out, accs, a, bt, rows, cols, k, first, s)
 	e.advance(fp.OpFMA, n)
 	e.strikeOn((n-off-1)/mod + 1)

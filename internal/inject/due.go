@@ -143,7 +143,7 @@ const DefaultWatchdogFactor = 4
 // dueSignal aborts a faulty execution mid-kernel via panic; the
 // runner's exec.Guard recovers it and translates it into a classified
 // RunResult. Kernels never see or handle it (they must not recover —
-// see the panicsafety analyzer).
+// see the confine analyzer).
 type dueSignal struct {
 	outcome Outcome
 	cause   DUECause

@@ -48,7 +48,7 @@ type Kernel interface {
 	// runners recover them in the execution engine (exec.Guard).
 	// Kernels must never recover() themselves — a kernel that swallows
 	// the abort would corrupt DUE classification (enforced by the
-	// panicsafety analyzer).
+	// confine analyzer).
 	Run(env fp.Env, in [][]fp.Bits) []fp.Bits
 }
 

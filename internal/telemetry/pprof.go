@@ -23,7 +23,7 @@ func StartPprof(addr string) (func(), error) {
 		return nil, err
 	}
 	srv := &http.Server{Handler: mux}
-	//mixedrelvet:allow boundedgo pprof serving is debug-only and lifetime-bounded by the returned stop function
+	//mixedrelvet:allow confine pprof serving is debug-only and lifetime-bounded by the returned stop function
 	go srv.Serve(ln)
 	return func() { srv.Close() }, nil
 }

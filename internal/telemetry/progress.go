@@ -12,7 +12,7 @@ import (
 // terminal line in place (carriage return, pad-to-clear), throttled so
 // a hot campaign loop can call it per sample without flooding the
 // write syscall path. It stays goroutine-free — no ticker, no
-// background writer — so it cannot violate the boundedgo invariant.
+// background writer — so it keeps confine's go-statement rule.
 var (
 	progMu    sync.Mutex
 	progW     io.Writer

@@ -29,8 +29,8 @@
 // by this package.
 //
 // The compiled replay path is reachable only from internal/inject (and
-// the recording side from internal/exec); the compiledreplay analyzer
-// in internal/analysis enforces that statically, keeping the
+// the recording side from internal/exec); the confine analyzer in
+// internal/analysis enforces that statically, keeping the
 // bit-exactness argument reviewable in one place.
 package traceir
 
