@@ -53,7 +53,7 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 	dataScale := fs.Float64("datascale", 1e3, "paper-scale multiplier for resident data")
 	jsonOut := fs.Bool("json", false, "emit the raw campaign result as JSON")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "scheduler goroutine bound for this process")
-	sampleWorkers := fs.Int("sample-workers", 1, "beam-trial goroutines (>1 changes the sample but stays deterministic)")
+	sampleWorkers := fs.Int("sample-workers", 1, "above 1, trials draw per-sample streams: a different sample, still deterministic; sampling already uses -workers cores")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

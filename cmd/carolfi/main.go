@@ -41,7 +41,7 @@ func main() {
 	ciHalfWidth := flag.Float64("ci-halfwidth", 0, "stop early once the 95% CI on P(SDC) and P(DUE) is at most this half-width (requires -strata)")
 	jsonOut := flag.Bool("json", false, "emit the raw campaign result as JSON")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scheduler goroutine bound for this process")
-	sampleWorkers := flag.Int("sample-workers", 1, "injection goroutines (>1 changes the sample but stays deterministic)")
+	sampleWorkers := flag.Int("sample-workers", 1, "above 1, injections draw per-sample streams: a different sample, still deterministic; sampling already uses -workers cores")
 	telOpts := telemetry.AddFlags(flag.CommandLine)
 	flag.Parse()
 

@@ -37,8 +37,8 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 	trials := fs.Int("trials", 2000, "beam strikes per configuration")
 	faults := fs.Int("faults", 2000, "injected faults per configuration")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "cross-configuration goroutines (campaigns run concurrently; never changes the tables)")
-	sampleWorkers := fs.Int("sample-workers", 1, "beam-trial/injection goroutines inside one campaign (>1 changes the sample but stays deterministic)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutine bound for this process: campaigns and their samples run concurrently; never changes the tables")
+	sampleWorkers := fs.Int("sample-workers", 1, "above 1, each campaign draws per-sample streams: a different sample, still deterministic; sampling already uses -workers cores")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

@@ -40,8 +40,8 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "Neyman-adaptive budget refinement for the stratified campaigns (requires -strata)")
 	ciHalfWidth := flag.Float64("ci-halfwidth", 0, "stop each stratified campaign once the 95% CI on P(SDC)/P(DUE) is at most this half-width (requires -strata)")
 	pvfFaults := flag.Int("pvf-faults", 2000, "fault budget of each per-point stratified injection campaign (with -strata)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent (size, format) campaigns (never changes the numbers)")
-	sampleWorkers := flag.Int("sample-workers", 1, "beam-trial goroutines inside one campaign (>1 changes the sample but stays deterministic)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "goroutine bound for this process: (size, format) campaigns and their samples run concurrently; never changes the numbers")
+	sampleWorkers := flag.Int("sample-workers", 1, "above 1, each campaign draws per-sample streams: a different sample, still deterministic; sampling already uses -workers cores")
 	telOpts := telemetry.AddFlags(flag.CommandLine)
 	flag.Parse()
 

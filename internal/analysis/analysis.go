@@ -50,13 +50,14 @@ type Analyzer struct {
 	Requires []*Analyzer
 	// Run applies the analyzer to one type-checked package, reporting
 	// violations through pass.Report and exporting facts through
-	// pass.ExportObjectFact / pass.ExportPackageFact. The returned value
+	// pass.ExportObjectFact. The returned value
 	// is stored in Pass.ResultOf for analyzers that Require this one.
 	Run func(*Pass) (interface{}, error)
 }
 
-// Fact is a typed datum an analyzer attaches to a function, type, or
-// package, visible to later passes over importing packages.
+// Fact is a typed datum an analyzer attaches to an object (a function,
+// type, constant or variable), visible to later passes over importing
+// packages.
 // Implementations must be pointers to structs and should implement
 // fmt.Stringer for fact assertions in analysistest.
 type Fact interface{ AFact() }
@@ -151,23 +152,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	return p.facts.importObject(p.Analyzer.Name, obj, fact)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.facts == nil {
-		return
-	}
-	p.facts.exportPackage(p, fact)
-}
-
-// ImportPackageFact copies the package fact of the receiver's type
-// attached to pkg into fact, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.facts == nil || pkg == nil {
-		return false
-	}
-	return p.facts.importPackage(p.Analyzer.Name, pkg.Path(), fact)
 }
 
 // Finding is a resolved diagnostic ready for printing or comparison.

@@ -1,12 +1,13 @@
 package analysis
 
 import (
+	"go/ast"
 	"reflect"
 	"testing"
 )
 
-// nastyFact marks a package that declares a Nasty constant, directly or
-// through its import chain.
+// nastyFact marks an object that is a Nasty constant or is initialized
+// from one, directly or through a chain of package-level variables.
 type nastyFact struct{ Origin string }
 
 func (*nastyFact) AFact() {}
@@ -14,21 +15,42 @@ func (*nastyFact) AFact() {}
 func (f *nastyFact) String() string { return "nasty(" + f.Origin + ")" }
 
 // newNastyAnalyzer builds a throwaway interprocedural analyzer for
-// driver tests: declaring Nasty earns the package a fact, importing a
-// marked package propagates the fact and reports the import edge.
+// driver tests: a package's Nasty constant earns an object fact, and a
+// package-level variable initialized from a marked object of another
+// package inherits the mark and reports the reference.
 func newNastyAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "nastytest",
-		Doc:  "test analyzer: propagate nasty package facts across imports",
+		Doc:  "test analyzer: propagate nasty object facts across imports",
 		Run: func(pass *Pass) (interface{}, error) {
-			if pass.Pkg.Scope().Lookup("Nasty") != nil {
-				pass.ExportPackageFact(&nastyFact{Origin: pass.Pkg.Path()})
+			if obj := pass.Pkg.Scope().Lookup("Nasty"); obj != nil {
+				pass.ExportObjectFact(obj, &nastyFact{Origin: pass.Pkg.Path()})
 			}
-			for _, imp := range pass.Pkg.Imports() {
-				var f nastyFact
-				if pass.ImportPackageFact(imp, &f) {
-					pass.Reportf(pass.Files[0].Name.Pos(), "imports nasty package %s (origin %s)", imp.Path(), f.Origin)
-					pass.ExportPackageFact(&nastyFact{Origin: f.Origin})
+			for _, file := range pass.Files {
+				for _, decl := range file.Decls {
+					gd, ok := decl.(*ast.GenDecl)
+					if !ok {
+						continue
+					}
+					for _, spec := range gd.Specs {
+						vs, ok := spec.(*ast.ValueSpec)
+						if !ok || len(vs.Values) != len(vs.Names) {
+							continue
+						}
+						for i, name := range vs.Names {
+							sel, ok := vs.Values[i].(*ast.SelectorExpr)
+							if !ok {
+								continue
+							}
+							used := pass.TypesInfo.Uses[sel.Sel]
+							var f nastyFact
+							if used == nil || used.Pkg() == pass.Pkg || !pass.ImportObjectFact(used, &f) {
+								continue
+							}
+							pass.Reportf(sel.Pos(), "uses nasty %s.%s (origin %s)", used.Pkg().Path(), used.Name(), f.Origin)
+							pass.ExportObjectFact(pass.TypesInfo.Defs[name], &nastyFact{Origin: f.Origin})
+						}
+					}
 				}
 			}
 			return nil, nil
@@ -38,7 +60,7 @@ func newNastyAnalyzer() *Analyzer {
 
 // nastyTree is a three-level import chain: only leaf declares Nasty, so
 // any diagnostic in mid or top exists purely because facts crossed
-// package boundaries.
+// package boundaries: top's W is marked only through mid's V.
 func nastyTree() map[string]string {
 	return map[string]string{
 		"leaf/leaf.go": "package leaf\n\nconst Nasty = 1\n",
@@ -71,9 +93,9 @@ func TestDriverCrossPackageFactPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Findings) != 1 {
-		t.Fatalf("findings = %v, want exactly the import-edge report in top", res.Findings)
+		t.Fatalf("findings = %v, want exactly the report of W's reference in top", res.Findings)
 	}
-	if got, want := res.Findings[0].Message, "imports nasty package mid (origin leaf)"; got != want {
+	if got, want := res.Findings[0].Message, "uses nasty mid.V (origin leaf)"; got != want {
 		t.Errorf("finding = %q, want %q (fact must propagate through mid, which is not requested)", got, want)
 	}
 	if res.Findings[0].Package != "top" {
@@ -84,7 +106,7 @@ func TestDriverCrossPackageFactPropagation(t *testing.T) {
 		factPkgs = append(factPkgs, r.Package)
 	}
 	if got := len(res.Facts); got != 3 {
-		t.Errorf("facts = %v (packages %v), want leaf, mid and top package facts", res.Facts, factPkgs)
+		t.Errorf("facts = %v (packages %v), want facts on leaf.Nasty, mid.V and top.W", res.Facts, factPkgs)
 	}
 
 	// Per-package counterfactual: same request, no Lookup, so the driver

@@ -15,10 +15,10 @@ type FactRecord struct {
 	Package  string
 	// Object is the stable key of the annotated object — the function's
 	// FullName ("(*pkg/path.T).M", "pkg/path.F") or "pkgpath.Name" for
-	// other objects — or "" for a package fact.
+	// other objects.
 	Object string
-	// Name is the object's unqualified name ("package" for package
-	// facts), used when rendering assertions.
+	// Name is the object's unqualified name, used when rendering
+	// assertions.
 	Name string
 	Pos  token.Position
 	Fact Fact
@@ -44,7 +44,7 @@ func objectKey(obj types.Object) string {
 type factKey struct {
 	analyzer string
 	pkg      string
-	object   string // "" for package facts
+	object   string
 }
 
 // factAccess mediates a pass's fact reads and writes. Reads hit the
@@ -88,30 +88,8 @@ func (fa *factAccess) export(p *Pass, obj types.Object, fact Fact) {
 	}
 }
 
-func (fa *factAccess) exportPackage(p *Pass, fact Fact) {
-	var pos token.Position
-	if len(p.Files) > 0 {
-		pos = p.Fset.Position(p.Files[0].Name.Pos())
-	}
-	fa.local[factKey{p.Analyzer.Name, p.Path, ""}] = &FactRecord{
-		Analyzer: p.Analyzer.Name,
-		Package:  p.Path,
-		Name:     "package",
-		Pos:      pos,
-		Fact:     fact,
-	}
-}
-
 func (fa *factAccess) importObject(analyzer string, obj types.Object, fact Fact) bool {
 	r := fa.lookup(factKey{analyzer, obj.Pkg().Path(), objectKey(obj)})
-	if r == nil {
-		return false
-	}
-	return copyFact(fact, r.Fact)
-}
-
-func (fa *factAccess) importPackage(analyzer, pkgPath string, fact Fact) bool {
-	r := fa.lookup(factKey{analyzer, pkgPath, ""})
 	if r == nil {
 		return false
 	}

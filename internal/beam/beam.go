@@ -97,7 +97,9 @@ type Experiment struct {
 	// Workers, when above 1, runs trials on that many goroutines with
 	// per-trial random streams: deterministic in Seed and independent
 	// of scheduling, but a different (equally valid) sample than the
-	// default sequential mode.
+	// default sequential mode, which draws every strike in order from
+	// one stream and runs the trials on the shared scheduler
+	// (exec.MaxWorkers goroutines, same bits at any count).
 	Workers int
 	// MBU enables multi-bit upsets on SRAM resources. With MBUs
 	// enabled, SECDED-protected resources (Protected exposures) join
@@ -178,13 +180,15 @@ func (e Experiment) Run() (*Result, error) {
 
 	// A beam experiment is a different per-sample function on the same
 	// driver as an injection campaign: one flat batch of trials.
-	sess, err := exec.NewSession(e.Context, e.Workers, e.Checkpoint, trialOutcome.record, trialRecord.outcome)
+	sess, err := exec.NewSession[trialSpec](e.Context, e.Workers, e.Checkpoint, trialOutcome.record, trialRecord.outcome)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	outs, seeds, err := sess.Run(exec.Flat(e.Seed, e.Trials), func(_ int, r *rng.Rand) trialOutcome {
-		return ctx.runTrial(r)
+	outs, seeds, err := sess.Run(exec.Flat(e.Seed, e.Trials), func(_ int, r *rng.Rand) trialSpec {
+		return ctx.drawTrial(r)
+	}, func(_ int, t trialSpec) trialOutcome {
+		return ctx.runTrial(t)
 	})
 	if err != nil {
 		return nil, err
@@ -357,36 +361,26 @@ type trialCtx struct {
 	watchdog  float64
 }
 
-// run executes one faulty run under the trial's fault spec with the
-// campaign's detectors armed, folding the classification into out. A
-// simulator panic becomes an aborted-trial diagnostic.
-func (c *trialCtx) run(spec inject.FaultSpec, out *trialOutcome) {
-	spec.Watchdog = c.watchdog
-	spec.TrapNonFinite = c.exp.TrapNonFinite
-	rr, abort := c.runner.RunSpec(spec, c.exp.KeepOutputs)
-	if abort != nil {
-		out.aborted = true
-		out.fault = spec.Desc()
-		out.panicMsg = abort.String()
-		return
-	}
-	switch rr.Outcome {
-	case inject.SDC:
-		out.outcome = outSDC
-		out.relErr = rr.MaxRelErr
-		out.output = rr.Output
-	case inject.CrashDUE, inject.HangDUE:
-		out.outcome = outDUE
-		out.cause = rr.Cause
-	}
+// trialSpec is one strike as drawn: the struck class and either the
+// outcome the draw already decided (protected SRAM, the legacy
+// ControlLogic model, a functional-unit miss) or the fault whose run
+// decides it. It holds everything by value, so a trial allocates
+// nothing to draw or pass.
+type trialSpec struct {
+	class   arch.ResourceClass
+	outcome int  // the decided outcome when !runs
+	runs    bool // fault must run to classify the trial
+	// fault is the strike to run; its zero Site, SiteOperation, makes
+	// the op-fault classes set Op alone.
+	fault inject.Fault
 }
 
-// runTrial simulates one strike, drawing all randomness from r.
-func (c *trialCtx) runTrial(r *rng.Rand) trialOutcome {
+// drawTrial takes every random decision of one strike from r.
+func (c *trialCtx) drawTrial(r *rng.Rand) trialSpec {
 	e := c.exp
 	m := e.Mapping
 	x := sampleExposure(r, c.exposures, c.rate)
-	out := trialOutcome{class: x.Class}
+	t := trialSpec{class: x.Class}
 
 	width := 1
 	if e.MBU.Enabled() && sramClass(x.Class) {
@@ -396,9 +390,9 @@ func (c *trialCtx) runTrial(r *rng.Rand) trialOutcome {
 		// SECDED: single-bit corrected; multi-bit detected
 		// uncorrectable -> machine check (DUE).
 		if width >= 2 {
-			out.outcome = outDUE
+			t.outcome = outDUE
 		}
-		return out
+		return t
 	}
 
 	switch x.Class {
@@ -406,15 +400,14 @@ func (c *trialCtx) runTrial(r *rng.Rand) trialOutcome {
 		if !e.BehavioralDUE {
 			// Legacy model: an asserted constant DUE probability.
 			if r.Float64() < x.DUEFraction {
-				out.outcome = outDUE
+				t.outcome = outDUE
 			}
-			return out
+			return t
 		}
 		// Behavioral model: the strike corrupts actual control state
 		// (loop counter / index / pointer) and the DUE rate emerges
 		// from running the workload with it.
-		cf := inject.SampleControlFault(r, m.Counts)
-		c.run(inject.FaultSpec{Control: &cf}, &out)
+		t.fault = inject.Fault{Site: inject.SiteControl, Control: inject.SampleControlFault(r, m.Counts)}
 
 	case arch.ConfigMemory:
 		kind := sampleOpKind(r, x.OpWeights, m.Counts)
@@ -422,7 +415,7 @@ func (c *trialCtx) runTrial(r *rng.Rand) trialOutcome {
 		if mod == 0 {
 			mod = 1
 		}
-		fault := inject.OpFault{
+		t.fault.Op = inject.OpFault{
 			Kind:   kind,
 			Index:  r.Uint64n(mod),
 			Modulo: mod,
@@ -430,11 +423,10 @@ func (c *trialCtx) runTrial(r *rng.Rand) trialOutcome {
 			Width:  width,
 			Target: inject.TargetResult,
 		}
-		c.run(inject.FaultSpec{Op: &fault}, &out)
 
 	case arch.FunctionalUnit:
 		if r.Float64() >= x.Vuln() {
-			return out
+			return t
 		}
 		// A functional-unit strike lands either on the floating-point
 		// datapath or — proportionally to the weighted integer
@@ -448,36 +440,63 @@ func (c *trialCtx) runTrial(r *rng.Rand) trialOutcome {
 			}
 		}
 		if intW > 0 && r.Float64() < intW/(intW+opW) {
-			fault := inject.OpFault{
+			t.fault.Op = inject.OpFault{
 				Index:  r.Uint64n(m.Counts.IntSites),
 				Bit:    r.Intn(5),
 				Target: inject.TargetIntState,
 			}
-			c.run(inject.FaultSpec{Op: &fault}, &out)
 			break
 		}
 		kind := sampleOpKind(r, x.OpWeights, m.Counts)
-		fault := inject.OpFault{
+		t.fault.Op = inject.OpFault{
 			Kind:   kind,
 			Index:  r.Uint64n(m.Counts.ByOp[kind]),
 			Bit:    r.Intn(m.Format.Width()),
 			Width:  width,
 			Target: inject.TargetResult,
 		}
-		c.run(inject.FaultSpec{Op: &fault}, &out)
 
 	case arch.RegisterFile:
-		fault := inject.SampleOpFault(r, m.Counts, m.Format, 0, true, inject.TargetOperand)
-		fault.Width = width
-		c.run(inject.FaultSpec{Op: &fault}, &out)
+		t.fault.Op = inject.SampleOpFault(r, m.Counts, m.Format, 0, true, inject.TargetOperand)
+		t.fault.Op.Width = width
 
 	case arch.MemorySRAM:
-		mf := inject.SampleMemFault(r, c.arrayLens, m.Format)
-		mf.Width = width
-		c.run(inject.FaultSpec{Mem: []inject.MemFault{mf}}, &out)
+		t.fault = inject.Fault{Site: inject.SiteMemory, Mem: inject.SampleMemFault(r, c.arrayLens, m.Format)}
+		t.fault.Mem.Width = width
 
 	default:
 		panic(fmt.Sprintf("beam: unhandled resource class %v", x.Class))
+	}
+	t.runs = true
+	return t
+}
+
+// runTrial classifies one drawn strike: it runs the strike's fault
+// with the campaign's detectors armed unless the draw decided the
+// outcome. A simulator panic becomes an aborted-trial diagnostic.
+func (c *trialCtx) runTrial(t trialSpec) trialOutcome {
+	out := trialOutcome{class: t.class, outcome: t.outcome}
+	if !t.runs {
+		return out
+	}
+	spec := t.fault.Spec()
+	spec.Watchdog = c.watchdog
+	spec.TrapNonFinite = c.exp.TrapNonFinite
+	rr, abort := c.runner.RunSpec(spec, c.exp.KeepOutputs)
+	if abort != nil {
+		out.aborted = true
+		out.fault = spec.Desc()
+		out.panicMsg = abort.String()
+		return out
+	}
+	switch rr.Outcome {
+	case inject.SDC:
+		out.outcome = outSDC
+		out.relErr = rr.MaxRelErr
+		out.output = rr.Output
+	case inject.CrashDUE, inject.HangDUE:
+		out.outcome = outDUE
+		out.cause = rr.Cause
 	}
 	return out
 }

@@ -143,7 +143,7 @@ func TestDriverContract(t *testing.T) {
 				raw, err := json.Marshal(res)
 				return raw, res.Aborted, err
 			},
-			replay: func(ab inject.AbortedSample) string { return trials.runTrial(rng.New(ab.Seed)).fault },
+			replay: func(ab inject.AbortedSample) string { return trials.runTrial(trials.drawTrial(rng.New(ab.Seed))).fault },
 		},
 	}
 	for _, kind := range kinds {

@@ -1,12 +1,16 @@
 package beam
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"mixedrel/internal/arch"
+	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
 	"mixedrel/internal/gpu"
 	"mixedrel/internal/kernels"
+	"mixedrel/internal/xeonphi"
 )
 
 // Parallel campaigns must be deterministic in the seed regardless of
@@ -93,5 +97,83 @@ func TestParallelCountsConsistent(t *testing.T) {
 	}
 	if strikes != res.Trials {
 		t.Errorf("per-class strikes %d != trials %d", strikes, res.Trials)
+	}
+}
+
+// TestSequentialPoolInvariant: a default (sequential-stream) experiment
+// runs its trials on the shared pool with byte-identical results at
+// every pool size. The mapping exposes every resource class, so both
+// halves of a trial are covered: outcomes the draw decides (SECDED
+// SRAM under MBUs, legacy ControlLogic, functional-unit misses) and
+// faults that run (configuration, register, SRAM, integer-state and
+// behavioral control strikes, with the trap and watchdog armed).
+func TestSequentialPoolInvariant(t *testing.T) {
+	old := exec.MaxWorkers()
+	defer exec.SetMaxWorkers(old)
+	m := mustMap(t, xeonphi.New(), kernels.NewLavaMD(1, 4, 2), fp.Single)
+	if m.Counts.IntSites == 0 {
+		t.Fatal("mapping has no integer-state sites to strike")
+	}
+	// The Phi's functional units (with integer state), SECDED register
+	// file and control logic, plus the classes it lacks, all at one rate.
+	mm := *m
+	mm.UnrollFactor = 4
+	var fuWeights [fp.NumOps]float64
+	mm.Exposures = nil
+	for _, x := range m.Exposures {
+		if x.Class == arch.FunctionalUnit {
+			if x.IntStateWeight == 0 {
+				t.Fatal("functional units carry no integer-state weight")
+			}
+			x.VulnFraction = 0.5
+			fuWeights = x.OpWeights
+		}
+		x.Bits, x.CrossSection = 1, 1
+		mm.Exposures = append(mm.Exposures, x)
+	}
+	mm.Exposures = append(mm.Exposures,
+		arch.Exposure{Class: arch.ConfigMemory, Bits: 1, CrossSection: 1, OpWeights: fuWeights},
+		arch.Exposure{Class: arch.RegisterFile, Bits: 1, CrossSection: 1},
+		arch.Exposure{Class: arch.MemorySRAM, Bits: 1, CrossSection: 1})
+
+	for _, behavioral := range []bool{false, true} {
+		e := Experiment{Mapping: &mm, Trials: 600, Seed: 17, KeepOutputs: true,
+			MBU: MBU{P2: 0.3, P3: 0.1}, BehavioralDUE: behavioral, TrapNonFinite: behavioral}
+		var base []byte
+		for _, pool := range []int{1, 2, 8} {
+			exec.SetMaxWorkers(pool)
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := arch.ConfigMemory; c <= arch.MemorySRAM; c++ {
+				if cc := res.ByClass[c]; cc == nil || cc.Strikes == 0 {
+					t.Fatalf("behavioral=%v: class %v never struck", behavioral, c)
+				}
+			}
+			// Draw-decided outcomes: SECDED multi-bit DUEs, functional
+			// unit misses, and (legacy model) constant-rate control DUEs.
+			if res.ByClass[arch.RegisterFile].DUE == 0 || res.ByClass[arch.FunctionalUnit].Masked == 0 {
+				t.Fatalf("behavioral=%v: no SECDED DUE or functional-unit miss", behavioral)
+			}
+			if !behavioral && res.ByClass[arch.ControlLogic].DUE == 0 {
+				t.Fatal("legacy control logic produced no DUE")
+			}
+			if behavioral && res.DUECrash+res.DUEHang == 0 {
+				t.Fatal("behavioral run observed no crash or hang")
+			}
+			raw, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base == nil {
+				base = raw
+				continue
+			}
+			if !bytes.Equal(raw, base) {
+				t.Errorf("behavioral=%v pool %d: result differs from pool 1:\n got %.300s\nwant %.300s",
+					behavioral, pool, raw, base)
+			}
+		}
 	}
 }

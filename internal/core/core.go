@@ -37,16 +37,21 @@ type Config struct {
 	Quick bool
 	// Workers bounds the cross-configuration parallelism: how many
 	// (benchmark x format) campaigns an experiment — and how many
-	// experiments ReproduceAll — may run concurrently on the shared
+	// experiments RunAll — may run concurrently on the shared
 	// scheduler. Every campaign derives an independent seed via
 	// seedFor, so this parallelism never changes any table. Zero
-	// defaults to the scheduler bound (exec.MaxWorkers); 1 forces
-	// sequential execution.
+	// defaults to the scheduler bound (exec.MaxWorkers); 1 runs the
+	// configurations one at a time. Either way each campaign's samples
+	// also spread over the scheduler's free cores (see SampleWorkers),
+	// so exec.SetMaxWorkers(1) is what makes a run single-threaded.
 	Workers int
-	// SampleWorkers > 1 additionally parallelizes sampling inside each
-	// campaign (per-trial random streams; deterministic in Seed, but a
-	// different — equally valid — sample than the sequential default,
-	// which 0 or 1 select).
+	// SampleWorkers selects each campaign's random-stream discipline.
+	// 0 or 1, the default, is the sequential stream: samples draw in
+	// order from one stream and run in parallel on the shared
+	// scheduler, with the same bits at any pool size. Above 1, every
+	// sample draws from its own stream (deterministic in Seed, but a
+	// different — equally valid — sample) on up to that many
+	// goroutines.
 	SampleWorkers int
 	// CheckpointDir, when set, makes checkpoint-aware experiments
 	// (ext-due) journal their campaigns there for crash-tolerant

@@ -11,7 +11,9 @@ import (
 // claim of the execution engine: cross-configuration parallelism
 // (Config.Workers plus the process scheduler bound) never changes a
 // rendered table, because every campaign derives its own seed and rows
-// are assembled in job order.
+// are assembled in job order. Nor does the parallelism inside each
+// campaign: the default sequential stream runs its samples on the
+// scheduler's free slots, with the same bits at every pool size.
 func TestGridParallelismPreservesTables(t *testing.T) {
 	old := exec.MaxWorkers()
 	defer exec.SetMaxWorkers(old)
@@ -40,14 +42,16 @@ func TestGridParallelismPreservesTables(t *testing.T) {
 		seq.Workers = 1
 		seqOut := render(id, seq)
 
-		exec.SetMaxWorkers(8)
-		par := base
-		par.Workers = 8
-		parOut := render(id, par)
+		for _, workers := range []int{2, 8} {
+			exec.SetMaxWorkers(workers)
+			par := base
+			par.Workers = workers
+			parOut := render(id, par)
 
-		if !bytes.Equal(seqOut, parOut) {
-			t.Errorf("%s: rendered table differs between Workers=1 and Workers=8\n--- sequential ---\n%s--- parallel ---\n%s",
-				id, seqOut, parOut)
+			if !bytes.Equal(seqOut, parOut) {
+				t.Errorf("%s: rendered table differs between Workers=1 and Workers=%d\n--- sequential ---\n%s--- parallel ---\n%s",
+					id, workers, seqOut, parOut)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mixedrel/internal/rng"
@@ -22,8 +23,8 @@ type Batch struct {
 
 // Flat is the batch of a flat campaign of n samples seeded by seed:
 // sample i has key i and draws from the stream rng.New(SampleSeed(seed,
-// i)) — or, in a session's sequential mode, all n samples share the one
-// stream rng.New(seed).
+// i)) — or, in a session's sequential mode, all n samples draw in turn
+// from the one stream rng.New(seed).
 func Flat(seed uint64, n int) Batch { return Batch{n: n, seed: seed} }
 
 // Keyed is a batch of explicitly addressed samples: sample i has key
@@ -39,9 +40,10 @@ func Keyed(keys []int, seeds []uint64) Batch {
 // it. The session owns everything between a sample key and its value:
 // worker fan-out, the checkpoint journal (lookup, decode, Record), the
 // Checkpoint.Limit rule, cancellation, journal degradation, and the
-// progress line. T is the campaign's sample value and R its journal
-// record.
-type Session[T, R any] struct {
+// progress line. S is the campaign's sample spec (every random
+// decision of one sample, held by value), T its sample value and R its
+// journal record.
+type Session[S, T, R any] struct {
 	ctx     context.Context
 	workers int
 	j       *Journal // nil without a checkpoint
@@ -55,8 +57,10 @@ type Session[T, R any] struct {
 // NewSession opens a campaign's session: up to workers goroutines per
 // batch under ctx (nil: not cancellable), journaling to ck (nil: no
 // checkpoint) through encode and decode. The caller must Close it.
-func NewSession[T, R any](ctx context.Context, workers int, ck *Checkpoint, encode func(T) R, decode func(R) T) (*Session[T, R], error) {
-	s := &Session[T, R]{ctx: ctx, workers: workers, encode: encode, decode: decode}
+// The spec type S cannot be inferred: name it,
+// NewSession[Spec](ctx, workers, ck, encode, decode).
+func NewSession[S, T, R any](ctx context.Context, workers int, ck *Checkpoint, encode func(T) R, decode func(R) T) (*Session[S, T, R], error) {
+	s := &Session[S, T, R]{ctx: ctx, workers: workers, encode: encode, decode: decode}
 	if ck != nil {
 		j, err := ck.Open()
 		if err != nil {
@@ -67,27 +71,50 @@ func NewSession[T, R any](ctx context.Context, workers int, ck *Checkpoint, enco
 	return s, nil
 }
 
-// Run executes batch b, calling fn for every sample not already in the
-// journal, and returns the samples' values in batch order with the
-// stream seed each one drew from (seeds is nil in sequential mode).
+// Run executes batch b for every sample not already in the journal
+// and returns the samples' values in batch order with the stream seed
+// each one drew from (seeds is nil in sequential mode). A sample is
+// two calls: draw takes every random decision from the sample's stream
+// and returns them as a spec, and run executes that spec without
+// touching a stream. run must be safe for concurrent calls.
 //
 // Sequential mode — Workers <= 1, no checkpoint and a Flat batch —
-// threads one stream through the samples in order. Every other mode
-// hands each sample its own stream, so a value depends only on the
-// sample's seed: never on worker count, scheduling, or which samples a
-// previous, interrupted invocation already journaled. That is why a
-// checkpointed campaign resumes byte-identically.
+// threads one stream through the samples in order: each job takes the
+// next undrawn index under one lock and calls draw there, so draw k
+// always sees the stream as draws 0..k-1 left it, then runs its spec
+// outside the lock. The runs spread over up to MaxWorkers goroutines
+// of the shared pool, and the values are bit-identical at every pool
+// size: only the draws are ordered, and they never depend on a run.
+// draw is called under the lock, so it must not block.
+//
+// Every other mode hands each sample its own stream and calls
+// run(key, draw(key, stream)) in the sample's job, so a value depends
+// only on the sample's seed: never on worker count, scheduling, or
+// which samples a previous, interrupted invocation already journaled.
+// That is why a checkpointed campaign resumes byte-identically.
 //
 // Errors: ErrPartial when Checkpoint.Limit stopped the session short
 // of the batch (the journal holds every sample that ran); an
 // *Interrupted after ctx is done (in-flight samples drained and were
 // journaled whole, and the journal is closed).
-func (s *Session[T, R]) Run(b Batch, fn func(key int, r *rng.Rand) T) (out []T, seeds []uint64, err error) {
+func (s *Session[S, T, R]) Run(b Batch, draw func(key int, r *rng.Rand) S, run func(key int, spec S) T) (out []T, seeds []uint64, err error) {
 	out = make([]T, b.n)
 	if s.j == nil && s.workers <= 1 && b.seeds == nil {
-		r := rng.New(b.seed)
-		err = forEach(s.ctx, 1, b.n, func(i int) error {
-			out[i] = fn(i, r)
+		var (
+			mu    sync.Mutex
+			r     = rng.New(b.seed)
+			drawn int
+		)
+		next := func() (int, S) {
+			mu.Lock()
+			defer mu.Unlock()
+			k := drawn
+			drawn++
+			return k, draw(k, r)
+		}
+		err = forEach(s.ctx, MaxWorkers(), b.n, func(int) error {
+			k, spec := next()
+			out[k] = run(k, spec)
 			return nil
 		})
 		return out, nil, s.interrupted(err)
@@ -120,7 +147,7 @@ func (s *Session[T, R]) Run(b Batch, fn func(key int, r *rng.Rand) T) (out []T, 
 				return nil
 			}
 		}
-		v := fn(key, rng.New(seeds[i]))
+		v := run(key, draw(key, rng.New(seeds[i])))
 		if s.j != nil {
 			if err := s.j.Record(key, s.encode(v)); err != nil {
 				return err
@@ -137,7 +164,7 @@ func (s *Session[T, R]) Run(b Batch, fn func(key int, r *rng.Rand) T) (out []T, 
 
 // interrupted turns a context error into *Interrupted, closing the
 // session first so the Journaled count it reports is durable.
-func (s *Session[T, R]) interrupted(err error) error {
+func (s *Session[S, T, R]) interrupted(err error) error {
 	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
@@ -153,7 +180,7 @@ func (s *Session[T, R]) interrupted(err error) error {
 
 // Progressf renders the campaign's live status line
 // (telemetry.Progressf); Close ends it.
-func (s *Session[T, R]) Progressf(format string, args ...any) {
+func (s *Session[S, T, R]) Progressf(format string, args ...any) {
 	s.drew.Store(true)
 	telemetry.Progressf(format, args...)
 }
@@ -162,7 +189,7 @@ func (s *Session[T, R]) Progressf(format string, args ...any) {
 // closes the journal and clears the progress line. It reports whether
 // the journal degraded (see Journal) and the rendered cause — campaign
 // results carry both as infrastructure status. Safe to call twice.
-func (s *Session[T, R]) Close() (degraded bool, cause string) {
+func (s *Session[S, T, R]) Close() (degraded bool, cause string) {
 	if s.drew.Load() {
 		telemetry.ProgressDone()
 	}

@@ -6,8 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mixedrel/internal/rng"
 )
@@ -16,9 +19,9 @@ func ident(v uint64) uint64 { return v }
 
 // newTestSession opens a session whose samples are the first draw of
 // their stream, journaled as is.
-func newTestSession(t *testing.T, ctx context.Context, workers int, ck *Checkpoint) *Session[uint64, uint64] {
+func newTestSession(t *testing.T, ctx context.Context, workers int, ck *Checkpoint) *Session[uint64, uint64, uint64] {
 	t.Helper()
-	s, err := NewSession(ctx, workers, ck, ident, ident)
+	s, err := NewSession[uint64](ctx, workers, ck, ident, ident)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,23 +31,34 @@ func newTestSession(t *testing.T, ctx context.Context, workers int, ck *Checkpoi
 
 func firstDraw(_ int, r *rng.Rand) uint64 { return r.Uint64() }
 
+// keep is the run of a sample whose value is its spec.
+func keep(_ int, v uint64) uint64 { return v }
+
+// TestSampleSequentialIsSingleStream: sequential mode threads one
+// stream through the samples in order, at every pool size its runs
+// spread over.
 func TestSampleSequentialIsSingleStream(t *testing.T) {
+	old := MaxWorkers()
+	defer SetMaxWorkers(old)
 	const n, seed = 64, 12345
 	want := make([]uint64, n)
 	r := rng.New(seed)
 	for i := range want {
 		want[i] = r.Uint64()
 	}
-	got, seeds, err := newTestSession(t, nil, 1, nil).Run(Flat(seed, n), firstDraw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeds != nil {
-		t.Errorf("sequential mode reports per-sample seeds")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got[%d] = %d, want %d (single-stream order)", i, got[i], want[i])
+	for _, pool := range []int{1, 2, 8} {
+		SetMaxWorkers(pool)
+		got, seeds, err := newTestSession(t, nil, 1, nil).Run(Flat(seed, n), firstDraw, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seeds != nil {
+			t.Errorf("sequential mode reports per-sample seeds")
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("pool %d: got[%d] = %d, want %d (single-stream order)", pool, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -52,7 +66,7 @@ func TestSampleSequentialIsSingleStream(t *testing.T) {
 func TestSampleParallelIndependentOfWorkerCount(t *testing.T) {
 	const n, seed = 64, 999
 	run := func(workers int) []uint64 {
-		out, seeds, err := newTestSession(t, nil, workers, nil).Run(Flat(seed, n), firstDraw)
+		out, seeds, err := newTestSession(t, nil, workers, nil).Run(Flat(seed, n), firstDraw, keep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +92,7 @@ func TestSampleResumeStreamDerivation(t *testing.T) {
 	const n, seed = 12, 99
 	for _, workers := range []int{1, 3} {
 		ck := &Checkpoint{Path: filepath.Join(t.TempDir(), "j.jsonl")}
-		got, _, err := newTestSession(t, nil, workers, ck).Run(Flat(seed, n), firstDraw)
+		got, _, err := newTestSession(t, nil, workers, ck).Run(Flat(seed, n), firstDraw, keep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +121,9 @@ func TestSampleResumeSkips(t *testing.T) {
 	j.Close()
 
 	ran := make([]bool, n)
-	got, _, err := newTestSession(t, nil, 1, ck).Run(Flat(seed, n), func(i int, r *rng.Rand) uint64 {
+	got, _, err := newTestSession(t, nil, 1, ck).Run(Flat(seed, n), firstDraw, func(i int, v uint64) uint64 {
 		ran[i] = true
-		return r.Uint64()
+		return v
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,10 +150,10 @@ func TestSessionLimitSpansBatches(t *testing.T) {
 		Keyed([]int{SampleKey(0, 0), SampleKey(1, 0), SampleKey(1, 1)}, []uint64{11, 12, 13}),
 		Keyed([]int{SampleKey(0, 1), SampleKey(2, 0)}, []uint64{14, 15}),
 	}
-	runAll := func(s *Session[uint64, uint64]) ([]uint64, error) {
+	runAll := func(s *Session[uint64, uint64, uint64]) ([]uint64, error) {
 		var all []uint64
 		for _, b := range batches {
-			out, _, err := s.Run(b, firstDraw)
+			out, _, err := s.Run(b, firstDraw, keep)
 			if err != nil {
 				return nil, err
 			}
@@ -185,11 +199,11 @@ func TestSessionCancelled(t *testing.T) {
 	for _, ck := range []*Checkpoint{nil, {Path: filepath.Join(t.TempDir(), "j.jsonl"), Every: 100}} {
 		ctx, cancel := context.WithCancel(context.Background())
 		s := newTestSession(t, ctx, 1, ck)
-		_, _, err := s.Run(Flat(3, 10), func(i int, r *rng.Rand) uint64 {
+		_, _, err := s.Run(Flat(3, 10), firstDraw, func(i int, v uint64) uint64 {
 			if i == 3 {
 				cancel()
 			}
-			return r.Uint64()
+			return v
 		})
 		cancel()
 		var in *Interrupted
@@ -220,7 +234,7 @@ func TestSessionCorruptRecord(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"i":1,"v":"x"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := newTestSession(t, nil, 1, &Checkpoint{Path: path}).Run(Flat(1, 3), firstDraw)
+	_, _, err := newTestSession(t, nil, 1, &Checkpoint{Path: path}).Run(Flat(1, 3), firstDraw, keep)
 	if err == nil || !strings.Contains(err.Error(), "corrupt checkpoint record 1") {
 		t.Fatalf("err = %v, want a corrupt-record error", err)
 	}
@@ -242,5 +256,68 @@ func TestMapSliceBitPatterns(t *testing.T) {
 	}
 	if got := MapSlice([]float64{}, math.Float64bits); got == nil || len(got) != 0 {
 		t.Errorf("empty input mapped to %v", got)
+	}
+}
+
+// TestSampleSequentialDrawOrder: in sequential mode draws happen
+// strictly in index order, one at a time, while runs interleave on
+// several goroutines. Run 0 waits for run 1 to start, which only a
+// second goroutine can do.
+func TestSampleSequentialDrawOrder(t *testing.T) {
+	old := MaxWorkers()
+	defer SetMaxWorkers(old)
+	SetMaxWorkers(4)
+	const n = 32
+	var (
+		drawn    []int // appended under the session's draw lock only
+		drawing  atomic.Int64
+		inFlight atomic.Int64
+		overlap  atomic.Bool
+		started  = make(chan struct{})
+	)
+	got, _, err := newTestSession(t, nil, 1, nil).Run(Flat(5, n), func(k int, r *rng.Rand) uint64 {
+		if drawing.Add(1) > 1 {
+			t.Errorf("draw %d began while another draw was in progress", k)
+		}
+		defer drawing.Add(-1)
+		runtime.Gosched() // invite another goroutine in, were the lock missing
+		drawn = append(drawn, k)
+		return r.Uint64()
+	}, func(k int, v uint64) uint64 {
+		if inFlight.Add(1) > 1 {
+			overlap.Store(true)
+		}
+		defer inFlight.Add(-1)
+		switch k {
+		case 0:
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Error("run 1 never started while run 0 was in flight")
+			}
+		case 1:
+			close(started)
+		}
+		return v
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range drawn {
+		if k != i {
+			t.Fatalf("draw %d took index %d; draws = %v", i, k, drawn)
+		}
+	}
+	if len(drawn) != n {
+		t.Fatalf("%d draws, want %d", len(drawn), n)
+	}
+	if !overlap.Load() {
+		t.Error("no two runs were ever in flight at once")
+	}
+	r := rng.New(5)
+	for i := range got {
+		if want := r.Uint64(); got[i] != want {
+			t.Fatalf("sample %d = %#x, want the stream's draw %d %#x", i, got[i], i, want)
+		}
 	}
 }

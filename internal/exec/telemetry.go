@@ -13,11 +13,15 @@ var (
 	// (each job is typically one injection sample).
 	mJobs = telemetry.NewCounter("exec_jobs")
 	// mHelpers tracks live helper goroutines; its peak is the realized
-	// worker occupancy of the process-wide token pool.
+	// worker occupancy of the process-wide slot pool (up to
+	// MaxWorkers while callers lend their idle slots).
 	mHelpers = telemetry.NewGauge("exec_helpers")
-	// mHelpersDenied counts helper slots refused because the token pool
-	// was exhausted — the queue-pressure signal: work that wanted to
-	// parallelize but ran inline on the caller instead.
+	// mHelpersDenied counts ForEach calls refused a helper slot at the
+	// start because the slot pool was exhausted — the queue-pressure
+	// signal: work that wanted to parallelize but began inline on the
+	// caller. It counts one refusal per call: the caller's later
+	// between-job retries for a released slot (late joins) are not
+	// counted, so the value stays comparable however long jobs run.
 	mHelpersDenied = telemetry.NewCounter("exec_helpers_denied")
 
 	// mArtifactLookups / mArtifactComputes measure the artifact memo:

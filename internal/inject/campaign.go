@@ -118,7 +118,9 @@ type Campaign struct {
 	// Workers, when above 1, runs injections on that many goroutines
 	// with per-fault random streams: deterministic in Seed and
 	// independent of scheduling, but a different (equally valid) sample
-	// than the default sequential mode.
+	// than the default sequential mode, which draws every fault in
+	// order from one stream and runs the injections on the shared
+	// scheduler (exec.MaxWorkers goroutines, same bits at any count).
 	Workers int
 	// Watchdog is the op-budget factor k for hang detection: a faulty
 	// run executing more than k x its golden operation count is killed
@@ -307,7 +309,7 @@ func (c Campaign) runOn(runner *Runner) (*Result, error) {
 // runUniform draws every sample's site, then its fault, uniformly: the
 // campaign is one flat batch on the driver.
 func (c Campaign) runUniform(runner *Runner, sites []Site, watchdog float64) (*Result, error) {
-	sess, err := exec.NewSession(c.Context, c.Workers, c.Checkpoint, sample.record, sampleRecord.sample)
+	sess, err := exec.NewSession[Fault](c.Context, c.Workers, c.Checkpoint, sample.record, sampleRecord.sample)
 	if err != nil {
 		return nil, err
 	}
@@ -316,23 +318,22 @@ func (c Campaign) runUniform(runner *Runner, sites []Site, watchdog float64) (*R
 	counts, arrayLens := runner.Counts(), runner.ArrayLens()
 	var done atomic.Int64
 	showProg := telemetry.ProgressActive()
-	outs, seeds, err := sess.Run(exec.Flat(c.Seed, c.Faults), func(_ int, r *rng.Rand) sample {
-		var spec FaultSpec
-		switch sites[r.Intn(len(sites))] {
+	draw := func(_ int, r *rng.Rand) Fault {
+		f := Fault{Site: sites[r.Intn(len(sites))]}
+		switch f.Site {
 		case SiteOperation:
-			f := SampleOpFault(r, counts, c.Format, 0, true, TargetResult)
-			spec.Op = &f
+			f.Op = SampleOpFault(r, counts, c.Format, 0, true, TargetResult)
 		case SiteOperand:
-			f := SampleOpFault(r, counts, c.Format, 0, true, TargetOperand)
-			spec.Op = &f
+			f.Op = SampleOpFault(r, counts, c.Format, 0, true, TargetOperand)
 		case SiteMemory:
-			mf := SampleMemFault(r, arrayLens, c.Format)
-			spec.Mem = []MemFault{mf}
+			f.Mem = SampleMemFault(r, arrayLens, c.Format)
 		case SiteControl:
-			cf := SampleControlFault(r, counts)
-			spec.Control = &cf
+			f.Control = SampleControlFault(r, counts)
 		}
-		s := c.runSample(runner, spec, watchdog)
+		return f
+	}
+	outs, seeds, err := sess.Run(exec.Flat(c.Seed, c.Faults), draw, func(_ int, f Fault) sample {
+		s := c.runSample(runner, f.Spec(), watchdog)
 		if showProg {
 			sess.Progressf("%s: %d/%d samples", c.Kernel.Name(), done.Add(1), c.Faults)
 		}

@@ -167,6 +167,32 @@ type FaultSpec struct {
 	TrapNonFinite bool
 }
 
+// Fault is one fault held by value: what a campaign draws for a
+// sample before it runs it. Site selects the field that holds it
+// (SiteOperation and SiteOperand both use Op, whose Target tells them
+// apart). Drawing, storing and passing a Fault allocates nothing; Spec
+// turns it into the FaultSpec a Runner executes.
+type Fault struct {
+	Site    Site
+	Op      OpFault
+	Mem     MemFault
+	Control ControlFault
+}
+
+// Spec returns the FaultSpec that injects f, with no detector armed.
+// It points into f, so f must stay live and unchanged while the spec
+// runs. Spec inlines, so a spec built where it runs stays on the
+// stack.
+func (f *Fault) Spec() FaultSpec {
+	switch f.Site {
+	case SiteMemory:
+		return FaultSpec{Mem: []MemFault{f.Mem}}
+	case SiteControl:
+		return FaultSpec{Control: &f.Control}
+	}
+	return FaultSpec{Op: &f.Op}
+}
+
 // Desc renders the spec compactly for aborted-sample replay
 // diagnostics.
 func (s FaultSpec) Desc() string {

@@ -1,8 +1,11 @@
 package inject
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
+	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
 	"mixedrel/internal/kernels"
 )
@@ -96,5 +99,40 @@ func TestRunSpecSharesTraceAcrossSamples(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Errorf("RunSpec allocates %.0f objects per run; trace sharing broken?", allocs)
+	}
+}
+
+// TestCampaignSequentialPoolInvariant: a default (sequential-stream)
+// campaign runs its samples on the shared pool, and its result is
+// byte-identical at every pool size — including the DUE paths, whose
+// control panics (watchdog, trap, segfault) now fire on helper
+// goroutines.
+func TestCampaignSequentialPoolInvariant(t *testing.T) {
+	old := exec.MaxWorkers()
+	defer exec.SetMaxWorkers(old)
+	c := Campaign{Kernel: kernels.NewGEMM(8, 3), Format: fp.Half, Faults: 400, Seed: 11,
+		Sites: []Site{SiteOperand, SiteMemory, SiteControl}, TrapNonFinite: true, KeepOutputs: true}
+	var base []byte
+	for _, pool := range []int{1, 2, 8} {
+		exec.SetMaxWorkers(pool)
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CrashDUEs == 0 || res.HangDUEs == 0 || res.SDCs == 0 {
+			t.Fatalf("pool %d: %d crash, %d hang DUEs, %d SDCs: every outcome path must run",
+				pool, res.CrashDUEs, res.HangDUEs, res.SDCs)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == nil {
+			base = raw
+			continue
+		}
+		if !bytes.Equal(raw, base) {
+			t.Errorf("pool %d: result differs from pool 1:\n got %.300s\nwant %.300s", pool, raw, base)
+		}
 	}
 }

@@ -144,7 +144,7 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 		sts[h].seedSrc = rng.New(exec.StratumSeed(c.Seed, h))
 	}
 
-	sess, err := exec.NewSession(c.Context, c.Workers, c.Checkpoint, sample.record, sampleRecord.sample)
+	sess, err := exec.NewSession[FaultSpec](c.Context, c.Workers, c.Checkpoint, sample.record, sampleRecord.sample)
 	if err != nil {
 		return nil, err
 	}
@@ -248,8 +248,10 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 		if len(keys) == 0 {
 			break
 		}
-		results, _, err := sess.Run(exec.Keyed(keys, seeds), func(key int, r *rng.Rand) sample {
-			return c.runSample(runner, space.Sample(exec.KeyStratum(key), r), watchdog)
+		results, _, err := sess.Run(exec.Keyed(keys, seeds), func(key int, r *rng.Rand) FaultSpec {
+			return space.Sample(exec.KeyStratum(key), r)
+		}, func(_ int, spec FaultSpec) sample {
+			return c.runSample(runner, spec, watchdog)
 		})
 		if err != nil {
 			return nil, err
