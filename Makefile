@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race perfbench verify prove-fp16 bench bench-smoke bench-replay bench-sampling bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
+.PHONY: build test vet lint race perfbench verify prove-fp16 bench-smoke bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
 
 build:
 	$(GO) build ./...
@@ -47,18 +47,6 @@ verify: build lint test race bench-smoke perfbench
 prove-fp16:
 	$(GO) test -tags prove16 -run '^TestProveFP16AllPairs$$' -timeout 2h -v ./internal/fp
 
-# bench records the benchmark suite as BENCH_<date>.json (see
-# scripts/bench.sh for knobs).
-bench:
-	scripts/bench.sh
-
-# bench-sampling measures only the sampling-engine benchmarks: the
-# stratified/adaptive campaign paths plus their custom metrics (samples
-# spent to the CI target, realized uniform-vs-stratified reduction).
-# Results print to stdout; use make bench for the recorded snapshot.
-bench-sampling:
-	$(GO) test -run '^$$' -bench 'StratifiedCampaign|AdaptiveCampaign|SamplingEfficiency' -benchtime 3x -benchmem -count 2 .
-
 # smoke-telemetry proves the observe-only contract on a real campaign:
 # identical carolfi output with telemetry off and on, plus schema
 # validation of the JSONL event log (left at telemetry-smoke.jsonl for
@@ -66,18 +54,17 @@ bench-sampling:
 smoke-telemetry:
 	scripts/smoke_telemetry.sh
 
-# bench-telemetry measures the cost of the observability stack: the
-# same campaign benchmarked with telemetry off and fully on, with the
-# ns/op delta gated (<2% by default; OVERHEAD_GATE to loosen).
+# bench-telemetry gates the cost of the observability stack: median
+# ns/op ratio of paired runs, telemetry off vs fully on, at most 1.02
+# (TestTelemetryOverhead; OVERHEAD_GATE=<percent> to loosen).
 bench-telemetry:
-	scripts/bench_telemetry.sh
+	$(GO) test -tags overhead -run '^TestTelemetryOverhead$$' -benchtime 3000x -count 1 -v .
 
-# bench-chaos measures the cost of the checkpoint I/O seam: the same
-# checkpointed campaign against a bare in-memory filesystem and through
-# the disarmed chaos layer, with the ns/op delta gated (<1% by default;
-# OVERHEAD_GATE to loosen).
+# bench-chaos gates the cost of the checkpoint I/O seam: median ns/op
+# ratio of paired checkpointed runs, bare vs through the disarmed chaos
+# layer, at most 1.01 (TestChaosSeamOverhead; OVERHEAD_GATE to loosen).
 bench-chaos:
-	scripts/bench_chaos.sh
+	$(GO) test -tags overhead -run '^TestChaosSeamOverhead$$' -benchtime 3000x -count 1 -v .
 
 # stress is the chaos soak harness: bounded rounds of campaign ->
 # injected failure (crash kills, torn journal tails, I/O faults,
@@ -90,10 +77,3 @@ stress:
 # scenario coverage, still under -race.
 stress-smoke:
 	$(GO) run -race ./cmd/mixedrelstress -rounds 12 -v
-
-# bench-replay measures only the injection-campaign benchmarks — the
-# subset the compiled-replay fast path accelerates — with enough
-# iterations for a stable reading. Results print to stdout and are not
-# recorded; use make bench for the snapshot.
-bench-replay:
-	$(GO) test -run '^$$' -bench 'Campaign' -benchtime 3000x -benchmem -count 3 .

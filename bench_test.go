@@ -6,125 +6,42 @@ import (
 
 	"mixedrel"
 	"mixedrel/internal/chaos"
-	"mixedrel/internal/stats"
+	"mixedrel/internal/exec"
 	"mixedrel/internal/telemetry"
 )
 
-// Every paper table and figure has a benchmark that regenerates it.
-// Campaign sizes are reduced (Quick caps at 250 strikes/faults per
-// configuration) so a full -bench=. pass stays tractable; run
-// cmd/reproduce for paper-sized campaigns.
+// The four injection-campaign benchmarks are the two pairs the overhead
+// gates time (overhead_gate_test.go): one GEMM(12) campaign bare and
+// with telemetry fully on, and checkpointed straight to an in-memory
+// filesystem and through the disarmed chaos layer. Every other speed
+// number comes from _perfbench (bash _perfbench/run.sh).
 
-func benchExperiment(b *testing.B, id string) {
-	cfg := mixedrel.DefaultReproConfig()
-	cfg.Quick = true
-	cfg.Trials = 100
-	cfg.Faults = 100
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := mixedrel.Reproduce(id, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1FPGAExec(b *testing.B)        { benchExperiment(b, "table1") }
-func BenchmarkFig2FPGAResources(b *testing.B)     { benchExperiment(b, "fig2") }
-func BenchmarkFig3FPGABeam(b *testing.B)          { benchExperiment(b, "fig3") }
-func BenchmarkFig4FPGATRE(b *testing.B)           { benchExperiment(b, "fig4") }
-func BenchmarkFig5FPGAMEBF(b *testing.B)          { benchExperiment(b, "fig5") }
-func BenchmarkTable2PhiExec(b *testing.B)         { benchExperiment(b, "table2") }
-func BenchmarkFig6PhiBeam(b *testing.B)           { benchExperiment(b, "fig6") }
-func BenchmarkFig7PhiPVF(b *testing.B)            { benchExperiment(b, "fig7") }
-func BenchmarkFig8PhiTRE(b *testing.B)            { benchExperiment(b, "fig8") }
-func BenchmarkFig9PhiMEBF(b *testing.B)           { benchExperiment(b, "fig9") }
-func BenchmarkTable3GPUExec(b *testing.B)         { benchExperiment(b, "table3") }
-func BenchmarkFig10aGPUMicroBeam(b *testing.B)    { benchExperiment(b, "fig10a") }
-func BenchmarkFig10bGPUCodesBeam(b *testing.B)    { benchExperiment(b, "fig10b") }
-func BenchmarkFig10cGPUYOLOBeam(b *testing.B)     { benchExperiment(b, "fig10c") }
-func BenchmarkFig11aGPUMicroTRE(b *testing.B)     { benchExperiment(b, "fig11a") }
-func BenchmarkFig11bGPUCodesTRE(b *testing.B)     { benchExperiment(b, "fig11b") }
-func BenchmarkFig11cYOLOCriticality(b *testing.B) { benchExperiment(b, "fig11c") }
-func BenchmarkFig12GPUAVF(b *testing.B)           { benchExperiment(b, "fig12") }
-func BenchmarkFig13GPUMEBF(b *testing.B)          { benchExperiment(b, "fig13") }
-func BenchmarkExtBF16(b *testing.B)               { benchExperiment(b, "ext-bf16") }
-func BenchmarkExtMBU(b *testing.B)                { benchExperiment(b, "ext-mbu") }
-func BenchmarkExtAccumulation(b *testing.B)       { benchExperiment(b, "ext-accum") }
-func BenchmarkExtMitigation(b *testing.B)         { benchExperiment(b, "ext-mitigation") }
-func BenchmarkExtSolver(b *testing.B)             { benchExperiment(b, "ext-solver") }
-
-// ---- substrate micro-benchmarks --------------------------------------
-
-func BenchmarkHalfArithmetic(b *testing.B) {
-	env := mixedrel.NewMachine(mixedrel.Half)
-	x := env.FromFloat64(1.5)
-	y := env.FromFloat64(0.75)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x = env.FMA(x, y, y)
-		x = env.Mul(x, y)
-		x = env.Add(x, y)
-	}
-	benchSink = uint64(x)
-}
-
-func BenchmarkDoubleArithmetic(b *testing.B) {
-	env := mixedrel.NewMachine(mixedrel.Double)
-	x := env.FromFloat64(1.5)
-	y := env.FromFloat64(0.75)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x = env.FMA(x, y, y)
-		x = env.Mul(x, y)
-		x = env.Add(x, y)
-	}
-	benchSink = uint64(x)
-}
-
-func BenchmarkGEMMGolden(b *testing.B) {
-	k := mixedrel.NewGEMM(32, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSinkSlice = mixedrel.Golden(k, mixedrel.Single)
-	}
-}
-
-func BenchmarkMNISTInference(b *testing.B) {
-	k := mixedrel.NewMNIST(1, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSinkSlice = mixedrel.Golden(k, mixedrel.Half)
-	}
-}
-
-func BenchmarkYOLOInference(b *testing.B) {
-	k := mixedrel.NewYOLO(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSinkSlice = mixedrel.Golden(k, mixedrel.Half)
-	}
-}
-
-func BenchmarkInjectionCampaign(b *testing.B) {
+// benchCampaign runs the campaign b.N times, each at its own seed and,
+// when fs is set, journaled to fs(seed). The journal's filesystem is
+// in memory on purpose: a real fsync costs milliseconds and would swamp
+// the indirection cost TestChaosSeamOverhead wants to see.
+func benchCampaign(b *testing.B, fs func(seed uint64) exec.FS) {
 	k := mixedrel.NewGEMM(12, 1)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := mixedrel.InjectionCampaign{Kernel: k, Format: mixedrel.Single,
-			Faults: 50, Seed: uint64(i)}
+		c := mixedrel.InjectionCampaign{Kernel: k, Format: mixedrel.Single, Faults: 50, Seed: uint64(i)}
+		if fs != nil {
+			c.Checkpoint = &mixedrel.Checkpoint{Path: "bench.jsonl", FS: fs(uint64(i))}
+		}
 		if _, err := c.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkInjectionCampaignTelemetry is the same campaign as
-// BenchmarkInjectionCampaign with the full observability stack live:
-// counters enabled, every event encoded into a discarded sink. The
-// pair feeds `benchdiff -overhead`, which gates the instrumentation
-// cost at <2% ns/op (always-on atomic counters are cheap; the sink
-// work happens per campaign, not per operation).
+func BenchmarkInjectionCampaign(b *testing.B) { benchCampaign(b, nil) }
+
+// BenchmarkInjectionCampaignTelemetry runs the campaign with the full
+// observability stack live: counters enabled, every event encoded into
+// a discarded sink. TestTelemetryOverhead gates the cost at <2% ns/op
+// (always-on atomic counters are cheap; the sink work happens per
+// campaign, not per operation).
 func BenchmarkInjectionCampaignTelemetry(b *testing.B) {
 	telemetry.SetEnabled(true)
 	telemetry.SetSink(io.Discard)
@@ -132,152 +49,21 @@ func BenchmarkInjectionCampaignTelemetry(b *testing.B) {
 		telemetry.SetEnabled(false)
 		telemetry.SetSink(nil)
 	}()
-	k := mixedrel.NewGEMM(12, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := mixedrel.InjectionCampaign{Kernel: k, Format: mixedrel.Single,
-			Faults: 50, Seed: uint64(i)}
-		if _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCampaign(b, nil)
 }
 
-// BenchmarkInjectionCampaignCheckpoint is BenchmarkInjectionCampaign
-// with every sample journaled to an in-memory filesystem. In-memory on
-// purpose: a real fsync costs milliseconds and would swamp the
-// indirection cost the bench-chaos gate wants to see.
 func BenchmarkInjectionCampaignCheckpoint(b *testing.B) {
-	k := mixedrel.NewGEMM(12, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := mixedrel.InjectionCampaign{Kernel: k, Format: mixedrel.Single,
-			Faults: 50, Seed: uint64(i),
-			Checkpoint: &mixedrel.Checkpoint{Path: "bench.jsonl", FS: chaos.NewNullFS()}}
-		if _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCampaign(b, func(uint64) exec.FS { return chaos.NewNullFS() })
 }
 
-// BenchmarkInjectionCampaignChaosOff is the same checkpointed campaign
-// with the chaos fault-injection layer in the I/O path but disarmed.
-// The pair feeds `benchdiff -overhead` (make bench-chaos), which gates
-// the seam's pure indirection cost at <1% ns/op: production campaigns
-// never link the chaos layer, but the exec.FS interface they do go
-// through must stay free.
+// BenchmarkInjectionCampaignChaosOff journals through the chaos
+// fault-injection layer, disarmed. TestChaosSeamOverhead gates the
+// seam's pure indirection cost at <1% ns/op: production campaigns never
+// link the chaos layer, but the exec.FS interface they do go through
+// must stay free.
 func BenchmarkInjectionCampaignChaosOff(b *testing.B) {
-	k := mixedrel.NewGEMM(12, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fs := &chaos.FS{Inner: chaos.NewNullFS(), Seed: uint64(i),
+	benchCampaign(b, func(seed uint64) exec.FS {
+		return &chaos.FS{Inner: chaos.NewNullFS(), Seed: seed,
 			PWrite: 1, PSync: 1, PShortWrite: 1, Disarmed: true}
-		c := mixedrel.InjectionCampaign{Kernel: k, Format: mixedrel.Single,
-			Faults: 50, Seed: uint64(i),
-			Checkpoint: &mixedrel.Checkpoint{Path: "bench.jsonl", FS: fs}}
-		if _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
-
-func BenchmarkBeamCampaign(b *testing.B) {
-	gpu := mixedrel.NewGPU()
-	m, err := gpu.Map(mixedrel.NewWorkload(mixedrel.NewGEMM(12, 1), 1e6, 1e4), mixedrel.Half)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (mixedrel.BeamExperiment{Mapping: m, Trials: 50, Seed: uint64(i)}).Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- sampling-engine benchmarks --------------------------------------
-
-// samplingBenchCampaign is the reference campaign for the sampling
-// benchmarks and the EXPERIMENTS.md comparison table: LUD(12) in
-// single precision, all three fault sites, default strata. The seed is
-// fixed so the custom metrics (samples spent, realized reduction) are
-// reproducible run to run.
-func samplingBenchCampaign(sp *mixedrel.Sampling) mixedrel.InjectionCampaign {
-	return mixedrel.InjectionCampaign{
-		Kernel: mixedrel.NewLUD(12, 1),
-		Format: mixedrel.Single,
-		Faults: 40000,
-		Seed:   7,
-		Sites: []mixedrel.Site{
-			mixedrel.SiteOperand, mixedrel.SiteMemory, mixedrel.SiteControl,
-		},
-		Sampling: sp,
-	}
-}
-
-// BenchmarkStratifiedCampaign times the stratified machinery itself on
-// a fixed proportional budget — the overhead of space construction,
-// per-stratum substreams and post-stratified assembly relative to the
-// uniform path.
-func BenchmarkStratifiedCampaign(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := samplingBenchCampaign(&mixedrel.Sampling{})
-		c.Faults = 600
-		if _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAdaptiveCampaign runs the adaptive campaign to a 0.01 CI
-// half-width and reports the samples it actually spent before the
-// sequential stop.
-func BenchmarkAdaptiveCampaign(b *testing.B) {
-	b.ReportAllocs()
-	var spent float64
-	for i := 0; i < b.N; i++ {
-		c := samplingBenchCampaign(&mixedrel.Sampling{Adaptive: true, CIHalfWidth: 0.01})
-		res, err := c.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.EarlyStopped {
-			b.Fatalf("adaptive campaign spent the full budget (%d samples) without converging", res.Faults)
-		}
-		spent = float64(res.Faults)
-	}
-	b.ReportMetric(spent, "samples/op")
-}
-
-// BenchmarkSamplingEfficiency reports the realized variance-reduction
-// factor: uniform samples a Wilson interval would need at the
-// stratified point estimates (the binding one of P(SDC) and P(DUE))
-// divided by what the adaptive campaign actually spent.
-func BenchmarkSamplingEfficiency(b *testing.B) {
-	const hw = 0.01
-	b.ReportAllocs()
-	var spent, reduction float64
-	for i := 0; i < b.N; i++ {
-		c := samplingBenchCampaign(&mixedrel.Sampling{Adaptive: true, CIHalfWidth: hw})
-		res, err := c.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		need := stats.WilsonSamplesFor(res.StratifiedPVF, hw, 0.95)
-		if d := stats.WilsonSamplesFor(res.StratifiedPDUE, hw, 0.95); d > need {
-			need = d
-		}
-		spent = float64(res.Faults)
-		reduction = float64(need) / spent
-	}
-	b.ReportMetric(spent, "samples/op")
-	b.ReportMetric(reduction, "xreduction/op")
-}
-
-var (
-	benchSink      uint64
-	benchSinkSlice []float64
-)

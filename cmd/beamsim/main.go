@@ -21,6 +21,7 @@ import (
 	"mixedrel"
 	"mixedrel/internal/arch"
 	"mixedrel/internal/exec"
+	"mixedrel/internal/fp"
 )
 
 // options is beamsim's validated command line.
@@ -45,7 +46,7 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 	fs.SetOutput(errOut)
 	deviceName := fs.String("device", "gpu", "device model: fpga, xeonphi, gpu")
 	kernelName := fs.String("kernel", "mxm", "kernel: mxm, lavamd, lud, hotspot, cg, micro-add, micro-mul, micro-fma, mnist, yolo")
-	formatName := fs.String("format", "single", "precision: half, single, double")
+	formatName := fs.String("format", "single", "precision: half, bfloat16, single, double")
 	trials := fs.Int("trials", 2000, "simulated strikes")
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	size := fs.Int("size", 16, "kernel size parameter (matrix n, micro ops/thread)")
@@ -83,7 +84,7 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 		o.kernel, err = pickKernel(*kernelName, *size, *seed)
 	}
 	if err == nil {
-		o.format, err = pickFormat(*formatName)
+		o.format, err = fp.ParseFormat(*formatName)
 	}
 	if err == nil && !o.device.Supports(o.format) {
 		err = fmt.Errorf("%s does not implement %v", o.device.Name(), o.format)
@@ -195,18 +196,6 @@ func pickKernel(name string, size int, seed uint64) (func() mixedrel.Kernel, err
 		return func() mixedrel.Kernel { return mixedrel.NewYOLO(seed) }, nil
 	}
 	return nil, fmt.Errorf("unknown kernel %q", name)
-}
-
-func pickFormat(name string) (mixedrel.Format, error) {
-	switch strings.ToLower(name) {
-	case "half", "fp16", "binary16":
-		return mixedrel.Half, nil
-	case "single", "float", "fp32", "binary32":
-		return mixedrel.Single, nil
-	case "double", "fp64", "binary64":
-		return mixedrel.Double, nil
-	}
-	return 0, fmt.Errorf("unknown format %q", name)
 }
 
 func fail(err error) {

@@ -61,6 +61,11 @@ func TestParseArgsAcceptsGoodUsage(t *testing.T) {
 	if k := o.kernel(); k.Name() != mixedrel.NewGEMM(8, 7).Name() {
 		t.Fatalf("kernel %s", k.Name())
 	}
+	for _, name := range []string{"bfloat16", "bf16"} {
+		if o, err := parseArgs([]string{"-device", "gpu", "-format", name}, &errOut); err != nil || o.format != mixedrel.BFloat16 {
+			t.Fatalf("-format %s: %v", name, err)
+		}
+	}
 	if _, err := parseArgs([]string{"-help"}, &errOut); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-help: %v", err)
 	}

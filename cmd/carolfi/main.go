@@ -22,13 +22,14 @@ import (
 
 	"mixedrel"
 	"mixedrel/internal/exec"
+	"mixedrel/internal/fp"
 	"mixedrel/internal/report"
 	"mixedrel/internal/telemetry"
 )
 
 func main() {
 	kernelName := flag.String("kernel", "mxm", "kernel: mxm, lavamd, lud, hotspot, cg, micro-add, micro-mul, micro-fma, mnist, yolo")
-	formatName := flag.String("format", "single", "precision: half, single, double")
+	formatName := flag.String("format", "single", "precision: half, bfloat16, single, double")
 	faults := flag.Int("faults", 2000, "injected faults (one per execution)")
 	seed := flag.Uint64("seed", 1, "campaign seed")
 	size := flag.Int("size", 16, "kernel size parameter")
@@ -87,7 +88,7 @@ func main() {
 	if err != nil {
 		failUsage(err)
 	}
-	format, err := pickFormat(*formatName)
+	format, err := fp.ParseFormat(*formatName)
 	if err != nil {
 		failUsage(err)
 	}
@@ -233,18 +234,6 @@ func pickKernel(name string, size int, seed uint64) (mixedrel.Kernel, error) {
 		return mixedrel.NewYOLO(seed), nil
 	}
 	return nil, fmt.Errorf("unknown kernel %q", name)
-}
-
-func pickFormat(name string) (mixedrel.Format, error) {
-	switch strings.ToLower(name) {
-	case "half", "fp16", "binary16":
-		return mixedrel.Half, nil
-	case "single", "float", "fp32", "binary32":
-		return mixedrel.Single, nil
-	case "double", "fp64", "binary64":
-		return mixedrel.Double, nil
-	}
-	return 0, fmt.Errorf("unknown format %q", name)
 }
 
 func pickSites(s string) ([]mixedrel.Site, error) {

@@ -23,6 +23,7 @@ import (
 
 	"mixedrel"
 	"mixedrel/internal/exec"
+	"mixedrel/internal/fp"
 	"mixedrel/internal/report"
 	"mixedrel/internal/telemetry"
 )
@@ -263,9 +264,12 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// parseFormats resolves -formats against the device: empty means every
+// paper precision the device supports, and an explicit format the
+// device does not implement is an error, not a mid-sweep failure.
 func parseFormats(s string, device mixedrel.Device) ([]mixedrel.Format, error) {
+	var out []mixedrel.Format
 	if s == "" {
-		var out []mixedrel.Format
 		for _, f := range mixedrel.Formats {
 			if device.Supports(f) {
 				out = append(out, f)
@@ -273,21 +277,18 @@ func parseFormats(s string, device mixedrel.Device) ([]mixedrel.Format, error) {
 		}
 		return out, nil
 	}
-	var out []mixedrel.Format
 	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(strings.ToLower(part)) {
-		case "half", "fp16":
-			out = append(out, mixedrel.Half)
-		case "bfloat16", "bf16":
-			out = append(out, mixedrel.BFloat16)
-		case "single", "fp32":
-			out = append(out, mixedrel.Single)
-		case "double", "fp64":
-			out = append(out, mixedrel.Double)
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown format %q", part)
+		if strings.TrimSpace(part) == "" {
+			continue
 		}
+		f, err := fp.ParseFormat(part)
+		if err != nil {
+			return nil, err
+		}
+		if !device.Supports(f) {
+			return nil, fmt.Errorf("%s does not implement %v", device.Name(), f)
+		}
+		out = append(out, f)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no formats given")

@@ -22,6 +22,7 @@ package fp
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Format identifies one of the IEEE-754 binary interchange formats used
@@ -58,6 +59,23 @@ func (f Format) String() string {
 		return "bfloat16"
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
+}
+
+// ParseFormat returns the format a command line names: its String()
+// name or a common alias (fp16, binary16, bf16, fp32, float, binary32,
+// fp64, binary64), in any case.
+func ParseFormat(name string) (Format, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "half", "fp16", "binary16":
+		return Half, nil
+	case "bfloat16", "bf16":
+		return BFloat16, nil
+	case "single", "float", "fp32", "binary32":
+		return Single, nil
+	case "double", "fp64", "binary64":
+		return Double, nil
+	}
+	return 0, fmt.Errorf("unknown format %q", name)
 }
 
 // Width returns the total encoding width in bits (16, 32, or 64).

@@ -2,6 +2,7 @@ package fp
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,26 @@ func TestFormatStrings(t *testing.T) {
 	}
 	if Format(99).String() == "" {
 		t.Error("unknown format should still stringify")
+	}
+}
+
+// TestParseFormat: every format parses back from its String() name in
+// any case, every alias names its format, and anything else is an error.
+func TestParseFormat(t *testing.T) {
+	names := map[string]Format{"fp16": Half, "binary16": Half, "bf16": BFloat16, "fp32": Single,
+		"float": Single, "binary32": Single, "fp64": Double, "binary64": Double}
+	for _, f := range AllFormats {
+		names[f.String()], names[strings.ToUpper(f.String())] = f, f
+	}
+	for name, want := range names {
+		if got, err := ParseFormat(name); err != nil || got != want {
+			t.Errorf("ParseFormat(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "fp8", "Format(99)"} {
+		if _, err := ParseFormat(bad); err == nil {
+			t.Errorf("ParseFormat(%q) accepted", bad)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mixedrel"
+	"mixedrel/internal/stats"
 )
 
 func TestPublicEndToEnd(t *testing.T) {
@@ -246,5 +247,27 @@ func TestPublicReproduceAll(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "[fig13]") || !strings.Contains(sb.String(), "[ext-mitigation]") {
 		t.Error("ReproduceAll output incomplete")
+	}
+}
+
+// TestSamplingEfficiency checks the adaptive engine's claim on its
+// reference campaign (EXPERIMENTS.md, sampling efficiency): LUD(12),
+// single, operand+memory+control, seed 7, to a 0.01 CI half-width. It
+// must stop early, having spent at most a fifth of the uniform Wilson
+// need at the stratified estimates (it spends 1,112 samples, a 7.2x
+// reduction).
+func TestSamplingEfficiency(t *testing.T) {
+	const hw = 0.01
+	res, err := mixedrel.InjectionCampaign{
+		Kernel: mixedrel.NewLUD(12, 1), Format: mixedrel.Single, Faults: 40000, Seed: 7,
+		Sites:    []mixedrel.Site{mixedrel.SiteOperand, mixedrel.SiteMemory, mixedrel.SiteControl},
+		Sampling: &mixedrel.Sampling{Adaptive: true, CIHalfWidth: hw},
+	}.Run()
+	if err != nil || !res.EarlyStopped {
+		t.Fatalf("campaign did not stop early: %v", err)
+	}
+	need := max(stats.WilsonSamplesFor(res.StratifiedPVF, hw, 0.95), stats.WilsonSamplesFor(res.StratifiedPDUE, hw, 0.95))
+	if r := float64(need) / float64(res.Faults); r < 5 {
+		t.Errorf("spent %d samples, uniform need %d: %.2fx reduction, want at least 5x", res.Faults, need, r)
 	}
 }

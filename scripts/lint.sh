@@ -19,6 +19,10 @@ patterns=("${@:-./...}")
 
 echo "go vet ${patterns[*]}"
 "$GO" vet "${patterns[@]}"
+# The build-tagged test files (make prove-fp16, make bench-telemetry,
+# make bench-chaos) are vetted too, so they cannot rot between runs.
+echo "go vet -tags prove16,overhead ${patterns[*]}"
+"$GO" vet -tags prove16,overhead "${patterns[@]}"
 
 echo "gofmt -l ${patterns[*]}"
 files=$("$GO" list -f '{{$d := .Dir}}{{range .GoFiles}}{{$d}}/{{.}} {{end}}{{range .CgoFiles}}{{$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$d}}/{{.}} {{end}}{{range .TestGoFiles}}{{$d}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$d}}/{{.}} {{end}}' "${patterns[@]}")
