@@ -16,7 +16,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 
 	"mixedrel"
 	"mixedrel/internal/arch"
@@ -78,10 +77,10 @@ func parseArgs(args []string, errOut io.Writer) (*options, error) {
 		err = fmt.Errorf("-sample-workers must be positive, got %d", *sampleWorkers)
 	}
 	if err == nil {
-		o.device, err = pickDevice(*deviceName)
+		o.device, err = mixedrel.ParseDevice(*deviceName)
 	}
 	if err == nil {
-		o.kernel, err = pickKernel(*kernelName, *size, *seed)
+		o.kernel, err = mixedrel.ParseKernel(*kernelName, *size, *seed)
 	}
 	if err == nil {
 		o.format, err = fp.ParseFormat(*formatName)
@@ -156,46 +155,6 @@ func main() {
 	for _, p := range mixedrel.TRECurve(res.FITSDC, res.RelErrs, nil) {
 		fmt.Printf("  TRE %6.3g%%  FIT %.4g  (-%5.1f%%)\n", 100*p.TRE, p.FIT, 100*p.Reduction)
 	}
-}
-
-func pickDevice(name string) (mixedrel.Device, error) {
-	switch strings.ToLower(name) {
-	case "fpga", "zynq":
-		return mixedrel.NewFPGA(), nil
-	case "xeonphi", "phi", "knc":
-		return mixedrel.NewXeonPhi(), nil
-	case "gpu", "volta", "titanv":
-		return mixedrel.NewGPU(), nil
-	}
-	return nil, fmt.Errorf("unknown device %q", name)
-}
-
-// pickKernel resolves a kernel name to its constructor, leaving the
-// (for MNIST, training) cost of building it to the caller.
-func pickKernel(name string, size int, seed uint64) (func() mixedrel.Kernel, error) {
-	switch strings.ToLower(name) {
-	case "mxm", "gemm":
-		return func() mixedrel.Kernel { return mixedrel.NewGEMM(size, seed) }, nil
-	case "lavamd":
-		return func() mixedrel.Kernel { return mixedrel.NewLavaMD(2, size/4+1, seed) }, nil
-	case "lud":
-		return func() mixedrel.Kernel { return mixedrel.NewLUD(size, seed) }, nil
-	case "hotspot":
-		return func() mixedrel.Kernel { return mixedrel.NewHotspot(size, 8, seed) }, nil
-	case "cg":
-		return func() mixedrel.Kernel { return mixedrel.NewCG(size, size, seed) }, nil
-	case "micro-add":
-		return func() mixedrel.Kernel { return mixedrel.NewMicro(mixedrel.MicroADD, 4, size, seed) }, nil
-	case "micro-mul":
-		return func() mixedrel.Kernel { return mixedrel.NewMicro(mixedrel.MicroMUL, 4, size, seed) }, nil
-	case "micro-fma":
-		return func() mixedrel.Kernel { return mixedrel.NewMicro(mixedrel.MicroFMA, 4, size, seed) }, nil
-	case "mnist":
-		return func() mixedrel.Kernel { return mixedrel.NewMNIST(1, seed) }, nil
-	case "yolo", "yolov3":
-		return func() mixedrel.Kernel { return mixedrel.NewYOLO(seed) }, nil
-	}
-	return nil, fmt.Errorf("unknown kernel %q", name)
 }
 
 func fail(err error) {

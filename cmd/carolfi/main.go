@@ -84,10 +84,11 @@ func main() {
 
 	exec.SetMaxWorkers(*workers)
 
-	kernel, err := pickKernel(*kernelName, *size, *seed)
+	newKernel, err := mixedrel.ParseKernel(*kernelName, *size, *seed)
 	if err != nil {
 		failUsage(err)
 	}
+	kernel := newKernel()
 	format, err := fp.ParseFormat(*formatName)
 	if err != nil {
 		failUsage(err)
@@ -208,32 +209,6 @@ func strataTable(res *mixedrel.InjectionResult) *report.Table {
 			fmt.Sprint(s.Masked), p)
 	}
 	return t
-}
-
-func pickKernel(name string, size int, seed uint64) (mixedrel.Kernel, error) {
-	switch strings.ToLower(name) {
-	case "mxm", "gemm":
-		return mixedrel.NewGEMM(size, seed), nil
-	case "lavamd":
-		return mixedrel.NewLavaMD(2, size/4+1, seed), nil
-	case "lud":
-		return mixedrel.NewLUD(size, seed), nil
-	case "hotspot":
-		return mixedrel.NewHotspot(size, 8, seed), nil
-	case "cg":
-		return mixedrel.NewCG(size, size, seed), nil
-	case "micro-add":
-		return mixedrel.NewMicro(mixedrel.MicroADD, 4, size, seed), nil
-	case "micro-mul":
-		return mixedrel.NewMicro(mixedrel.MicroMUL, 4, size, seed), nil
-	case "micro-fma":
-		return mixedrel.NewMicro(mixedrel.MicroFMA, 4, size, seed), nil
-	case "mnist":
-		return mixedrel.NewMNIST(1, seed), nil
-	case "yolo", "yolov3":
-		return mixedrel.NewYOLO(seed), nil
-	}
-	return nil, fmt.Errorf("unknown kernel %q", name)
 }
 
 func pickSites(s string) ([]mixedrel.Site, error) {

@@ -86,7 +86,7 @@ func main() {
 
 	exec.SetMaxWorkers(*workers)
 
-	device, err := pickDevice(*deviceName)
+	device, err := mixedrel.ParseDevice(*deviceName)
 	if err != nil {
 		failUsage(err)
 	}
@@ -214,18 +214,6 @@ func pow(x float64, n int) float64 {
 		out *= x
 	}
 	return out
-}
-
-func pickDevice(name string) (mixedrel.Device, error) {
-	switch strings.ToLower(name) {
-	case "fpga", "zynq":
-		return mixedrel.NewFPGA(), nil
-	case "xeonphi", "phi", "knc":
-		return mixedrel.NewXeonPhi(), nil
-	case "gpu", "volta", "titanv":
-		return mixedrel.NewGPU(), nil
-	}
-	return nil, fmt.Errorf("unknown device %q", name)
 }
 
 // pickKernel returns the kernel plus the exponent relating size to

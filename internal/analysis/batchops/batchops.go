@@ -1,9 +1,10 @@
 // Package batchops flags per-element fp.Env arithmetic loops in the
-// kernels package when a batch operation expresses the same sequence.
+// kernels package, where a batch operation may express the same
+// sequence.
 //
 // The batch execution layer (fp.BatchEnv and the package-level
-// DotFMA/AddN/MulN/FMAN/AXPY/DotFMABlock/GemmFMA helpers) is only worth
-// its correctness obligations if the kernels actually route their inner
+// fp.DotFMA, fp.AXPY and fp.GemmFMA helpers) is only worth its
+// correctness obligations if the kernels actually route their inner
 // loops through it: a scalar `env.FMA` loop that could have been a
 // DotFMA chain silently forgoes the machine fast path and re-introduces
 // the per-operation dispatch cost the layer exists to remove. The
@@ -28,19 +29,14 @@ import (
 // Analyzer is the batchops invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name:     "batchops",
-	Doc:      "flag per-element Add/Mul/FMA loops over fp.Env in kernels; use the fp batch helpers or annotate why the scalar order is the contract",
+	Doc:      "flag per-element Add/Mul/FMA loops over fp.Env in kernels; use fp.DotFMA, fp.AXPY or fp.GemmFMA or annotate why the scalar order is the contract",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
 
-// batchFor maps a scalar Env method to the package helpers expressing
-// the same operation sequence batched. Methods without a batch form
-// (Sub, Div, Sqrt, Exp) are never flagged.
-var batchFor = map[string]string{
-	"Add": "fp.AddN",
-	"Mul": "fp.MulN",
-	"FMA": "fp.FMAN, fp.AXPY or fp.DotFMA",
-}
+// flagged are the scalar Env methods whose loops the analyzer reports.
+// Sub, Div, Sqrt and Exp loops are never flagged.
+var flagged = map[string]bool{"Add": true, "Mul": true, "FMA": true}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	// The batch helpers are a kernels-facing contract; other packages
@@ -61,8 +57,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !ok {
 			return true
 		}
-		helpers, ok := batchFor[sel.Sel.Name]
-		if !ok {
+		if !flagged[sel.Sel.Name] {
 			return true
 		}
 		tv, ok := pass.TypesInfo.Types[sel.X]
@@ -79,7 +74,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 		}
-		pass.Reportf(loop.Pos(), "loop applies scalar env.%s per element; batch it through %s, or annotate //mixedrelvet:allow batchops <reason> if the scalar order is the contract", sel.Sel.Name, helpers)
+		pass.Reportf(loop.Pos(), "loop applies scalar env.%s per element; batch it through fp.DotFMA, fp.AXPY or fp.GemmFMA, or annotate //mixedrelvet:allow batchops <reason> if the scalar order is the contract", sel.Sel.Name)
 		return true
 	})
 	return nil, nil

@@ -1,7 +1,7 @@
 // Package fp is a stand-in for mixedrel/internal/fp: the Env interface
-// the analyzer matches receivers against, plus representative batch
-// helpers. The analyzer skips this package (only "kernels" is checked),
-// so the scalar fallback loops below are not flagged.
+// the analyzer matches receivers against, plus a representative batch
+// helper. The analyzer skips this package (only "kernels" is checked),
+// so the scalar fallback loop below is not flagged.
 package fp
 
 type Bits uint64
@@ -16,13 +16,6 @@ type Env interface {
 	Mul(a, b Bits) Bits
 	Div(a, b Bits) Bits
 	FMA(a, b, c Bits) Bits
-}
-
-// AddN sets dst[i] = env.Add(a[i], b[i]).
-func AddN(env Env, dst, a, b []Bits) {
-	for i, ai := range a {
-		dst[i] = env.Add(ai, b[i])
-	}
 }
 
 // DotFMA folds acc through the chain acc = env.FMA(a[i], b[i], acc).

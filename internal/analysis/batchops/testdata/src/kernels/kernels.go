@@ -56,8 +56,7 @@ func allowedNest(env fp.Env, t []fp.Bits, n int) {
 // batched is the intended shape: helper calls are fine inside loops.
 func batched(env fp.Env, dst, a, b []fp.Bits) {
 	for it := 0; it < 3; it++ {
-		fp.AddN(env, dst, a, b)
-		_ = fp.DotFMA(env, dst[0], a, b)
+		dst[it] = fp.DotFMA(env, dst[0], a, b)
 	}
 }
 

@@ -323,6 +323,21 @@ func mapOn(d arch.Device, w arch.Workload, f fp.Format) (*arch.Mapping, error) {
 	return m, nil
 }
 
+// timeRow maps workload w on device d in each format and returns the
+// execution-time row of Tables 1–3: the benchmark name, then one modeled
+// time per format. Each runGrid job passes its own device.
+func timeRow(d arch.Device, name string, w arch.Workload, formats []fp.Format) ([][]string, error) {
+	row := []string{name}
+	for _, f := range formats {
+		m, err := mapOn(d, w, f)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, fmtSec(m.Time))
+	}
+	return [][]string{row}, nil
+}
+
 // fmtSec renders a modeled duration the way the paper's tables do.
 func fmtSec(d time.Duration) string { return fmt.Sprintf("%.3fs", d.Seconds()) }
 

@@ -31,20 +31,10 @@ func Table1(cfg Config) (*report.Table, error) {
 			"shape: double slowest; half slower than single (LUT-mapped half multiplier)",
 		},
 	}
-	d := fpga.New()
-	for _, name := range []string{"MNIST", "MxM"} {
-		w := fpgaWorkloads()[name]
-		row := []string{name}
-		for _, f := range []fp.Format{fp.Double, fp.Single, fp.Half} {
-			m, err := mapOn(d, w, f)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtSec(m.Time))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	names := []string{"MNIST", "MxM"}
+	return runGrid(cfg, t, len(names), func(i int) ([][]string, error) {
+		return timeRow(fpga.New(), names[i], fpgaWorkloads()[names[i]], []fp.Format{fp.Double, fp.Single, fp.Half})
+	})
 }
 
 // Fig2 reproduces the FPGA resource-utilization figure.

@@ -47,19 +47,10 @@ func Table3(cfg Config) (*report.Table, error) {
 			"per-layer conversion overhead)",
 		},
 	}
-	d := gpu.New()
-	for _, name := range []string{"Micro-MUL", "Micro-ADD", "Micro-FMA", "LavaMD", "MxM", "YOLOv3"} {
-		row := []string{name}
-		for _, f := range gpuFormats {
-			m, err := mapOn(d, gpuWorkloads()[name], f)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtSec(m.Time))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	names := []string{"Micro-MUL", "Micro-ADD", "Micro-FMA", "LavaMD", "MxM", "YOLOv3"}
+	return runGrid(cfg, t, len(names), func(i int) ([][]string, error) {
+		return timeRow(gpu.New(), names[i], gpuWorkloads()[names[i]], gpuFormats)
+	})
 }
 
 // gpuBeam runs the beam campaign for one GPU benchmark and format.

@@ -40,19 +40,9 @@ func Table2(cfg Config) (*report.Table, error) {
 			"(prefetcher covers fewer elements per request in single)",
 		},
 	}
-	d := xeonphi.New()
-	for _, name := range phiOrder {
-		row := []string{name}
-		for _, f := range phiFormats {
-			m, err := mapOn(d, phiWorkloads()[name], f)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtSec(m.Time))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return runGrid(cfg, t, len(phiOrder), func(i int) ([][]string, error) {
+		return timeRow(xeonphi.New(), phiOrder[i], phiWorkloads()[phiOrder[i]], phiFormats)
+	})
 }
 
 // phiBeam runs the beam campaign for one Phi benchmark and format.

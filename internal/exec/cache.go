@@ -46,7 +46,7 @@ func (a *Artifacts) ArrayLens() []int { return a.lens }
 func (a *Artifacts) Results() []fp.Bits { return a.results }
 
 // Prog returns the compiled trace program for the configuration — the
-// optimized region IR over the same result trace Results() exposes —
+// region IR over the same result trace Results() exposes —
 // or nil when the execution overflowed the compilation cap. Immutable
 // and safe for concurrent replays.
 func (a *Artifacts) Prog() *traceir.Program { return a.prog }

@@ -23,12 +23,14 @@ func getF64(n int) *f64Buf {
 
 func putF64(b *f64Buf) { f64Pool.Put(b) }
 
-// BatchEnv is an optional extension of Env for kernel inner loops. Each
-// batch operation is defined as *exactly* the sequence of scalar Env
-// operations its fallback performs — same operation kinds, same order,
-// same per-element round-to-nearest-even — so implementations may only
-// differ in speed, never in bits. Kernels never call these methods
-// directly; they go through the package-level DotFMA/AddN/MulN/FMAN/AXPY
+// BatchEnv is an optional extension of Env for kernel inner loops, with
+// exactly the three shapes the kernels call: an FMA chain (DotFMA), a
+// broadcast multiply-accumulate (AXPY) and a grid of chains (GemmFMA).
+// Each batch operation is defined as *exactly* the sequence of scalar
+// Env operations its fallback performs — same operation kinds, same
+// order, same per-element round-to-nearest-even — so implementations may
+// only differ in speed, never in bits. Kernels never call these methods
+// directly; they go through the package-level DotFMA/AXPY/GemmFMA
 // helpers, which decompose into scalar Env calls whenever the
 // environment does not implement BatchEnv. That keeps every wrapper that
 // intercepts scalar operations (injectors, recorders, custom
@@ -36,31 +38,17 @@ func putF64(b *f64Buf) { f64Pool.Put(b) }
 // only environments that explicitly implement BatchEnv take over a
 // batch, and they are responsible for preserving scalar semantics.
 //
-// Slice contracts: a, b, c and x must have at least len(a) (respectively
-// len(x) for AXPY) elements; dst must be at least as long as the driving
-// slice. dst may alias c in FMAN and is itself the accumulator in AXPY,
-// but must not otherwise alias the inputs.
+// Slice contracts: b must have at least len(a) elements and dst at
+// least len(x); dst is itself the accumulator in AXPY and must not
+// otherwise alias the inputs.
 type BatchEnv interface {
 	Env
 	// DotFMA folds acc through the chain acc = FMA(a[i], b[i], acc)
 	// for i = 0..len(a)-1 and returns the final accumulator.
 	DotFMA(acc Bits, a, b []Bits) Bits
-	// AddN sets dst[i] = Add(a[i], b[i]).
-	AddN(dst, a, b []Bits)
-	// MulN sets dst[i] = Mul(a[i], b[i]).
-	MulN(dst, a, b []Bits)
-	// FMAN sets dst[i] = FMA(a[i], b[i], c[i]).
-	FMAN(dst, a, b, c []Bits)
 	// AXPY sets dst[i] = FMA(s, x[i], dst[i]) — the broadcast
 	// multiply-accumulate of elimination updates.
 	AXPY(dst []Bits, s Bits, x []Bits)
-	// DotFMABlock computes len(out) independent dot-product chains
-	// against one shared vector: out[t] = DotFMA(acc, u,
-	// v[t*stride:t*stride+len(u)]), chain t strictly before chain t+1.
-	// The chains are mutually independent, so a fast path may overlap
-	// their (individually serial) computations without any observable
-	// difference; instrumented environments must run them in order.
-	DotFMABlock(out []Bits, acc Bits, u, v []Bits, stride int)
 	// GemmFMA computes the rows x cols grid of independent chains
 	// out[i*cols+j] = DotFMA(acc_i, a[i*k:(i+1)*k], bt[j*k:(j+1)*k])
 	// in row-major (i, j) order, where acc_i is accs[i], or
@@ -85,39 +73,6 @@ func DotFMA(env Env, acc Bits, a, b []Bits) Bits {
 	return acc
 }
 
-// AddN sets dst[i] = env.Add(a[i], b[i]) for i = 0..len(a)-1.
-func AddN(env Env, dst, a, b []Bits) {
-	if be, ok := env.(BatchEnv); ok {
-		be.AddN(dst, a, b)
-		return
-	}
-	for i, ai := range a {
-		dst[i] = env.Add(ai, b[i])
-	}
-}
-
-// MulN sets dst[i] = env.Mul(a[i], b[i]) for i = 0..len(a)-1.
-func MulN(env Env, dst, a, b []Bits) {
-	if be, ok := env.(BatchEnv); ok {
-		be.MulN(dst, a, b)
-		return
-	}
-	for i, ai := range a {
-		dst[i] = env.Mul(ai, b[i])
-	}
-}
-
-// FMAN sets dst[i] = env.FMA(a[i], b[i], c[i]) for i = 0..len(a)-1.
-func FMAN(env Env, dst, a, b, c []Bits) {
-	if be, ok := env.(BatchEnv); ok {
-		be.FMAN(dst, a, b, c)
-		return
-	}
-	for i, ai := range a {
-		dst[i] = env.FMA(ai, b[i], c[i])
-	}
-}
-
 // AXPY sets dst[i] = env.FMA(s, x[i], dst[i]) for i = 0..len(x)-1.
 func AXPY(env Env, dst []Bits, s Bits, x []Bits) {
 	if be, ok := env.(BatchEnv); ok {
@@ -126,20 +81,6 @@ func AXPY(env Env, dst []Bits, s Bits, x []Bits) {
 	}
 	for i, xi := range x {
 		dst[i] = env.FMA(s, xi, dst[i])
-	}
-}
-
-// DotFMABlock computes out[t] = DotFMA(env, acc, u,
-// v[t*stride:t*stride+len(u)]) for t = 0..len(out)-1 — the row-times-
-// matrix shape of GEMM and im2col convolution — using env's batch fast
-// path when it has one.
-func DotFMABlock(env Env, out []Bits, acc Bits, u, v []Bits, stride int) {
-	if be, ok := env.(BatchEnv); ok {
-		be.DotFMABlock(out, acc, u, v, stride)
-		return
-	}
-	for t := range out {
-		out[t] = DotFMA(env, acc, u, v[t*stride:t*stride+len(u)])
 	}
 }
 
@@ -214,7 +155,9 @@ func GemmFMA(env Env, out, accs, a, bt []Bits, rows, cols, k int) {
 		if accs != nil {
 			acc = accs[i]
 		}
-		DotFMABlock(env, out[i*cols:(i+1)*cols], acc, a[i*k:(i+1)*k], bt, k)
+		for j := 0; j < cols; j++ {
+			out[i*cols+j] = DotFMA(env, acc, a[i*k:(i+1)*k], bt[j*k:(j+1)*k])
+		}
 	}
 }
 
@@ -266,7 +209,10 @@ func (m *Machine) DotFMA(acc Bits, a, b []Bits) Bits {
 	return acc
 }
 
-// AddN implements BatchEnv.
+// AddN sets dst[i] = m.Add(a[i], b[i]) for i = 0..len(a)-1 at the
+// machine's batch speed. It is a plain method outside BatchEnv: no
+// kernel issues element-wise batches, and it serves as the per-operation
+// cost probe and the batch path of the exhaustive 16-bit proofs.
 //
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) AddN(dst, a, b []Bits) {
@@ -294,7 +240,10 @@ func (m *Machine) AddN(dst, a, b []Bits) {
 	}
 }
 
-// MulN implements BatchEnv.
+// MulN sets dst[i] = m.Mul(a[i], b[i]) for i = 0..len(a)-1 at the
+// machine's batch speed. It is a plain method outside BatchEnv: no
+// kernel issues element-wise batches, and it serves as the per-operation
+// cost probe and the batch path of the exhaustive 16-bit proofs.
 //
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) MulN(dst, a, b []Bits) {
@@ -322,7 +271,10 @@ func (m *Machine) MulN(dst, a, b []Bits) {
 	}
 }
 
-// FMAN implements BatchEnv.
+// FMAN sets dst[i] = m.FMA(a[i], b[i], c[i]) for i = 0..len(a)-1 at the
+// machine's batch speed. It is a plain method outside BatchEnv: no
+// kernel issues element-wise batches, and it serves as the per-operation
+// cost probe and the batch path of the exhaustive 16-bit proofs.
 //
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) FMAN(dst, a, b, c []Bits) {
@@ -532,22 +484,15 @@ func (m *Machine) dotStrike(acc Bits, a, b []Bits, s Strike, w int) Bits {
 	return m.DotFMA(acc, a[i:], b[i:])
 }
 
-// DotFMABlock implements BatchEnv. Double chains advance eight at a
-// time and 16-bit ones four at a time through the plain kernels; each
-// chain's own operation sequence is untouched, so every out[t] is
-// bit-identical to a standalone DotFMA over the same slices. The shared
-// vector u is decoded once per step for the whole group. Single chains
-// run one by one: the workload kernels reach binary32 chains in bulk
-// only through GemmFMA, whose GemmStrike interleaves them on predecoded
-// operands.
-//
-//mixedrelvet:hotpath vectorized softfloat inner loop
-func (m *Machine) DotFMABlock(out []Bits, acc Bits, u, v []Bits, stride int) {
-	m.dotBlock(out, acc, u, v, stride, noStrike, 0)
-}
-
-// dotBlock is DotFMABlock under strike schedule s, with chain out[t]'s
-// first FMA at window offset w + t*len(u).
+// dotBlock computes len(out) chains against one shared vector,
+// out[t] = DotFMA(acc, u, v[t*stride:t*stride+len(u)]), under strike
+// schedule s, with chain out[t]'s first FMA at window offset
+// w + t*len(u). Double chains advance eight at a time and 16-bit ones
+// four at a time through the plain kernels; each chain's own operation
+// sequence is untouched, so every out[t] is bit-identical to a
+// standalone DotFMA over the same slices. The shared vector u is decoded
+// once per step for the whole group. Single chains run one by one here:
+// GemmStrike interleaves binary32 grids on predecoded operands instead.
 //
 //mixedrelvet:hotpath vectorized softfloat inner loop
 func (m *Machine) dotBlock(out []Bits, acc Bits, u, v []Bits, stride int, s Strike, w int) {
@@ -686,7 +631,7 @@ func (m *Machine) GemmFMA(out, accs, a, bt []Bits, rows, cols, k int) {
 // chain's own FMA sequence stays serial. For Single the operand
 // matrices are decoded to binary64 once up front (float32 -> float64 is
 // exact, so this is bit-neutral) — that removes the two convert-on-load
-// instructions per FMA that bound DotFMABlock's throughput — and eight
+// instructions per FMA that bound a per-row dotBlock's throughput — and eight
 // chains advance together. The other formats gain nothing from operand
 // predecoding (Double decodes are free bit reinterpretations; the 16-bit
 // formats decode via table loads either way), so they run per-row
@@ -773,31 +718,12 @@ func (m *Machine) GemmStrike(out, accs, a, bt []Bits, rows, cols, k, first int, 
 // the batch to its inner environment through the package helpers — so an
 // inner machine keeps its fast path while an inner recorder or injector
 // still sees every scalar operation. The resulting counts are identical
-// to the decomposed loop's: one OpFMA per chain element, one OpAdd/OpMul
-// per pair.
+// to the decomposed loop's: one OpFMA per chain, AXPY or grid element.
 
 // DotFMA implements BatchEnv.
 func (c *Counting) DotFMA(acc Bits, a, b []Bits) Bits {
 	c.Counts.ByOp[OpFMA] += uint64(len(a))
 	return DotFMA(c.Inner, acc, a, b)
-}
-
-// AddN implements BatchEnv.
-func (c *Counting) AddN(dst, a, b []Bits) {
-	c.Counts.ByOp[OpAdd] += uint64(len(a))
-	AddN(c.Inner, dst, a, b)
-}
-
-// MulN implements BatchEnv.
-func (c *Counting) MulN(dst, a, b []Bits) {
-	c.Counts.ByOp[OpMul] += uint64(len(a))
-	MulN(c.Inner, dst, a, b)
-}
-
-// FMAN implements BatchEnv.
-func (c *Counting) FMAN(dst, a, b, x []Bits) {
-	c.Counts.ByOp[OpFMA] += uint64(len(a))
-	FMAN(c.Inner, dst, a, b, x)
 }
 
 // AXPY implements BatchEnv.
@@ -806,41 +732,21 @@ func (c *Counting) AXPY(dst []Bits, s Bits, x []Bits) {
 	AXPY(c.Inner, dst, s, x)
 }
 
-// DotFMABlock implements BatchEnv.
-func (c *Counting) DotFMABlock(out []Bits, acc Bits, u, v []Bits, stride int) {
-	c.Counts.ByOp[OpFMA] += uint64(len(out)) * uint64(len(u))
-	DotFMABlock(c.Inner, out, acc, u, v, stride)
-}
-
 // GemmFMA implements BatchEnv.
 func (c *Counting) GemmFMA(out, accs, a, bt []Bits, rows, cols, k int) {
 	c.Counts.ByOp[OpFMA] += uint64(rows) * uint64(cols) * uint64(k)
 	GemmFMA(c.Inner, out, accs, a, bt, rows, cols, k)
 }
 
-// ExpDecomp only intercepts Exp, so batches of Add/Mul/FMA pass straight
+// ExpDecomp only intercepts Exp, so FMA batches pass straight
 // through to the inner environment (keeping its fast path or its scalar
 // instrumentation, whichever it has).
 
 // DotFMA implements BatchEnv.
 func (e *ExpDecomp) DotFMA(acc Bits, a, b []Bits) Bits { return DotFMA(e.Inner, acc, a, b) }
 
-// AddN implements BatchEnv.
-func (e *ExpDecomp) AddN(dst, a, b []Bits) { AddN(e.Inner, dst, a, b) }
-
-// MulN implements BatchEnv.
-func (e *ExpDecomp) MulN(dst, a, b []Bits) { MulN(e.Inner, dst, a, b) }
-
-// FMAN implements BatchEnv.
-func (e *ExpDecomp) FMAN(dst, a, b, c []Bits) { FMAN(e.Inner, dst, a, b, c) }
-
 // AXPY implements BatchEnv.
 func (e *ExpDecomp) AXPY(dst []Bits, s Bits, x []Bits) { AXPY(e.Inner, dst, s, x) }
-
-// DotFMABlock implements BatchEnv.
-func (e *ExpDecomp) DotFMABlock(out []Bits, acc Bits, u, v []Bits, stride int) {
-	DotFMABlock(e.Inner, out, acc, u, v, stride)
-}
 
 // GemmFMA implements BatchEnv.
 func (e *ExpDecomp) GemmFMA(out, accs, a, bt []Bits, rows, cols, k int) {

@@ -95,22 +95,22 @@ func FuzzBatchScalarEquivalence(f *testing.F) {
 		}
 		gotN := make([]Bits, n)
 		wantN := make([]Bits, n)
-		AddN(m, gotN, a, b)
-		AddN(ref, wantN, a, b)
+		m.AddN(gotN, a, b)
+		addN(ref, wantN, a, b)
 		for i := range gotN {
 			if gotN[i] != wantN[i] {
 				t.Fatalf("%v AddN[%d]: batch %#x != scalar %#x", format, i, gotN[i], wantN[i])
 			}
 		}
-		MulN(m, gotN, a, b)
-		MulN(ref, wantN, a, b)
+		m.MulN(gotN, a, b)
+		mulN(ref, wantN, a, b)
 		for i := range gotN {
 			if gotN[i] != wantN[i] {
 				t.Fatalf("%v MulN[%d]: batch %#x != scalar %#x", format, i, gotN[i], wantN[i])
 			}
 		}
-		FMAN(m, gotN, a, b, c)
-		FMAN(ref, wantN, a, b, c)
+		m.FMAN(gotN, a, b, c)
+		fmaN(ref, wantN, a, b, c)
 		for i := range gotN {
 			if gotN[i] != wantN[i] {
 				t.Fatalf("%v FMAN[%d]: batch %#x != scalar %#x", format, i, gotN[i], wantN[i])
@@ -126,23 +126,9 @@ func FuzzBatchScalarEquivalence(f *testing.F) {
 			}
 		}
 
-		// Block and grid shapes from the same bytes. The counts are not
-		// multiples of the interleave widths, so the fast-path tails run.
+		// Grid shapes from the same bytes. The counts are not multiples
+		// of the interleave widths, so the fast-path tails run.
 		L := int(lenSel) % 9
-		stride := L + int(fmtSel)%3
-		u := fillBits(format, raw, L, 4)
-		v := fillBits(format, raw, n*stride+L, 5)
-		gotB := make([]Bits, n)
-		wantB := make([]Bits, n)
-		DotFMABlock(m, gotB, acc, u, v, stride)
-		DotFMABlock(ref, wantB, acc, u, v, stride)
-		for i := range gotB {
-			if gotB[i] != wantB[i] {
-				t.Fatalf("%v DotFMABlock[%d]: batch %#x != scalar %#x (n=%d L=%d stride=%d)",
-					format, i, gotB[i], wantB[i], n, L, stride)
-			}
-		}
-
 		rows := int(fmtSel)%5 + 1
 		cols := int(lenSel)%11 + 1
 		ga := fillBits(format, raw, rows*L, 6)
@@ -210,23 +196,23 @@ func TestBatchScalarEquivalenceSweep(t *testing.T) {
 			}
 			got := make([]Bits, n)
 			want := make([]Bits, n)
-			AddN(m, got, a, b)
-			AddN(ref, want, a, b)
-			MulN(m, append([]Bits(nil), got...), a, b) // exercise aliasing-free path
+			m.AddN(got, a, b)
+			addN(ref, want, a, b)
+			m.MulN(append([]Bits(nil), got...), a, b) // exercise aliasing-free path
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%v AddN n=%d i=%d: %#x != %#x", format, n, i, got[i], want[i])
 				}
 			}
-			MulN(m, got, a, b)
-			MulN(ref, want, a, b)
+			m.MulN(got, a, b)
+			mulN(ref, want, a, b)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%v MulN n=%d i=%d: %#x != %#x", format, n, i, got[i], want[i])
 				}
 			}
-			FMAN(m, got, a, b, c)
-			FMAN(ref, want, a, b, c)
+			m.FMAN(got, a, b, c)
+			fmaN(ref, want, a, b, c)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%v FMAN n=%d i=%d: %#x != %#x", format, n, i, got[i], want[i])
@@ -247,12 +233,11 @@ func TestBatchScalarEquivalenceSweep(t *testing.T) {
 	}
 }
 
-// TestBlockGridScalarEquivalence is the deterministic sweep for the two
-// shaped batch operations: every format, chain counts straddling the
-// interleave widths (8 for Single/Double, 4 for the 16-bit formats),
-// degenerate shapes (empty chains, single chains, k = 0), and strides
-// larger than the chain length.
-func TestBlockGridScalarEquivalence(t *testing.T) {
+// TestGemmFMAScalarEquivalence is the deterministic sweep for the grid
+// batch operation: every format, chain counts straddling the interleave
+// widths (8 for Single/Double, 4 for the 16-bit formats) and degenerate
+// shapes (single chains, k = 0).
+func TestGemmFMAScalarEquivalence(t *testing.T) {
 	for _, format := range AllFormats {
 		m := NewMachine(format)
 		ref := scalarOnly{inner: m}
@@ -263,25 +248,6 @@ func TestBlockGridScalarEquivalence(t *testing.T) {
 				out[i] = edges[(i*3+salt)%len(edges)]
 			}
 			return out
-		}
-		for _, count := range []int{0, 1, 3, 7, 8, 9, 16, 17} {
-			for _, L := range []int{0, 1, 4, 7} {
-				for _, stride := range []int{L, L + 2} {
-					u := mk(L, 1)
-					v := mk(count*stride+L, 2)
-					acc := edges[(count+L)%len(edges)]
-					got := make([]Bits, count)
-					want := make([]Bits, count)
-					DotFMABlock(m, got, acc, u, v, stride)
-					DotFMABlock(ref, want, acc, u, v, stride)
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%v DotFMABlock count=%d L=%d stride=%d i=%d: %#x != %#x",
-								format, count, L, stride, i, got[i], want[i])
-						}
-					}
-				}
-			}
 		}
 		for _, shape := range [][2]int{{1, 1}, {1, 9}, {3, 5}, {2, 9}, {5, 5}, {9, 1}} {
 			rows, cols := shape[0], shape[1]
@@ -388,16 +354,12 @@ func TestCountingBatchCountsMatchScalar(t *testing.T) {
 		run := func(env Env) {
 			dst := make([]Bits, n)
 			_ = DotFMA(env, 0, a, b)
-			AddN(env, dst, a, b)
-			MulN(env, dst, a, b)
-			FMAN(env, dst, a, b, c)
 			copy(dst, c)
 			AXPY(env, dst, a[0], b)
-			blk := make([]Bits, 4)
-			DotFMABlock(env, blk, 0, a[:3], b, 3) // 4 chains x 3 FMAs
 			g := make([]Bits, 6)
 			GemmFMA(env, g, c[:2], a[:6], b[:9], 2, 3, 3) // 2x3 chains x 3 FMAs
-			_ = env.Sqrt(a[0])                            // scalar op: tallied identically either way
+			_ = env.Add(a[0], b[0])                       // scalar ops: tallied identically either way
+			_ = env.Sqrt(a[0])
 		}
 
 		batch := NewCounting(NewMachine(format))
@@ -416,10 +378,10 @@ func TestCountingBatchCountsMatchScalar(t *testing.T) {
 		if batch.Counts != perOp.Counts {
 			t.Fatalf("%v: batch counts %+v != per-op counts %+v", format, batch.Counts, perOp.Counts)
 		}
-		if got, want := batch.Counts.ByOp[OpFMA], uint64(3*n+12+18); got != want {
+		if got, want := batch.Counts.ByOp[OpFMA], uint64(2*n+18); got != want {
 			t.Fatalf("%v: FMA count %d, want %d", format, got, want)
 		}
-		if got, want := batch.Counts.ByOp[OpAdd], uint64(n); got != want {
+		if got, want := batch.Counts.ByOp[OpAdd], uint64(1); got != want {
 			t.Fatalf("%v: Add count %d, want %d", format, got, want)
 		}
 	}
@@ -434,9 +396,11 @@ func TestBatchHelpersFallBack(t *testing.T) {
 	b := []Bits{4, 5, 6}
 	dst := make([]Bits, 3)
 	_ = DotFMA(rec, 0, a, b)
-	AddN(rec, dst, a, b)
+	_ = rec.Add(a[0], b[0])
 	AXPY(rec, dst, 7, a)
-	want := []Op{OpFMA, OpFMA, OpFMA, OpAdd, OpAdd, OpAdd, OpFMA, OpFMA, OpFMA}
+	_ = rec.Mul(a[0], b[0])
+	GemmFMA(rec, dst[:2], nil, a[:1], b[:2], 1, 2, 1)
+	want := []Op{OpFMA, OpFMA, OpFMA, OpAdd, OpFMA, OpFMA, OpFMA, OpMul, OpFMA, OpFMA}
 	if len(rec.ops) != len(want) {
 		t.Fatalf("recorded %d ops, want %d", len(rec.ops), len(want))
 	}
@@ -464,6 +428,26 @@ func TestExpDecompBatchDelegation(t *testing.T) {
 		if got, want := DotFMA(d, 0, a, b), DotFMA(ref, 0, a, b); got != want {
 			t.Fatalf("%v: ExpDecomp DotFMA %#x != scalar %#x", format, got, want)
 		}
+	}
+}
+
+// addN, mulN and fmaN are the scalar definitions of Machine.AddN, MulN
+// and FMAN.
+func addN(env Env, dst, a, b []Bits) {
+	for i, ai := range a {
+		dst[i] = env.Add(ai, b[i])
+	}
+}
+
+func mulN(env Env, dst, a, b []Bits) {
+	for i, ai := range a {
+		dst[i] = env.Mul(ai, b[i])
+	}
+}
+
+func fmaN(env Env, dst, a, b, c []Bits) {
+	for i, ai := range a {
+		dst[i] = env.FMA(ai, b[i], c[i])
 	}
 }
 

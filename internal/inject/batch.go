@@ -2,11 +2,12 @@ package inject
 
 import "mixedrel/internal/fp"
 
-// The injecting environment implements fp.BatchEnv so that the bulk of a
-// faulty run — everything outside the operations a fault or DUE hook can
-// touch — moves at the inner machine's batch speed while remaining
-// observationally identical to the scalar path. Each batch method is one
-// gate-driven loop over its window:
+// The injecting environment implements fp.BatchEnv (DotFMA, AXPY and
+// GemmFMA, the three batch shapes the kernels issue) so that the bulk
+// of a faulty run — everything outside the operations a fault or DUE
+// hook can touch — moves at the inner machine's batch speed while
+// remaining observationally identical to the scalar path. Each batch
+// method is one gate-driven loop over its window:
 //
 //   - the quiet stretch up to the next gate of the quiet horizon
 //     (quietLen: the nearer of quiet and kindAt[kind]) runs in bulk:
@@ -14,8 +15,8 @@ import "mixedrel/internal/fp"
 //     the fault-free replay trace (before any corruption every operand is
 //     still bit-identical to the recorded run, so a DotFMA chain
 //     collapses into ONE trace lookup), compare-served from the compiled
-//     program, or computed through the inner environment's own batch
-//     fast path;
+//     program (ChainPrefix, ServeAxpy, ServeGemm), or computed through
+//     the inner environment's own batch fast path;
 //   - the gated operation runs through its scalar method, whose slow path
 //     performs the exact matching, corruption, DUE hooks and counter
 //     bookkeeping and re-arms the gates; the loop then repeats on the
@@ -131,97 +132,6 @@ func (e *Env) dot(acc fp.Bits, a, b []fp.Bits) fp.Bits {
 		return acc
 	}
 	return fp.DotFMA(e.inner, acc, a, b)
-}
-
-// AddN implements fp.BatchEnv.
-//
-//mixedrelvet:hotpath batched injection inner loop
-func (e *Env) AddN(dst, a, b []fp.Bits) {
-	for {
-		q := e.quietLen(fp.OpAdd, len(a))
-		e.mapN(fp.OpAdd, dst[:q], a[:q], b[:q], nil)
-		if q == len(a) {
-			return
-		}
-		dst[q] = e.Add(a[q], b[q])
-		dst, a, b = dst[q+1:], a[q+1:], b[q+1:]
-	}
-}
-
-// MulN implements fp.BatchEnv.
-//
-//mixedrelvet:hotpath batched injection inner loop
-func (e *Env) MulN(dst, a, b []fp.Bits) {
-	for {
-		q := e.quietLen(fp.OpMul, len(a))
-		e.mapN(fp.OpMul, dst[:q], a[:q], b[:q], nil)
-		if q == len(a) {
-			return
-		}
-		dst[q] = e.Mul(a[q], b[q])
-		dst, a, b = dst[q+1:], a[q+1:], b[q+1:]
-	}
-}
-
-// FMAN implements fp.BatchEnv.
-//
-//mixedrelvet:hotpath batched injection inner loop
-func (e *Env) FMAN(dst, a, b, c []fp.Bits) {
-	for {
-		q := e.quietLen(fp.OpFMA, len(a))
-		e.mapN(fp.OpFMA, dst[:q], a[:q], b[:q], c[:q])
-		if q == len(a) {
-			return
-		}
-		dst[q] = e.FMA(a[q], b[q], c[q])
-		dst, a, b, c = dst[q+1:], a[q+1:], b[q+1:], c[q+1:]
-	}
-}
-
-// mapN runs a quiet stretch of an element-wise batch in bulk: AddN or
-// MulN of op when c is nil, FMAN otherwise.
-//
-//mixedrelvet:hotpath batched injection inner loop
-func (e *Env) mapN(op fp.Op, dst, a, b, c []fp.Bits) {
-	n := uint64(len(a))
-	if n == 0 {
-		return
-	}
-	e.advance(op, n)
-	if e.replayable() {
-		copy(dst, e.replay[e.all-n:e.all])
-		e.statReplayed += n
-		return
-	}
-	lo, hi := 0, len(a)
-	if e.compiled() {
-		// ServeMap leaves dst's dirty interval untouched, so when dst
-		// aliases c the recompute below still reads pristine addends.
-		if l, h, ok := e.prog.ServeMap(&e.cur, e.all-n, op, dst, a, b, c); ok {
-			e.statServed += n - uint64(h-l)
-			lo, hi = l, h
-		}
-	}
-	switch {
-	case lo == hi:
-	case c != nil:
-		fp.FMAN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi], c[lo:hi])
-	case op == fp.OpAdd:
-		fp.AddN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
-	default:
-		fp.MulN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
-	}
-}
-
-// DotFMABlock implements fp.BatchEnv by running the chains in order,
-// each through DotFMA's own gate-driven loop — the block shape adds no
-// new fault semantics beyond its member chains.
-//
-//mixedrelvet:hotpath batched injection inner loop
-func (e *Env) DotFMABlock(out []fp.Bits, acc fp.Bits, u, v []fp.Bits, stride int) {
-	for t := range out {
-		out[t] = e.DotFMA(acc, u, v[t*stride:t*stride+len(u)])
-	}
 }
 
 // GemmFMA implements fp.BatchEnv with DotFMA's gate-driven loop at chain

@@ -32,10 +32,38 @@ func (r *traceRec) FMA(a, b, c fp.Bits) fp.Bits { return r.rec(r.Env.FMA(a, b, c
 func (r *traceRec) Sqrt(a fp.Bits) fp.Bits      { return r.rec(r.Env.Sqrt(a)) }
 func (r *traceRec) Exp(a fp.Bits) fp.Bits       { return r.rec(r.Env.Exp(a)) }
 
+// addN, mulN and fmaN are element-wise loops of scalar operations, and
+// dotBlock a block of FMA chains against one shared vector, as
+// scalar-coded kernels issue them: through the injector's scalar and
+// DotFMA paths.
+func addN(env fp.Env, dst, a, b []fp.Bits) {
+	for i, ai := range a {
+		dst[i] = env.Add(ai, b[i])
+	}
+}
+
+func mulN(env fp.Env, dst, a, b []fp.Bits) {
+	for i, ai := range a {
+		dst[i] = env.Mul(ai, b[i])
+	}
+}
+
+func fmaN(env fp.Env, dst, a, b, c []fp.Bits) {
+	for i, ai := range a {
+		dst[i] = env.FMA(ai, b[i], c[i])
+	}
+}
+
+func dotBlock(env fp.Env, out []fp.Bits, acc fp.Bits, u, v []fp.Bits, stride int) {
+	for t := range out {
+		out[t] = fp.DotFMA(env, acc, u, v[t*stride:t*stride+len(u)])
+	}
+}
+
 // runStream drives a fixed mixed batch/scalar operation stream through
 // env and returns every produced value. It mirrors the shapes kernels
-// use: dot chains, element-wise maps, broadcast AXPYs, and interleaved
-// scalar operations.
+// use: dot chains, element-wise loops, broadcast AXPYs, GEMM grids, and
+// interleaved scalar operations.
 func runStream(env fp.Env, f fp.Format) []fp.Bits {
 	mk := func(n, salt int) []fp.Bits {
 		out := make([]fp.Bits, n)
@@ -53,28 +81,28 @@ func runStream(env fp.Env, f fp.Format) []fp.Bits {
 	var out []fp.Bits
 	out = append(out, fp.DotFMA(env, env.FromFloat64(0), a7, b7))
 	dst5 := make([]fp.Bits, 5)
-	fp.AddN(env, dst5, a5, b5)
+	addN(env, dst5, a5, b5)
 	out = append(out, dst5...)
 	out = append(out, env.Mul(out[0], dst5[0]))
 	dst4 := make([]fp.Bits, 4)
-	fp.MulN(env, dst4, a4, b4)
+	mulN(env, dst4, a4, b4)
 	out = append(out, dst4...)
 	dst6 := append([]fp.Bits(nil), d6...)
 	fp.AXPY(env, dst6, out[1], x6)
 	out = append(out, dst6...)
 	dst3 := make([]fp.Bits, 3)
-	fp.FMAN(env, dst3, a3, b3, c3)
+	fmaN(env, dst3, a3, b3, c3)
 	out = append(out, dst3...)
 	out = append(out, env.Add(out[2], dst3[0]))
 	out = append(out, fp.DotFMA(env, out[3], a3, b3)) // second chain, shares operands
 	// Empty and length-1 batches must be no-ops / single ops.
 	out = append(out, fp.DotFMA(env, out[4], nil, nil))
-	fp.AddN(env, dst3[:1], a3[:1], b3[:1])
+	addN(env, dst3[:1], a3[:1], b3[:1])
 	out = append(out, dst3[0])
-	// Shaped batches: a 3-chain block over a shared vector (3x2 FMAs) and
+	// Shaped work: a 3-chain block over a shared vector (3x2 FMAs) and
 	// a 2x2 grid with per-row accumulators (2x2x2 FMAs).
 	blk := make([]fp.Bits, 3)
-	fp.DotFMABlock(env, blk, out[5], a4[:2], x6, 2)
+	dotBlock(env, blk, out[5], a4[:2], x6, 2)
 	out = append(out, blk...)
 	grid := make([]fp.Bits, 4)
 	fp.GemmFMA(env, grid, b3[:2], a4, b4, 2, 2, 2)

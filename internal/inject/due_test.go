@@ -544,14 +544,12 @@ func FuzzNonFinitePropagation(f *testing.F) {
 		run := func(env fp.Env) []fp.Bits {
 			var out []fp.Bits
 			out = append(out, fp.DotFMA(env, env.FromFloat64(0), a, b))
-			dst := make([]fp.Bits, len(a))
-			fp.AddN(env, dst, a, b)
+			dst := append([]fp.Bits(nil), a...)
+			fp.AXPY(env, dst, b[1], b)
 			out = append(out, dst...)
-			fp.MulN(env, dst, a, b)
-			out = append(out, dst...)
-			fman := make([]fp.Bits, len(c))
-			fp.FMAN(env, fman, a[:3], b[:3], c)
-			out = append(out, fman...)
+			grid := make([]fp.Bits, 9)
+			fp.GemmFMA(env, grid, c, a, b, 3, 3, 3)
+			out = append(out, grid...)
 			out = append(out, env.Div(a[0], b[1]), env.Sqrt(a[1]))
 			return out
 		}

@@ -189,8 +189,8 @@ func gateStream(env fp.Env, f fp.Format) []fp.Bits {
 	out = append(out, runStream(env, f)...)
 	out = append(out, env.FMA(out[0], out[1], out[2]), env.Exp(out[3]), env.Div(out[5], x), env.Sqrt(out[6]))
 	out = append(out, runStream(env, f)...)
-	dst := make([]fp.Bits, 4)
-	fp.AddN(env, dst, []fp.Bits{x, y, f.FromFloat64(math.Inf(1)), x}, []fp.Bits{y, x, y, y})
+	dst := []fp.Bits{y, x, y, y}
+	fp.AXPY(env, dst, f.FromFloat64(1), []fp.Bits{x, y, f.FromFloat64(math.Inf(1)), x})
 	return append(out, dst...)
 }
 
@@ -394,10 +394,10 @@ func TestQuietHorizonMatchesOracle(t *testing.T) {
 }
 
 // splitStream drives every batch method with windows long enough for a
-// persistent fault to gate them several times: a 20-element chain,
-// 16-element maps, an FMAN whose dst aliases its addends and an AXPY, a
-// 4x5x6 grid with per-row accumulators and a 3x3x4 grid without, and a
-// DotFMABlock. Earlier outputs feed a row of the first grid and a column
+// persistent fault to gate them several times: a 20-element chain, an
+// AXPY, a 4x5x6 grid with per-row accumulators and a 3x3x4 grid
+// without, and a block of chains; 16-element scalar loops (one an FMA
+// loop whose destination aliases its addends) run between them. Earlier outputs feed a row of the first grid and a column
 // of the second, so a strike upstream dirties them for compare-serving.
 // Like gateStream, it ends in a batch that yields an infinity
 // mid-window.
@@ -411,13 +411,13 @@ func splitStream(env fp.Env, f fp.Format) []fp.Bits {
 	}
 	out := []fp.Bits{fp.DotFMA(env, f.FromFloat64(0.5), mk(20, 1), mk(20, 2))}
 	d := make([]fp.Bits, 16)
-	fp.AddN(env, d, mk(16, 3), mk(16, 4))
+	addN(env, d, mk(16, 3), mk(16, 4))
 	out = append(out, d...)
 	out = append(out, env.Mul(out[0], out[1]))
-	fp.MulN(env, d, mk(16, 5), mk(16, 6))
+	mulN(env, d, mk(16, 5), mk(16, 6))
 	out = append(out, d...)
 	c := mk(16, 7)
-	fp.FMAN(env, c, mk(16, 8), mk(16, 9), c)
+	fmaN(env, c, mk(16, 8), mk(16, 9), c)
 	out = append(out, c...)
 	x := mk(16, 10)
 	fp.AXPY(env, x, out[2], mk(16, 11))
@@ -435,12 +435,13 @@ func splitStream(env fp.Env, f fp.Format) []fp.Bits {
 	fp.GemmFMA(env, g2, nil, mk(12, 15), bt, 3, 3, 4)
 	out = append(out, g2...)
 	blk := make([]fp.Bits, 3)
-	fp.DotFMABlock(env, blk, out[3], mk(5, 17), mk(15, 18), 5)
+	dotBlock(env, blk, out[3], mk(5, 17), mk(15, 18), 5)
 	out = append(out, blk...)
 
 	inf := f.FromFloat64(math.Inf(1))
-	fp.AddN(env, d[:4], []fp.Bits{x[0], x[1], inf, x[2]}, []fp.Bits{g[0], g[1], g[2], g[3]})
-	return append(out, d[:4]...)
+	d4 := []fp.Bits{g[0], g[1], g[2], g[3]}
+	fp.AXPY(env, d4, f.FromFloat64(1), []fp.Bits{x[0], x[1], inf, x[2]})
+	return append(out, d4...)
 }
 
 // TestSplitWindowsMatchOracle holds the gate-split batch windows to the

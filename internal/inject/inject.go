@@ -137,8 +137,9 @@ type Env struct {
 	// prog, when non-nil, is the compiled trace program over the same
 	// result stream (exec.Artifacts.Prog). Where replay's induction does
 	// not reach — after the corruption, and in memory-fault runs from
-	// operation zero — the program serves any operation whose kind and
-	// operand bits compare equal to the recorded ones. A result is a
+	// operation zero — the program serves any batch, and any scalar
+	// operation of a traceir.ScalarServed kind, whose kind and operand
+	// bits compare equal to the recorded ones. A result is a
 	// pure function of (kind, operand bits, format), so a compare hit is
 	// exact unconditionally: no induction is needed, and the fault-
 	// dependent cone falls out as exactly the operations whose compares
@@ -463,9 +464,10 @@ func (e *Env) replayed() (fp.Bits, bool) {
 //
 //   - replay induction (replayed): position-based, exact while nothing
 //     has been corrupted yet;
-//   - compiled compare-serving: the trace program serves the operation
-//     when its kind and operand bits compare equal to the recorded
-//     stream at this position. A result is a pure function of (kind,
+//   - compiled compare-serving, for the traceir.ScalarServed kinds only
+//     (Div, Sqrt, Exp; the program keeps no operands for the others):
+//     the trace program serves the operation when its kind and operand
+//     bits compare equal to the recorded stream at this position. A result is a pure function of (kind,
 //     operand bits, format), so a compare hit is exact unconditionally
 //     — after the corruption, under pre-run-corrupted inputs, even if
 //     control flow shifted the stream position: a miss merely costs a
@@ -481,7 +483,7 @@ func (e *Env) served(kind fp.Op, a, b, c fp.Bits) (fp.Bits, bool) {
 	if res, ok := e.replayed(); ok {
 		return res, true
 	}
-	if e.prog == nil || e.skip || e.ctlPending || !scalarServeWorthwhile(kind) {
+	if e.prog == nil || e.skip || e.ctlPending || !traceir.ScalarServed(kind) {
 		return 0, false
 	}
 	if e.miss >= scalarServeStreak && e.miss%scalarServeProbe != 0 {
@@ -512,25 +514,6 @@ const (
 	scalarServeStreak = 32
 	scalarServeProbe  = 64
 )
-
-// scalarServeWorthwhile reports whether a compare-serve hit on a single
-// scalar operation of this kind saves meaningfully more than the region
-// lookup and operand compare cost. For the cheap softfloat operations
-// (add/sub/mul/fma) a hit is roughly break-even — the lookup costs about
-// as much as the decode/compute/round it skips — so attempting them is
-// pure overhead on workloads dominated by scalar streams (the software
-// transcendentals behind LavaMD turn every exp() into dozens of cheap
-// scalar ops). The expensive iterative routines are worth a compare.
-// Bulk serving (ServeMap/ChainPrefix/ServeGemm from the batch entry
-// points) amortizes one lookup over a whole region and stays enabled
-// for every kind.
-func scalarServeWorthwhile(kind fp.Op) bool {
-	switch kind {
-	case fp.OpDiv, fp.OpSqrt, fp.OpExp:
-		return true
-	}
-	return false
-}
 
 // neverFault is an operation fault that cannot match any dynamic
 // operation (no campaign executes 2^64 of them); it lets one injecting

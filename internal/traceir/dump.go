@@ -5,22 +5,27 @@ import (
 	"strings"
 )
 
-// dumpRegions renders a region list in the compact one-line-per-region
-// form used by the pass-level golden tests:
+// Dump renders the program's region stream in a compact
+// one-line-per-region form, for the recorder-stream golden tests and
+// debugging:
 //
-//	scalar ADD @0 n=1
-//	map2 MUL @1 n=12
-//	chain FMA @13 n=12
-//	gemm FMA @25 n=1728 rows=12 cols=12 k=12
+//	run @0 n=7
+//	scalar DIV @7 n=1
+//	chain FMA @8 n=12
+//	gemm FMA @20 n=1728 rows=12 cols=12 k=12
 //
 // @ is the region's first dynamic stream position; n its operation
 // count. Operand offsets are omitted — they are mechanical and would
 // make the goldens churn on unrelated layout changes.
-func dumpRegions(rs []Region) string {
+func (p *Program) Dump() string {
 	var b strings.Builder
-	for i := range rs {
-		r := &rs[i]
-		fmt.Fprintf(&b, "%s %s @%d n=%d", r.Kind, r.Op, r.Start, r.N)
+	for i := range p.regions {
+		r := &p.regions[i]
+		if r.Kind == KRun {
+			fmt.Fprintf(&b, "%s @%d n=%d", r.Kind, r.Start, r.N)
+		} else {
+			fmt.Fprintf(&b, "%s %s @%d n=%d", r.Kind, r.Op, r.Start, r.N)
+		}
 		if r.Kind == KGemm {
 			fmt.Fprintf(&b, " rows=%d cols=%d k=%d", r.Rows, r.Cols, r.K)
 		}
@@ -28,10 +33,3 @@ func dumpRegions(rs []Region) string {
 	}
 	return b.String()
 }
-
-// dump renders the stream's regions (pass-pipeline intermediate form).
-func (s *stream) dump() string { return dumpRegions(s.regions) }
-
-// Dump renders the compiled program's region stream, one region per
-// line, for tests and debugging.
-func (p *Program) Dump() string { return dumpRegions(p.regions) }

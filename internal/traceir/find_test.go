@@ -11,12 +11,12 @@ import (
 
 // TestFindMatchesLinearScan checks the galloping region lookup against
 // a linear walk of the region stream, at every position of compiled
-// LavaMD and Hotspot programs (plus a few past the end), from random
+// LavaMD and LUD programs (plus a few past the end), from random
 // cursors — so positions before, at and far beyond the cursor's region
 // all occur — and along a random forward walk with occasional
 // backward jumps, the access pattern of a replay.
 func TestFindMatchesLinearScan(t *testing.T) {
-	for _, k := range []kernels.Kernel{kernels.NewLavaMD(2, 4, 3), kernels.NewHotspot(16, 8, 5)} {
+	for _, k := range []kernels.Kernel{kernels.NewLavaMD(2, 4, 3), kernels.NewLUD(32, 2)} {
 		for _, f := range []fp.Format{fp.Half, fp.Double} {
 			t.Run(fmt.Sprintf("%s/%v", k.Name(), f), func(t *testing.T) {
 				rec := NewRecorder(fp.NewMachine(f))

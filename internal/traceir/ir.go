@@ -1,6 +1,6 @@
 // Package traceir compiles the fault-free execution trace of one
-// (kernel, format, wrap) configuration into a compact, optimizable
-// op-stream IR, and serves faulty replays from it.
+// (kernel, format, wrap) configuration into a compact op-stream IR, and
+// serves faulty replays from it.
 //
 // The injector re-executes a kernel once per fault sample; before the
 // fault strikes, and in every part of the stream the fault never
@@ -8,11 +8,13 @@
 // run's. The IR makes both facts cheap to exploit:
 //
 //   - a Recorder captures the golden run once as a sequence of regions
-//     (scalar ops, element-wise maps, FMA chains, AXPY updates, GEMM
-//     grids) carrying every operation's operand and result bits;
-//   - an optimizer pipeline (superword merge, bulk collapse, index
-//     partition — see passes.go) rewrites the region stream into the
-//     executable Program;
+//     and the flat trace of every operation's result bits. Operands are
+//     kept only where the injector compare-serves: the expensive scalar
+//     kinds (ScalarServed: Div, Sqrt, Exp) one region each, and FMA
+//     chains, AXPY updates and GEMM grids one region per batch call.
+//     Every other scalar operation only extends an operand-free run
+//     region. The recorded stream is the executable Program as is;
+//     Compile only validates it;
 //   - the Program's Serve* methods answer "is this operation (or whole
 //     region) bit-identical to the recorded run?" by comparing the live
 //     operand bits against the recorded ones, and hand back recorded
@@ -37,21 +39,19 @@ package traceir
 import "mixedrel/internal/fp"
 
 // Kind discriminates the region shapes of the IR. Each shape mirrors
-// either a scalar fp.Env call or one fp.BatchEnv call, so a recorded
-// region corresponds one-to-one with what the injector observes at
-// replay time.
+// what the injector observes at replay time: one served scalar fp.Env
+// call, a stretch of scalar calls it never serves, or one fp.BatchEnv
+// call.
 type Kind uint8
 
 const (
-	// KScalar is a single scalar operation (any fp.Op).
+	// KScalar is a single scalar operation of a ScalarServed kind.
 	KScalar Kind = iota
-	// KMap2 is a run of independent two-operand operations of one kind
-	// — an AddN/MulN call, or adjacent scalars fused by the superword
-	// pass.
-	KMap2
-	// KMap3 is a run of independent three-operand FMAs — an FMAN call,
-	// or adjacent scalar FMAs fused by the superword pass.
-	KMap3
+	// KRun is a maximal stretch of scalar operations of the other kinds
+	// (Add, Sub, Mul, FMA), recorded without operands: the injector
+	// never compare-serves them one by one, so only their results are
+	// kept. A run never crosses a KScalar operation or a batch region.
+	KRun
 	// KChain is a serial FMA chain (DotFMA): operation i consumes the
 	// accumulator produced by operation i-1.
 	KChain
@@ -67,10 +67,8 @@ func (k Kind) String() string {
 	switch k {
 	case KScalar:
 		return "scalar"
-	case KMap2:
-		return "map2"
-	case KMap3:
-		return "map3"
+	case KRun:
+		return "run"
 	case KChain:
 		return "chain"
 	case KAxpy:
@@ -90,15 +88,14 @@ func (k Kind) String() string {
 //
 // Operand-block layouts (n = N, k = K):
 //
-//	KScalar  operands of the op in call order (1-3 values)
-//	KMap2    a[n] then b[n]
-//	KMap3    a[n], b[n], c[n]
+//	KScalar  operands of the op in call order (arity(Op) values)
+//	KRun     none
 //	KChain   acc0, a[n], b[n]
 //	KAxpy    s, x[n], d[n]           (d = the accumulator inputs)
 //	KGemm    accs[Rows], a[Rows*k], bt[Cols*k]
 type Region struct {
 	Kind  Kind
-	Op    fp.Op
+	Op    fp.Op  // the operation of a KScalar, OpFMA for batches; unset for KRun
 	Start uint64 // first dynamic stream position
 	N     uint32 // dynamic operation count
 	Off   uint32 // operand-block offset into Program.operands
@@ -111,6 +108,24 @@ type Region struct {
 // contains reports whether stream position pos falls inside r.
 func (r *Region) contains(pos uint64) bool {
 	return pos >= r.Start && pos-r.Start < uint64(r.N)
+}
+
+// ScalarServed reports whether scalar operations of kind op are
+// recorded with their operands and compare-served one by one: a hit on
+// the expensive iterative routines (Div, Sqrt, Exp) saves far more than
+// the region lookup and operand compare it costs. For the cheap
+// softfloat operations (Add, Sub, Mul, FMA) a hit is roughly break-even
+// — the lookup costs about as much as the decode/compute/round it skips
+// — so they are neither served nor given operands (KRun). Batch regions
+// amortize one lookup over a whole call and are served for every shape.
+// This one rule decides both what the Recorder keeps and what the
+// injector asks ServeScalar for.
+func ScalarServed(op fp.Op) bool {
+	switch op {
+	case fp.OpDiv, fp.OpSqrt, fp.OpExp:
+		return true
+	}
+	return false
 }
 
 // arity returns the operand count of a scalar operation of kind op.
@@ -130,10 +145,6 @@ func operandLen(r *Region) int {
 	switch r.Kind {
 	case KScalar:
 		return arity(r.Op)
-	case KMap2:
-		return 2 * n
-	case KMap3:
-		return 3 * n
 	case KChain, KAxpy:
 		return 2*n + 1
 	case KGemm:
@@ -142,7 +153,7 @@ func operandLen(r *Region) int {
 	return 0
 }
 
-// Program is the compiled golden trace: the optimized region stream
+// Program is the compiled golden trace: the recorded region stream
 // plus the flat operand, result and GEMM chain-tail bit arrays. A
 // Program is immutable after Compile and safe for concurrent use;
 // per-run state lives in the caller's Cursor.
@@ -165,7 +176,7 @@ func (p *Program) Format() fp.Format { return p.format }
 // the bits produced by dynamic operation i). Shared; do not mutate.
 func (p *Program) Results() []fp.Bits { return p.results }
 
-// Regions exposes the optimized region stream for tests and dumps.
+// Regions exposes the region stream for tests and dumps.
 // Shared; do not mutate.
 func (p *Program) Regions() []Region { return p.regions }
 
@@ -187,13 +198,13 @@ type Cursor struct {
 
 // find locates the region containing pos and moves the cursor to it.
 // Positions advance near-monotonically within a run, but not every
-// operation consults the program (cheap scalar kinds skip serving
-// entirely, and the scalar serve backoff probes only every few
-// operations), so the next lookup may land any number of regions past
-// the cursor. The search therefore gallops forward from the cursor —
-// probing 1, 2, 4, ... regions ahead until one starts past pos — and
-// binary-searches inside that bracket: the cursor's own region costs two
-// probes, and a skip of d regions O(log d). A position before the cursor
+// operation consults the program (only ScalarServed kinds and batches
+// do, and the scalar serve backoff probes only every few operations),
+// so the next lookup may land any number of regions past the cursor.
+// The search therefore gallops forward from the cursor — probing 1, 2,
+// 4, ... regions ahead until one starts past pos — and binary-searches
+// inside that bracket: the cursor's own region costs two probes, and a
+// skip of d regions O(log d). A position before the cursor
 // binary-searches the prefix.
 //
 //mixedrelvet:hotpath region lookup behind every compare-serve
@@ -239,12 +250,13 @@ func (p *Program) find(c *Cursor, pos uint64) (int, bool) {
 	return 0, false
 }
 
-// ServeScalar serves the scalar operation at stream position pos when
-// its kind and live operand bits match the recorded ones, returning
-// the recorded result. A false return means the operation is inside
-// the fault-dependent cone (or the position left the recorded stream)
-// and must be recomputed. Unused operand slots are ignored per the
-// operation's arity.
+// ServeScalar serves the ScalarServed operation at stream position pos
+// when the recorded operation there is of the same kind with the same
+// operand bits, returning the recorded result. A false return means the
+// operation is inside the fault-dependent cone, or the position holds
+// anything but a recorded KScalar (a run, a batch region, or past the
+// recorded stream), and it must be recomputed. Unused operand slots are
+// ignored per the operation's arity.
 //
 //mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
 func (p *Program) ServeScalar(cur *Cursor, pos uint64, op fp.Op, a, b, c fp.Bits) (fp.Bits, bool) {
@@ -253,70 +265,23 @@ func (p *Program) ServeScalar(cur *Cursor, pos uint64, op fp.Op, a, b, c fp.Bits
 		return 0, false
 	}
 	r := &p.regions[ri]
-	i := pos - r.Start
-	n := uint64(r.N)
+	if r.Kind != KScalar || r.Op != op {
+		return 0, false
+	}
 	ops := p.operands[r.Off:]
-	switch r.Kind {
-	case KScalar:
-		if r.Op != op {
+	switch arity(op) {
+	case 1:
+		if ops[0] != a {
 			return 0, false
 		}
-		switch arity(op) {
-		case 1:
-			if ops[0] != a {
-				return 0, false
-			}
-		case 2:
-			if ops[0] != a || ops[1] != b {
-				return 0, false
-			}
-		default:
-			if ops[0] != a || ops[1] != b || ops[2] != c {
-				return 0, false
-			}
-		}
-	case KMap2:
-		if r.Op != op || ops[i] != a || ops[n+i] != b {
-			return 0, false
-		}
-	case KMap3:
-		if op != fp.OpFMA || ops[i] != a || ops[n+i] != b || ops[2*n+i] != c {
-			return 0, false
-		}
-	case KChain:
-		if op != fp.OpFMA {
-			return 0, false
-		}
-		acc := ops[0]
-		if i > 0 {
-			acc = p.results[pos-1]
-		}
-		if ops[1+i] != a || ops[1+n+i] != b || acc != c {
-			return 0, false
-		}
-	case KAxpy:
-		if op != fp.OpFMA || ops[0] != a || ops[1+i] != b || ops[1+n+i] != c {
-			return 0, false
-		}
-	case KGemm:
-		if op != fp.OpFMA {
-			return 0, false
-		}
-		k := uint64(r.K)
-		chain := i / k
-		e := i % k
-		row, col := chain/uint64(r.Cols), chain%uint64(r.Cols)
-		acc := ops[row]
-		if e > 0 {
-			acc = p.results[pos-1]
-		}
-		aOff := uint64(r.Rows) + row*k + e
-		btOff := uint64(r.Rows) + uint64(r.Rows)*k + col*k + e
-		if ops[aOff] != a || ops[btOff] != b || acc != c {
+	case 2:
+		if ops[0] != a || ops[1] != b {
 			return 0, false
 		}
 	default:
-		return 0, false
+		if ops[0] != a || ops[1] != b || ops[2] != c {
+			return 0, false
+		}
 	}
 	return p.results[pos], true
 }
@@ -405,59 +370,13 @@ func mismatch(live, rec []fp.Bits) (lo, hi int) {
 	return lo, hi
 }
 
-// ServeMap partitions the element-wise batch at stream position pos
-// (an AddN/MulN call when c is nil, an FMAN call otherwise) into the
-// fault-independent part — served into dst from the recorded results —
-// and the dirty interval [lo, hi), which the caller must recompute.
-// dst entries inside the dirty interval are left untouched so that an
-// FMAN whose dst aliases c still reads pristine accumulator inputs. A
+// ServeAxpy partitions the AXPY batch at stream position pos into the
+// fault-independent part and the dirty interval [lo, hi), which the
+// caller must recompute: dst is both the per-element accumulator input
+// and the output. Clean elements are served from the recorded results;
+// the dirty interval keeps its accumulator inputs for the recompute. A
 // false ok means the region shape did not match and the caller must
-// recompute the whole batch.
-//
-//mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
-func (p *Program) ServeMap(cur *Cursor, pos uint64, op fp.Op, dst, a, b, c []fp.Bits) (lo, hi int, ok bool) {
-	n := len(a)
-	ri, found := p.find(cur, pos)
-	if !found {
-		return 0, 0, false
-	}
-	r := &p.regions[ri]
-	i := int(pos - r.Start)
-	if r.Op != op || i+n > int(r.N) {
-		return 0, 0, false
-	}
-	rn := int(r.N)
-	ops := p.operands[r.Off:]
-	switch r.Kind {
-	case KMap2:
-		if c != nil {
-			return 0, 0, false
-		}
-		alo, ahi := mismatch(a, ops[i:i+n])
-		blo, bhi := mismatch(b, ops[rn+i:rn+i+n])
-		lo, hi = union(alo, ahi, blo, bhi)
-	case KMap3:
-		if c == nil {
-			return 0, 0, false
-		}
-		alo, ahi := mismatch(a, ops[i:i+n])
-		blo, bhi := mismatch(b, ops[rn+i:rn+i+n])
-		lo, hi = union(alo, ahi, blo, bhi)
-		clo, chi := mismatch(c, ops[2*rn+i:2*rn+i+n])
-		lo, hi = union(lo, hi, clo, chi)
-	default:
-		return 0, 0, false
-	}
-	res := p.results[pos : pos+uint64(n)]
-	copy(dst[:lo], res[:lo])
-	copy(dst[hi:n], res[hi:])
-	return lo, hi, true
-}
-
-// ServeAxpy is ServeMap for an AXPY batch: dst is both the per-element
-// accumulator input and the output. Clean elements are served from the
-// recorded results; the dirty interval [lo, hi) keeps its accumulator
-// inputs for the caller to recompute. A corrupted broadcast scalar s
+// recompute the whole batch. A corrupted broadcast scalar s
 // dirties every element, reported as a full-range interval.
 //
 //mixedrelvet:hotpath compiled-trace compare-serving, one call per golden operation
@@ -633,4 +552,35 @@ func union(alo, ahi, blo, bhi int) (int, int) {
 		ahi = bhi
 	}
 	return alo, ahi
+}
+
+// finalize validates a recorded program — regions must tile positions
+// [0, ops) exactly, with well-formed shapes and in-bounds operand blocks
+// and tails, and the result trace must hold one entry per operation —
+// and returns it, or nil on any violation: the injector then simply
+// keeps its uncompiled replay paths, so a dropped program costs speed,
+// never bits.
+func finalize(p *Program) *Program {
+	if uint64(len(p.results)) != p.ops {
+		return nil
+	}
+	var pos uint64
+	for i := range p.regions {
+		r := &p.regions[i]
+		if r.Start != pos || r.N == 0 {
+			return nil
+		}
+		if r.Kind == KGemm && (uint64(r.Rows)*uint64(r.Cols)*uint64(r.K) != uint64(r.N) ||
+			uint64(r.Tail)+uint64(r.Rows)*uint64(r.Cols) > uint64(len(p.tails))) {
+			return nil
+		}
+		if int(r.Off)+operandLen(r) > len(p.operands) {
+			return nil
+		}
+		pos += uint64(r.N)
+	}
+	if pos != p.ops {
+		return nil
+	}
+	return p
 }

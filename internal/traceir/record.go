@@ -23,6 +23,12 @@ const maxCompiledOps = 1 << 21
 // of the recording is dynamic operation i of every replay, and a batch
 // call recorded here is the same batch call the injector observes.
 //
+// It records operands only where the injector compare-serves: the
+// ScalarServed kinds as KScalar regions, and every batch call as its
+// own region. Every other scalar operation extends an operand-free KRun
+// region in place, so a scalar-coded kernel costs one region per
+// stretch between served operations and batches, not one per operation.
+//
 // Scalar operations inside batches are executed through the inner
 // environment's *scalar* methods so every chain intermediate lands in
 // the result trace (the injector's scalar path replays per-operation);
@@ -56,18 +62,23 @@ func (r *Recorder) Results() []fp.Bits {
 	return r.results
 }
 
-// Compile runs the optimizer passes over the recorded region stream
-// and returns the executable Program, or nil when the execution
-// overflowed a cap or the recorded stream fails validation (in which
-// case callers simply keep the uncompiled replay paths).
+// Compile returns the recorded region stream as the executable
+// Program, or nil when the execution overflowed a cap or the recorded
+// stream fails validation (in which case callers simply keep the
+// uncompiled replay paths). The Program takes over the recorder's
+// slices; the recorder must not be used afterwards.
 func (r *Recorder) Compile() *Program {
 	if r.truncated || r.irDropped {
 		return nil
 	}
-	s := &stream{regions: r.regions, operands: r.operands, tails: r.tails}
-	s = passSuperword(s)
-	s = passCollapse(s)
-	return finalize(s, r.inner.Format(), r.ops, r.results)
+	return finalize(&Program{
+		format:   r.inner.Format(),
+		ops:      r.ops,
+		regions:  r.regions,
+		operands: r.operands,
+		results:  r.results,
+		tails:    r.tails,
+	})
 }
 
 // irFull reports whether the IR can no longer accept n more
@@ -97,10 +108,22 @@ func (r *Recorder) pushResult(b fp.Bits) {
 	r.results = append(r.results, b)
 }
 
-// scalar records a one-operation region. Operand slots beyond the
-// operation's arity are ignored.
+// scalar records one scalar operation: a ScalarServed kind as a
+// one-operation KScalar region with its operands (slots beyond the
+// operation's arity are ignored), any other kind by extending the
+// KRun region that ends the stream, or opening one.
 func (r *Recorder) scalar(op fp.Op, a, b, c, res fp.Bits) fp.Bits {
-	if !r.irFull(1) {
+	switch {
+	case r.irFull(1):
+	case !ScalarServed(op):
+		if n := len(r.regions); n > 0 && r.regions[n-1].Kind == KRun {
+			r.regions[n-1].N++
+			break
+		}
+		r.regions = append(r.regions, Region{
+			Kind: KRun, Start: r.ops, N: 1, Off: uint32(len(r.operands)),
+		})
+	default:
 		r.regions = append(r.regions, Region{
 			Kind: KScalar, Op: op, Start: r.ops, N: 1, Off: uint32(len(r.operands)),
 		})
@@ -191,67 +214,6 @@ func (r *Recorder) DotFMA(acc fp.Bits, a, b []fp.Bits) fp.Bits {
 	return r.chain(acc, a, b)
 }
 
-// mapN records one KMap2/KMap3 region. Operands are snapshotted before
-// the batch computes because FMAN's dst may alias c.
-func (r *Recorder) mapN(kind Kind, op fp.Op, a, b, c []fp.Bits) bool {
-	n := len(a)
-	if r.irFull(n) {
-		return false
-	}
-	off := len(r.operands)
-	r.operands = append(r.operands, a...)
-	r.operands = append(r.operands, b[:n]...)
-	if kind == KMap3 {
-		r.operands = append(r.operands, c[:n]...)
-	}
-	r.regions = append(r.regions, Region{
-		Kind: kind, Op: op, Start: r.ops, N: uint32(n), Off: uint32(off),
-	})
-	return true
-}
-
-// AddN implements fp.BatchEnv.
-func (r *Recorder) AddN(dst, a, b []fp.Bits) {
-	n := len(a)
-	if n == 0 {
-		return
-	}
-	r.mapN(KMap2, fp.OpAdd, a, b, nil)
-	fp.AddN(r.inner, dst, a, b)
-	for _, d := range dst[:n] {
-		r.pushResult(d)
-	}
-	r.ops += uint64(n)
-}
-
-// MulN implements fp.BatchEnv.
-func (r *Recorder) MulN(dst, a, b []fp.Bits) {
-	n := len(a)
-	if n == 0 {
-		return
-	}
-	r.mapN(KMap2, fp.OpMul, a, b, nil)
-	fp.MulN(r.inner, dst, a, b)
-	for _, d := range dst[:n] {
-		r.pushResult(d)
-	}
-	r.ops += uint64(n)
-}
-
-// FMAN implements fp.BatchEnv.
-func (r *Recorder) FMAN(dst, a, b, c []fp.Bits) {
-	n := len(a)
-	if n == 0 {
-		return
-	}
-	r.mapN(KMap3, fp.OpFMA, a, b, c)
-	fp.FMAN(r.inner, dst, a, b, c)
-	for _, d := range dst[:n] {
-		r.pushResult(d)
-	}
-	r.ops += uint64(n)
-}
-
 // AXPY implements fp.BatchEnv. dst is the per-element accumulator
 // input, so its pristine values are snapshotted before the update.
 func (r *Recorder) AXPY(dst []fp.Bits, s fp.Bits, x []fp.Bits) {
@@ -273,15 +235,6 @@ func (r *Recorder) AXPY(dst []fp.Bits, s fp.Bits, x []fp.Bits) {
 		r.pushResult(d)
 	}
 	r.ops += uint64(n)
-}
-
-// DotFMABlock implements fp.BatchEnv: the chains are recorded in
-// order, each as its own KChain region (the block shape adds no new
-// stream structure beyond its member chains).
-func (r *Recorder) DotFMABlock(out []fp.Bits, acc fp.Bits, u, v []fp.Bits, stride int) {
-	for t := range out {
-		out[t] = r.DotFMA(acc, u, v[t*stride:t*stride+len(u)])
-	}
 }
 
 // GemmFMA implements fp.BatchEnv: the whole grid becomes one KGemm

@@ -22,11 +22,11 @@ func compile(t *testing.T, f fp.Format, run func(m fp.Env, r *Recorder)) (*Progr
 
 func TestServeScalarRejectsCorruptedOperands(t *testing.T) {
 	p, m := compile(t, fp.Single, func(m fp.Env, r *Recorder) {
-		r.Mul(m.FromFloat64(3), m.FromFloat64(4))
+		r.Div(m.FromFloat64(3), m.FromFloat64(4))
 	})
 	a, b := m.FromFloat64(3), m.FromFloat64(4)
 	var cur Cursor
-	if res, ok := p.ServeScalar(&cur, 0, fp.OpMul, a, b, 0); !ok || res != p.Results()[0] {
+	if res, ok := p.ServeScalar(&cur, 0, fp.OpDiv, a, b, 0); !ok || res != p.Results()[0] {
 		t.Fatalf("clean operands not served: %v %#x", ok, res)
 	}
 	for _, bad := range []struct {
@@ -35,9 +35,9 @@ func TestServeScalarRejectsCorruptedOperands(t *testing.T) {
 		x, y  fp.Bits
 		posOK bool
 	}{
-		{"flipped-a", fp.OpMul, a ^ 1, b, true},
-		{"flipped-b", fp.OpMul, a, b ^ (1 << 20), true},
-		{"wrong-op", fp.OpAdd, a, b, true},
+		{"flipped-a", fp.OpDiv, a ^ 1, b, true},
+		{"flipped-b", fp.OpDiv, a, b ^ (1 << 20), true},
+		{"wrong-op", fp.OpMul, a, b, true},
 	} {
 		var c Cursor
 		if _, ok := p.ServeScalar(&c, 0, bad.op, bad.x, bad.y, 0); ok {
@@ -47,31 +47,8 @@ func TestServeScalarRejectsCorruptedOperands(t *testing.T) {
 	// Positions past the recorded stream (control-flow divergence) are
 	// never served.
 	var c Cursor
-	if _, ok := p.ServeScalar(&c, p.Ops(), fp.OpMul, a, b, 0); ok {
+	if _, ok := p.ServeScalar(&c, p.Ops(), fp.OpDiv, a, b, 0); ok {
 		t.Error("position beyond the stream was served")
-	}
-}
-
-func TestServeScalarChainLinkage(t *testing.T) {
-	// Chain element i>0 must link through the recorded result of i-1:
-	// a corrupted accumulator (the in-flight fault) blocks serving even
-	// though a and b still match.
-	p, m := compile(t, fp.Single, func(m fp.Env, r *Recorder) {
-		r.DotFMA(m.FromFloat64(1), seq(m, 2, 3), seq(m, 5, 3))
-	})
-	a, b := seq(m, 2, 3), seq(m, 5, 3)
-	var cur Cursor
-	acc := m.FromFloat64(1)
-	for i := 0; i < 3; i++ {
-		res, ok := p.ServeScalar(&cur, uint64(i), fp.OpFMA, a[i], b[i], acc)
-		if !ok {
-			t.Fatalf("element %d not served", i)
-		}
-		acc = res
-	}
-	var c2 Cursor
-	if _, ok := p.ServeScalar(&c2, 1, fp.OpFMA, a[1], b[1], acc^2); ok {
-		t.Error("corrupted chain accumulator was served")
 	}
 }
 
@@ -116,91 +93,6 @@ func TestChainPrefixPartial(t *testing.T) {
 	// Shape mismatches (wrong position, wrong length) are rejected.
 	if _, srv := p.ChainPrefix(&c, 1, p.Results()[0], a[1:], b[1:]); srv != 0 {
 		t.Error("mid-chain prefix request was served")
-	}
-}
-
-func TestServeMapDirtyInterval(t *testing.T) {
-	const n = 8
-	p, m := compile(t, fp.Single, func(m fp.Env, r *Recorder) {
-		dst := make([]fp.Bits, n)
-		r.AddN(dst, seq(m, 1, n), seq(m, 20, n))
-	})
-	a, b := seq(m, 1, n), seq(m, 20, n)
-
-	var cur Cursor
-	dst := make([]fp.Bits, n)
-	lo, hi, ok := p.ServeMap(&cur, 0, fp.OpAdd, dst, a, b, nil)
-	if !ok || lo != hi {
-		t.Fatalf("clean map: ok=%v dirty=[%d,%d)", ok, lo, hi)
-	}
-	for i, r := range p.Results() {
-		if dst[i] != r {
-			t.Fatalf("clean map served dst[%d]=%#x, recorded %#x", i, dst[i], r)
-		}
-	}
-
-	// Corrupt a[2] and b[5]: the dirty interval must cover both, and
-	// recomputing it must match a full recompute of the corrupted call.
-	ca := append([]fp.Bits(nil), a...)
-	cb := append([]fp.Bits(nil), b...)
-	ca[2] ^= 1 << 9
-	cb[5] ^= 1 << 3
-	var c2 Cursor
-	got := make([]fp.Bits, n)
-	lo, hi, ok = p.ServeMap(&c2, 0, fp.OpAdd, got, ca, cb, nil)
-	if !ok || lo != 2 || hi != 6 {
-		t.Fatalf("dirty map: ok=%v interval=[%d,%d), want [2,6)", ok, lo, hi)
-	}
-	fp.AddN(m, got[lo:hi], ca[lo:hi], cb[lo:hi])
-	want := make([]fp.Bits, n)
-	fp.AddN(m, want, ca, cb)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("served+recomputed dst[%d]=%#x, full recompute %#x", i, got[i], want[i])
-		}
-	}
-
-	// Wrong operation kind or a 3-operand query against a 2-operand
-	// region falls back to full recompute.
-	var c3 Cursor
-	if _, _, ok := p.ServeMap(&c3, 0, fp.OpMul, dst, a, b, nil); ok {
-		t.Error("MUL query served from an ADD region")
-	}
-	if _, _, ok := p.ServeMap(&c3, 0, fp.OpAdd, dst, a, b, a); ok {
-		t.Error("3-operand query served from a map2 region")
-	}
-}
-
-func TestServeMapFMANAliasedAccumulator(t *testing.T) {
-	// FMAN's dst commonly aliases c; dirty entries must keep their
-	// pristine accumulator inputs so the caller's recompute reads them.
-	const n = 5
-	var rc []fp.Bits
-	p, m := compile(t, fp.Single, func(m fp.Env, r *Recorder) {
-		c := seq(m, 30, n)
-		rc = append([]fp.Bits(nil), c...)
-		r.FMAN(c, seq(m, 1, n), seq(m, 10, n), c)
-	})
-	a, b := seq(m, 1, n), seq(m, 10, n)
-	ca := append([]fp.Bits(nil), a...)
-	ca[1] ^= 1 << 7
-
-	dst := append([]fp.Bits(nil), rc...) // dst aliases the c operand
-	var cur Cursor
-	lo, hi, ok := p.ServeMap(&cur, 0, fp.OpFMA, dst, ca, b, dst)
-	if !ok || lo != 1 || hi != 2 {
-		t.Fatalf("aliased FMAN: ok=%v interval=[%d,%d), want [1,2)", ok, lo, hi)
-	}
-	if dst[1] != rc[1] {
-		t.Fatalf("dirty dst[1] was overwritten before recompute: %#x", dst[1])
-	}
-	fp.FMAN(m, dst[lo:hi], ca[lo:hi], b[lo:hi], dst[lo:hi])
-	want := append([]fp.Bits(nil), rc...)
-	fp.FMAN(m, want, ca, b, want)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("aliased FMAN dst[%d]=%#x, want %#x", i, dst[i], want[i])
-		}
 	}
 }
 
@@ -371,50 +263,42 @@ func TestServeGemmNilAccs(t *testing.T) {
 func TestFinalizeRejectsMalformedStreams(t *testing.T) {
 	m := fp.NewMachine(fp.Single)
 	results := seq(m, 1, 4)
-	ok := &stream{
-		regions:  []Region{{Kind: KMap2, Op: fp.OpAdd, Start: 0, N: 4, Off: 0}},
-		operands: seq(m, 1, 8),
+	wellFormed := func() *Program {
+		return &Program{
+			format: fp.Single,
+			ops:    4,
+			regions: []Region{
+				{Kind: KRun, Start: 0, N: 2},
+				{Kind: KAxpy, Op: fp.OpFMA, Start: 2, N: 2, Off: 0},
+			},
+			operands: seq(m, 1, 5),
+			results:  results,
+		}
 	}
-	if finalize(ok, fp.Single, 4, results) == nil {
+	if finalize(wellFormed()) == nil {
 		t.Fatal("well-formed stream rejected")
 	}
 	cases := []struct {
 		name string
-		mut  func(s *stream) (ops uint64, res []fp.Bits)
+		mut  func(p *Program)
 	}{
-		{"gap", func(s *stream) (uint64, []fp.Bits) {
-			s.regions[0].Start = 1
-			return 4, results
+		{"gap", func(p *Program) { p.regions[1].Start = 3 }},
+		{"short-coverage", func(p *Program) { p.regions[1].N = 1 }},
+		{"zero-n", func(p *Program) { p.regions[0].N = 0 }},
+		{"operands-out-of-bounds", func(p *Program) { p.operands = p.operands[:4] }},
+		{"results-length-mismatch", func(p *Program) { p.results = p.results[:3] }},
+		{"gemm-shape-mismatch", func(p *Program) {
+			p.regions[1] = Region{Kind: KGemm, Op: fp.OpFMA, Start: 2, N: 2, Rows: 1, Cols: 1, K: 1}
 		}},
-		{"short-coverage", func(s *stream) (uint64, []fp.Bits) {
-			s.regions[0].N = 3
-			return 4, results
-		}},
-		{"zero-n", func(s *stream) (uint64, []fp.Bits) {
-			s.regions[0].N = 0
-			return 4, results
-		}},
-		{"operands-out-of-bounds", func(s *stream) (uint64, []fp.Bits) {
-			s.operands = s.operands[:5]
-			return 4, results
-		}},
-		{"results-length-mismatch", func(s *stream) (uint64, []fp.Bits) {
-			return 4, results[:3]
-		}},
-		{"gemm-shape-mismatch", func(s *stream) (uint64, []fp.Bits) {
-			s.regions[0] = Region{Kind: KGemm, Op: fp.OpFMA, N: 4, Rows: 1, Cols: 1, K: 2,
-				Off: 0}
-			return 4, results
+		{"gemm-tails-out-of-bounds", func(p *Program) {
+			p.regions[1] = Region{Kind: KGemm, Op: fp.OpFMA, Start: 2, N: 2, Rows: 1, Cols: 1, K: 2}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &stream{
-				regions:  append([]Region(nil), ok.regions...),
-				operands: append([]fp.Bits(nil), ok.operands...),
-			}
-			ops, res := tc.mut(s)
-			if finalize(s, fp.Single, ops, res) != nil {
+			p := wellFormed()
+			tc.mut(p)
+			if finalize(p) != nil {
 				t.Error("malformed stream accepted")
 			}
 		})

@@ -41,7 +41,9 @@
 package mixedrel
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"mixedrel/internal/arch"
@@ -145,6 +147,38 @@ type YOLO = kernels.YOLO
 // NewYOLO builds the detector with a deterministic synthetic scene.
 func NewYOLO(seed uint64) *YOLO { return kernels.NewYOLO(seed) }
 
+// ParseKernel returns the constructor of the workload a command line
+// names, in any case, sized by size: mxm or gemm (n = size), lavamd
+// (2^3 boxes of size/4+1 particles), lud, hotspot (8 steps), cg (size
+// iterations), micro-add, micro-mul and micro-fma (4 threads of size
+// operations), mnist and yolo or yolov3 (fixed sizes). Building is left
+// to the caller because MNIST trains on construction.
+func ParseKernel(name string, size int, seed uint64) (func() Kernel, error) {
+	switch strings.ToLower(name) {
+	case "mxm", "gemm":
+		return func() Kernel { return NewGEMM(size, seed) }, nil
+	case "lavamd":
+		return func() Kernel { return NewLavaMD(2, size/4+1, seed) }, nil
+	case "lud":
+		return func() Kernel { return NewLUD(size, seed) }, nil
+	case "hotspot":
+		return func() Kernel { return NewHotspot(size, 8, seed) }, nil
+	case "cg":
+		return func() Kernel { return NewCG(size, size, seed) }, nil
+	case "micro-add":
+		return func() Kernel { return NewMicro(MicroADD, 4, size, seed) }, nil
+	case "micro-mul":
+		return func() Kernel { return NewMicro(MicroMUL, 4, size, seed) }, nil
+	case "micro-fma":
+		return func() Kernel { return NewMicro(MicroFMA, 4, size, seed) }, nil
+	case "mnist":
+		return func() Kernel { return NewMNIST(1, seed) }, nil
+	case "yolo", "yolov3":
+		return func() Kernel { return NewYOLO(seed) }, nil
+	}
+	return nil, fmt.Errorf("unknown kernel %q", name)
+}
+
 // Detection is one decoded object detection.
 type Detection = kernels.Detection
 
@@ -182,6 +216,21 @@ func NewXeonPhi() Device { return xeonphi.New() }
 
 // NewGPU returns the NVIDIA Titan V (Volta) model.
 func NewGPU() Device { return gpu.New() }
+
+// ParseDevice returns the device a command line names, in any case:
+// fpga or zynq, xeonphi, phi or knc, and gpu, volta or titanv. It is
+// the device counterpart of fp.ParseFormat.
+func ParseDevice(name string) (Device, error) {
+	switch strings.ToLower(name) {
+	case "fpga", "zynq":
+		return NewFPGA(), nil
+	case "xeonphi", "phi", "knc":
+		return NewXeonPhi(), nil
+	case "gpu", "volta", "titanv":
+		return NewGPU(), nil
+	}
+	return nil, fmt.Errorf("unknown device %q", name)
+}
 
 // BeamExperiment is a Monte-Carlo neutron-beam campaign over a Mapping.
 type BeamExperiment = beam.Experiment

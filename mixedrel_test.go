@@ -271,3 +271,59 @@ func TestSamplingEfficiency(t *testing.T) {
 		t.Errorf("spent %d samples, uniform need %d: %.2fx reduction, want at least 5x", res.Faults, need, r)
 	}
 }
+
+// TestParseDevice: every device name and alias, in any case, names its
+// device, and anything else is an error.
+func TestParseDevice(t *testing.T) {
+	want := map[string]mixedrel.Device{
+		"fpga": mixedrel.NewFPGA(), "zynq": mixedrel.NewFPGA(),
+		"xeonphi": mixedrel.NewXeonPhi(), "phi": mixedrel.NewXeonPhi(), "knc": mixedrel.NewXeonPhi(),
+		"gpu": mixedrel.NewGPU(), "volta": mixedrel.NewGPU(), "titanv": mixedrel.NewGPU(),
+	}
+	for name, d := range want {
+		for _, n := range []string{name, strings.ToUpper(name)} {
+			got, err := mixedrel.ParseDevice(n)
+			if err != nil || got.Name() != d.Name() {
+				t.Errorf("ParseDevice(%q) = %v, %v; want %s", n, got, err, d.Name())
+			}
+		}
+	}
+	for _, bad := range []string{"", "cpu", "TitanV ", "Zynq-7000"} {
+		if _, err := mixedrel.ParseDevice(bad); err == nil {
+			t.Errorf("ParseDevice(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseKernel: every kernel name and alias, in any case, builds the
+// kernel its constructor builds at that size and seed, and anything else
+// is an error.
+func TestParseKernel(t *testing.T) {
+	const size, seed = 8, 3
+	want := map[string]mixedrel.Kernel{
+		"mxm": mixedrel.NewGEMM(size, seed), "gemm": mixedrel.NewGEMM(size, seed),
+		"lavamd":    mixedrel.NewLavaMD(2, size/4+1, seed),
+		"lud":       mixedrel.NewLUD(size, seed),
+		"hotspot":   mixedrel.NewHotspot(size, 8, seed),
+		"cg":        mixedrel.NewCG(size, size, seed),
+		"micro-add": mixedrel.NewMicro(mixedrel.MicroADD, 4, size, seed),
+		"micro-mul": mixedrel.NewMicro(mixedrel.MicroMUL, 4, size, seed),
+		"micro-fma": mixedrel.NewMicro(mixedrel.MicroFMA, 4, size, seed),
+		"mnist":     mixedrel.NewMNIST(1, seed),
+		"yolo":      mixedrel.NewYOLO(seed), "yolov3": mixedrel.NewYOLO(seed),
+	}
+	for name, k := range want {
+		newKernel, err := mixedrel.ParseKernel(strings.ToUpper(name), size, seed)
+		if err != nil {
+			t.Fatalf("ParseKernel(%q): %v", name, err)
+		}
+		if got := newKernel(); got.Key() != k.Key() {
+			t.Errorf("ParseKernel(%q) builds %q, want %q", name, got.Key(), k.Key())
+		}
+	}
+	for _, bad := range []string{"", "MxM ", "resnet"} {
+		if _, err := mixedrel.ParseKernel(bad, size, seed); err == nil {
+			t.Errorf("ParseKernel(%q) accepted", bad)
+		}
+	}
+}
