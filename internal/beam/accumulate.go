@@ -51,7 +51,7 @@ type AccumulationResult struct {
 }
 
 // Run executes the accumulation simulation. Results are deterministic
-// in Seed.
+// in Seed, at any pool size.
 func (a Accumulation) Run() (*AccumulationResult, error) {
 	m := a.Mapping
 	if m == nil {
@@ -72,42 +72,64 @@ func (a Accumulation) Run() (*AccumulationResult, error) {
 		mod = 1
 	}
 
-	golden := exec.Artifact(m.Kernel, m.Format, m.WrapKey, m.Wrap).Golden()
-	r := rng.New(a.Seed)
-
-	sdc := make([]int, a.MaxFaults+1)
-	dead := make([]int, a.MaxFaults+1)
-	for round := 0; round < a.Rounds; round++ {
-		var faults []inject.OpFault
-		for k := 1; k <= a.MaxFaults; k++ {
-			kind := sampleOpKind(r, cfg.OpWeights, m.Counts)
-			faults = append(faults, inject.OpFault{
-				Kind:   kind,
+	// Each round is one sample of a sequential-stream session batch (no
+	// checkpoint, so no journal record codec): draw takes the round's
+	// upsets from the stream in the order they accumulate, and run
+	// executes every depth 1…MaxFaults on the pool.
+	runner := inject.NewRunner(m.Kernel, m.Format, m.WrapKey, m.Wrap)
+	golden := runner.Golden()
+	sess, err := exec.NewSession[[]inject.OpFault, []depthOutcome, []depthOutcome](nil, 1, nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	rounds, _, err := sess.Run(exec.Flat(a.Seed, a.Rounds), func(_ int, r *rng.Rand) []inject.OpFault {
+		faults := make([]inject.OpFault, a.MaxFaults)
+		for k := range faults {
+			faults[k] = inject.OpFault{
+				Kind:   sampleOpKind(r, cfg.OpWeights, m.Counts),
 				Index:  r.Uint64n(mod),
 				Modulo: mod,
 				Bit:    r.Intn(m.Format.Width()),
 				Target: inject.TargetResult,
-			})
-			rr := inject.RunMulti(m.Kernel, m.Format, golden, faults, nil, true, m.Wrap)
-			if rr.Outcome == inject.SDC {
-				sdc[k]++
-				if isDead(golden, rr.Output) {
-					dead[k]++
-				}
 			}
 		}
+		return faults
+	}, func(_ int, faults []inject.OpFault) []depthOutcome {
+		out := make([]depthOutcome, len(faults))
+		for k := range faults {
+			rr := runner.Run(faults[:k+1], nil, true)
+			out[k].sdc = rr.Outcome == inject.SDC
+			out[k].dead = out[k].sdc && isDead(golden, rr.Output)
+		}
+		return out
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &AccumulationResult{}
-	for k := 1; k <= a.MaxFaults; k++ {
+	for k := 0; k < a.MaxFaults; k++ {
+		var sdc, dead int
+		for _, round := range rounds {
+			if round[k].sdc {
+				sdc++
+			}
+			if round[k].dead {
+				dead++
+			}
+		}
 		res.Points = append(res.Points, AccumulationPoint{
-			Faults: k,
-			PSDC:   float64(sdc[k]) / float64(a.Rounds),
-			PDead:  float64(dead[k]) / float64(a.Rounds),
+			Faults: k + 1,
+			PSDC:   float64(sdc) / float64(a.Rounds),
+			PDead:  float64(dead) / float64(a.Rounds),
 		})
 	}
 	return res, nil
 }
+
+// depthOutcome is one accumulation depth's classification in one round.
+type depthOutcome struct{ sdc, dead bool }
 
 // isDead reports whether the output indicates a functionally broken
 // circuit: at least half the elements non-finite or off by a factor of

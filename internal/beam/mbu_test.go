@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mixedrel/internal/arch"
+	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
 	"mixedrel/internal/fpga"
 	"mixedrel/internal/kernels"
@@ -127,22 +128,34 @@ func TestAccumulationCurve(t *testing.T) {
 	}
 }
 
+// TestAccumulationDeterministic: the curve depends on the seed only —
+// not on the run, and not on the pool size its rounds spread over.
+// TestAccumulationDeterministic: the curve depends on the seed only —
+// not on the run, and not on the pool size its rounds spread over.
 func TestAccumulationDeterministic(t *testing.T) {
-	m, err := fpga.New().Map(arch.NewWorkload(kernels.NewGEMM(8, 1), 512, 64), fp.Half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Accumulation{Mapping: m, MaxFaults: 3, Rounds: 10, Seed: 5}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Accumulation{Mapping: m, MaxFaults: 3, Rounds: 10, Seed: 5}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("accumulation not deterministic at depth %d", i+1)
+	old := exec.MaxWorkers()
+	defer exec.SetMaxWorkers(old)
+	for _, f := range []fp.Format{fp.Half, fp.Double} {
+		m, err := fpga.New().Map(arch.NewWorkload(kernels.NewGEMM(8, 1), 512, 64), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *AccumulationResult
+		for _, pool := range []int{old, old, 1, 4} {
+			exec.SetMaxWorkers(pool)
+			got, err := Accumulation{Mapping: m, MaxFaults: 3, Rounds: 10, Seed: 5}.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range want.Points {
+				if got.Points[i] != want.Points[i] {
+					t.Fatalf("%v pool %d: depth %d gives %+v, want %+v", f, pool, i+1, got.Points[i], want.Points[i])
+				}
+			}
 		}
 	}
 }

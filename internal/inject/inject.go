@@ -21,10 +21,7 @@
 package inject
 
 import (
-	"fmt"
-
 	"mixedrel/internal/fp"
-	"mixedrel/internal/kernels"
 	"mixedrel/internal/traceir"
 )
 
@@ -148,26 +145,12 @@ type Env struct {
 	prog *traceir.Program
 	cur  traceir.Cursor
 
-	// miss counts consecutive scalar compare-serve misses. Runs whose
-	// dynamic operation stream drifts out of alignment with the recorded
-	// one (control-flow divergence inside the software transcendentals,
-	// early wide corruption under beam strikes) miss on essentially every
-	// remaining operation, and paying a region lookup plus operand
-	// compare per miss costs more than it saves. After scalarServeStreak
-	// consecutive misses, served probes only every scalarServeProbe-th
-	// operation; one hit re-engages full serving. Purely a cost policy:
-	// serving is bit-exact whenever it happens, so backing off can never
-	// change an outcome (the compiled-vs-interpreted equivalence suite
-	// holds for any probe schedule).
-	miss uint32
-
 	// Per-run serve statistics, accumulated as plain fields (the hot
 	// path must not touch atomics or allocate — hotalloc-enforced) and
 	// flushed into the process-wide telemetry counters by the runner
 	// once per sample. Never read by classification.
 	statReplayed uint64 // operations served by replay induction
 	statServed   uint64 // operations served by compiled compare-serving
-	statBackoff  uint64 // times the scalar serve backoff tripped
 	statJumped   uint64 // operations a loop-counter jump added to all without executing them
 
 	// Behavioral-DUE state, armed per run by resetSpec. due records
@@ -486,34 +469,13 @@ func (e *Env) served(kind fp.Op, a, b, c fp.Bits) (fp.Bits, bool) {
 	if e.prog == nil || e.skip || e.ctlPending || !traceir.ScalarServed(kind) {
 		return 0, false
 	}
-	if e.miss >= scalarServeStreak && e.miss%scalarServeProbe != 0 {
-		e.miss++
-		return 0, false
-	}
 	res, ok := e.prog.ServeScalar(&e.cur, e.all-1, kind, a, b, c)
 	if !ok {
-		e.miss++
-		if e.miss == scalarServeStreak {
-			e.statBackoff++
-		}
 		return 0, false
 	}
-	e.miss = 0
 	e.statServed++
 	return e.duePost(res), true
 }
-
-// Scalar compare-serve backoff (see Env.miss): after scalarServeStreak
-// consecutive misses, probe only every scalarServeProbe-th operation.
-// The streak is long enough that a single fault-dependent chain (the
-// deepest scalar cones the kernels produce between clean operations)
-// does not trip it, and the probe period keeps the residual cost of a
-// permanently diverged run under 2% while re-engaging within one probe
-// period when the stream realigns.
-const (
-	scalarServeStreak = 32
-	scalarServeProbe  = 64
-)
 
 // neverFault is an operation fault that cannot match any dynamic
 // operation (no campaign executes 2^64 of them); it lets one injecting
@@ -536,10 +498,8 @@ func (e *Env) reset(fault *OpFault) {
 	e.intCtr = 0
 	e.applied = 0
 	e.cur = traceir.Cursor{}
-	e.miss = 0
 	e.statReplayed = 0
 	e.statServed = 0
-	e.statBackoff = 0
 	e.statJumped = 0
 	e.due = false
 	e.ctlArmed = false
@@ -883,86 +843,4 @@ type RunResult struct {
 	// FaultApplied reports whether the op fault actually fired (an
 	// index past the dynamic op count never fires).
 	FaultApplied bool
-}
-
-// Run executes kernel k in format f with an optional operation fault and
-// any number of memory faults, then classifies the outcome against
-// golden (the decoded fault-free output in the same format).
-// keepOutput controls whether the decoded faulty output is returned.
-func Run(k kernels.Kernel, f fp.Format, golden []float64, opFault *OpFault, memFaults []MemFault, keepOutput bool) RunResult {
-	return RunWrapped(k, f, golden, opFault, memFaults, keepOutput, nil)
-}
-
-// RunWrapped is Run with an environment transform applied between the
-// kernel and the injecting layer, so that faults can strike inside
-// decomposed operations (e.g. a platform's software exp). The golden
-// output must have been produced with the same transform.
-func RunWrapped(k kernels.Kernel, f fp.Format, golden []float64, opFault *OpFault, memFaults []MemFault, keepOutput bool, wrap func(fp.Env) fp.Env) RunResult {
-	var opFaults []OpFault
-	if opFault != nil {
-		opFaults = []OpFault{*opFault}
-	}
-	return RunMulti(k, f, golden, opFaults, memFaults, keepOutput, wrap)
-}
-
-// RunMulti executes one run with any number of simultaneous operation
-// faults (e.g. accumulated persistent FPGA configuration upsets) plus
-// memory faults. Each operation fault gets its own injecting layer; the
-// layers chain, so all faults apply independently within the same run.
-func RunMulti(k kernels.Kernel, f fp.Format, golden []float64, opFaults []OpFault, memFaults []MemFault, keepOutput bool, wrap func(fp.Env) fp.Env) RunResult {
-	in := k.Inputs(f)
-	for _, mf := range memFaults {
-		if len(in) == 0 {
-			break
-		}
-		arr := in[mf.Array%len(in)]
-		if len(arr) == 0 {
-			continue
-		}
-		i := mf.Elem % len(arr)
-		arr[i] = FlipBits(f, arr[i], mf.Bit, mf.Width)
-	}
-
-	var env fp.Env = fp.NewMachine(f)
-	ienvs := make([]*Env, 0, len(opFaults))
-	for _, fault := range opFaults {
-		ie := NewEnv(env, fault)
-		ienvs = append(ienvs, ie)
-		env = ie
-	}
-	if wrap != nil {
-		env = wrap(env)
-	}
-	outBits := k.Run(env, in)
-	out := kernels.Decode(f, outBits)
-	if len(out) != len(golden) {
-		panic(fmt.Sprintf("inject: output length %d vs golden %d", len(out), len(golden)))
-	}
-
-	res := RunResult{FaultApplied: len(memFaults) > 0}
-	for _, ie := range ienvs {
-		if ie.Applied() > 0 {
-			res.FaultApplied = true
-		}
-	}
-	var worst float64
-	same := true
-	for i := range out {
-		if out[i] != golden[i] {
-			same = false
-			if e := fp.RelErr(golden[i], out[i]); e > worst {
-				worst = e
-			}
-		}
-	}
-	if same {
-		res.Outcome = Masked
-	} else {
-		res.Outcome = SDC
-		res.MaxRelErr = worst
-	}
-	if keepOutput {
-		res.Output = out
-	}
-	return res
 }

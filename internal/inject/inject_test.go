@@ -16,9 +16,8 @@ func goldenFor(k kernels.Kernel, f fp.Format) []float64 {
 func TestEnvNoFaultWhenIndexOutOfRange(t *testing.T) {
 	k := kernels.NewGEMM(6, 1)
 	f := fp.Single
-	golden := goldenFor(k, f)
 	fault := OpFault{AnyKind: true, Index: 1 << 40, Bit: 3, Target: TargetResult}
-	res := Run(k, f, golden, &fault, nil, false)
+	res := NewRunner(k, f, "", nil).Run([]OpFault{fault}, nil, false)
 	if res.Outcome != Masked || res.FaultApplied {
 		t.Errorf("out-of-range fault: outcome %v, applied %v", res.Outcome, res.FaultApplied)
 	}
@@ -27,12 +26,11 @@ func TestEnvNoFaultWhenIndexOutOfRange(t *testing.T) {
 func TestResultFaultCausesSDC(t *testing.T) {
 	k := kernels.NewGEMM(6, 1)
 	for _, f := range fp.Formats {
-		golden := goldenFor(k, f)
 		// Flip the top mantissa bit of the final FMA of the last output
 		// element: guaranteed visible.
 		total := kernels.Profile(k, f).Total()
 		fault := OpFault{AnyKind: true, Index: total - 1, Bit: f.MantBits() - 1, Target: TargetResult}
-		res := Run(k, f, golden, &fault, nil, false)
+		res := NewRunner(k, f, "", nil).Run([]OpFault{fault}, nil, false)
 		if !res.FaultApplied {
 			t.Fatalf("%v: fault did not fire", f)
 		}
@@ -48,9 +46,8 @@ func TestResultFaultCausesSDC(t *testing.T) {
 func TestOperandFaultFires(t *testing.T) {
 	k := kernels.NewMicro(kernels.MicroMUL, 1, 10, 2)
 	f := fp.Double
-	golden := goldenFor(k, f)
 	fault := OpFault{AnyKind: true, Index: 0, Bit: 40, Target: TargetOperand, OperandIdx: 0}
-	res := Run(k, f, golden, &fault, nil, false)
+	res := NewRunner(k, f, "", nil).Run([]OpFault{fault}, nil, false)
 	if !res.FaultApplied {
 		t.Fatal("operand fault did not fire")
 	}
@@ -67,7 +64,7 @@ func TestSignBitFlipExactlyDoublesOrNegates(t *testing.T) {
 	golden := goldenFor(k, f)
 	total := kernels.Profile(k, f).Total()
 	fault := OpFault{AnyKind: true, Index: total - 1, Bit: f.Width() - 1, Target: TargetResult}
-	res := Run(k, f, golden, &fault, nil, true)
+	res := NewRunner(k, f, "", nil).Run([]OpFault{fault}, nil, true)
 	if res.Outcome != SDC {
 		t.Fatalf("outcome %v", res.Outcome)
 	}
@@ -95,10 +92,9 @@ func TestPersistentFaultHitsManyOps(t *testing.T) {
 func TestMemFaultSDC(t *testing.T) {
 	k := kernels.NewGEMM(6, 5)
 	f := fp.Single
-	golden := goldenFor(k, f)
 	// Flip the top mantissa bit of A[0][0]: C row 0 must change.
 	mf := MemFault{Array: 0, Elem: 0, Bit: f.MantBits() - 1}
-	res := Run(k, f, golden, nil, []MemFault{mf}, false)
+	res := NewRunner(k, f, "", nil).Run(nil, []MemFault{mf}, false)
 	if res.Outcome != SDC {
 		t.Errorf("input corruption classified as %v", res.Outcome)
 	}
@@ -107,10 +103,9 @@ func TestMemFaultSDC(t *testing.T) {
 func TestMemFaultIndicesWrap(t *testing.T) {
 	k := kernels.NewGEMM(4, 5)
 	f := fp.Half
-	golden := goldenFor(k, f)
 	// Out-of-range array/element/bit indices must wrap, not panic.
 	mf := MemFault{Array: 99, Elem: 1 << 20, Bit: 999}
-	res := Run(k, f, golden, nil, []MemFault{mf}, false)
+	res := NewRunner(k, f, "", nil).Run(nil, []MemFault{mf}, false)
 	_ = res // outcome may be either; just must not panic
 }
 
@@ -132,16 +127,6 @@ func TestEnvCountersPerKind(t *testing.T) {
 	if env.Applied() != 1 {
 		t.Fatal("transient fault fired more than once")
 	}
-}
-
-func TestRunPanicsOnGoldenLengthMismatch(t *testing.T) {
-	k := kernels.NewGEMM(4, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	Run(k, fp.Single, []float64{1, 2}, nil, nil, false)
 }
 
 func TestSampleOpFaultBounds(t *testing.T) {
@@ -297,13 +282,12 @@ func TestIntStateFault(t *testing.T) {
 	k := kernels.NewLavaMD(2, 3, 7)
 	f := fp.Double
 	wrap := fp.WrapExp(fp.ExpShape{Terms: 13, Squarings: 3, IntSites: 2})
-	golden := kernels.Decode(f, kernels.GoldenWith(k, f, wrap))
 	counts := kernels.ProfileWith(k, f, wrap)
 	if counts.IntSites == 0 {
 		t.Fatal("no int sites counted")
 	}
 	fault := OpFault{Target: TargetIntState, Index: counts.IntSites / 2, Bit: 2}
-	res := RunWrapped(k, f, golden, &fault, nil, false, wrap)
+	res := NewRunner(k, f, "", wrap).Run([]OpFault{fault}, nil, false)
 	if !res.FaultApplied {
 		t.Fatal("int-state fault did not fire")
 	}
@@ -328,5 +312,78 @@ func TestIntStateFaultCountsAcrossChainedEnvs(t *testing.T) {
 	d.Exp(d.FromFloat64(-0.4))
 	if e1.Applied() != 1 || e2.Applied() != 1 {
 		t.Errorf("chained int faults applied %d/%d, want 1/1", e1.Applied(), e2.Applied())
+	}
+}
+
+// TestRunChainsMultipleFaults: Runner.Run with two or more operation
+// faults equals the run of a hand-built chain of one injecting layer
+// per fault over a plain machine — same output bits, outcome and
+// FaultApplied — in every format, for persistent (FPGA configuration)
+// and one-shot faults, with and without a memory fault.
+func TestRunChainsMultipleFaults(t *testing.T) {
+	k := kernels.NewGEMM(8, 3)
+	for _, f := range fp.Formats {
+		ops := kernels.Profile(k, f).Total()
+		cases := []struct {
+			name string
+			op   []OpFault
+			mem  []MemFault
+		}{
+			{"persistent", []OpFault{
+				{Kind: fp.OpFMA, Index: 3, Modulo: 7, Bit: f.MantBits() - 1, Target: TargetResult},
+				{Kind: fp.OpFMA, Index: 5, Modulo: 11, Bit: 1, Target: TargetResult},
+			}, nil},
+			{"three-layers", []OpFault{
+				{Kind: fp.OpFMA, Index: 0, Modulo: 64, Bit: f.Width() - 2, Target: TargetResult},
+				{AnyKind: true, Index: ops / 2, Bit: 2, Target: TargetOperand, OperandIdx: 1},
+				{Kind: fp.OpFMA, Index: 9, Modulo: 13, Bit: 0, Width: 2, Target: TargetResult},
+			}, nil},
+			{"one-shot+memory", []OpFault{
+				{AnyKind: true, Index: ops - 1, Bit: f.MantBits() - 2, Target: TargetResult},
+				{AnyKind: true, Index: ops + 5, Bit: 3, Target: TargetResult},
+			}, []MemFault{{Array: 1, Elem: 17, Bit: f.MantBits() - 1}}},
+			{"none-fire", []OpFault{
+				{AnyKind: true, Index: ops + 1, Bit: 3, Target: TargetResult},
+				{AnyKind: true, Index: ops + 2, Bit: 4, Target: TargetResult},
+			}, nil},
+		}
+		golden := goldenFor(k, f)
+		for _, c := range cases {
+			got := NewRunner(k, f, "", nil).Run(c.op, c.mem, true)
+
+			in := k.Inputs(f)
+			for _, mf := range c.mem {
+				arr := in[mf.Array]
+				arr[mf.Elem] = FlipBits(f, arr[mf.Elem], mf.Bit, mf.Width)
+			}
+			var env fp.Env = fp.NewMachine(f)
+			applied := len(c.mem) > 0
+			var layers []*Env
+			for _, fl := range c.op {
+				l := NewEnv(env, fl)
+				layers = append(layers, l)
+				env = l
+			}
+			out := kernels.Decode(f, k.Run(env, in))
+			want := Masked
+			for i := range out {
+				if out[i] != golden[i] {
+					want = SDC
+				}
+			}
+			for _, l := range layers {
+				applied = applied || l.Applied() > 0
+			}
+
+			if got.Outcome != want || got.FaultApplied != applied {
+				t.Errorf("%v/%s: Run gave %v applied=%v, chain %v applied=%v",
+					f, c.name, got.Outcome, got.FaultApplied, want, applied)
+			}
+			for i := range out {
+				if math.Float64bits(got.Output[i]) != math.Float64bits(out[i]) {
+					t.Fatalf("%v/%s: output %d is %v, chain gives %v", f, c.name, i, got.Output[i], out[i])
+				}
+			}
+		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // Runner executes faulty runs of one (kernel, format, wrap)
-// configuration against memoized fault-free artifacts. Campaign-style
-// callers get three things over the one-shot Run/RunWrapped helpers:
+// configuration against memoized fault-free artifacts. It is the one
+// way to run a fault, for campaigns and single runs alike:
 //
 //   - the golden output and operation profile come from the process
 //     cache (exec.Artifact), so fault-free kernel executions happen once
-//     per configuration instead of twice per campaign;
+//     per configuration instead of once per run;
 //   - inputs are copied from the cached pristine encoding instead of
 //     re-encoded from float64 on every run;
 //   - the injecting environment chain, input buffers, and the decode
@@ -93,17 +93,49 @@ func (r *Runner) get() *scratch {
 	return sc
 }
 
-// Run executes one faulty run with an optional operation fault plus any
-// number of memory faults and classifies the outcome against the golden
-// output, exactly like RunWrapped on the same configuration. A panic in
-// the kernel propagates: one-shot callers have no campaign to degrade
-// gracefully into.
-func (r *Runner) Run(opFault *OpFault, memFaults []MemFault, keepOutput bool) RunResult {
-	rr, abort := r.RunSpec(FaultSpec{Op: opFault, Mem: memFaults}, keepOutput)
-	if abort != nil {
-		panic(abort.Value)
+// Run executes one faulty run under any number of simultaneous
+// operation faults plus any number of memory faults, and classifies the
+// outcome against the golden output. A panic in the kernel propagates:
+// a single run has no campaign to degrade gracefully into.
+//
+// Zero or one operation fault runs through RunSpec. Two or more (FPGA
+// configuration upsets accumulated without scrubbing) get one injecting
+// layer each, chained over a fresh fp.Machine, so every fault strikes
+// independently within the same run. The chain has no replay trace or
+// compiled program installed: an outer layer that served an operation
+// would answer it before the inner layers saw it, so their strikes on
+// it would be skipped.
+func (r *Runner) Run(opFaults []OpFault, memFaults []MemFault, keepOutput bool) RunResult {
+	if len(opFaults) <= 1 {
+		spec := FaultSpec{Mem: memFaults}
+		if len(opFaults) == 1 {
+			spec.Op = &opFaults[0]
+		}
+		rr, abort := r.RunSpec(spec, keepOutput)
+		if abort != nil {
+			panic(abort.Value)
+		}
+		return rr
 	}
-	return rr
+	sc := r.get()
+	r.prepare(sc, memFaults)
+	var env fp.Env = fp.NewMachine(r.format)
+	layers := make([]*Env, len(opFaults))
+	for i, f := range opFaults {
+		layers[i] = NewEnv(env, f)
+		env = layers[i]
+	}
+	if r.wrap != nil {
+		env = r.wrap(env)
+	}
+	res := r.classify(sc, r.runKernel(sc, env), keepOutput)
+	res.FaultApplied = len(memFaults) > 0
+	for _, l := range layers {
+		res.FaultApplied = res.FaultApplied || l.Applied() > 0
+	}
+	flushRunStats(layers[len(layers)-1], res.Outcome, CauseNone, false)
+	r.scratch.Put(sc)
+	return res
 }
 
 // RunSpec executes one faulty run under the full fault specification —
@@ -117,25 +149,7 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 	sc := r.get()
 	defer r.scratch.Put(sc)
 
-	f := r.format
-	// The Kernel contract forbids Run from mutating its inputs, so the
-	// scratch encoding only needs restoring after a memory-fault run.
-	if sc.in == nil || sc.dirty {
-		sc.in = r.art.CopyInputs(sc.in)
-	}
-	sc.dirty = len(spec.Mem) > 0
-	for _, mf := range spec.Mem {
-		if len(sc.in) == 0 {
-			break
-		}
-		arr := sc.in[mf.Array%len(sc.in)]
-		if len(arr) == 0 {
-			continue
-		}
-		i := mf.Elem % len(arr)
-		arr[i] = FlipBits(f, arr[i], mf.Bit, mf.Width)
-	}
-
+	r.prepare(sc, spec.Mem)
 	sc.ienv.resetSpec(spec, r.art.Counts.Total(), sc.in)
 	if len(spec.Mem) == 0 {
 		// Inputs are pristine, so the fault-free result trace is valid
@@ -154,14 +168,7 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 		sc.ienv.prog = r.art.Prog()
 	}
 	var outBits []fp.Bits
-	abort := exec.Guard(func() {
-		if ok, isOut := r.kernel.(kernels.OutputKernel); isOut {
-			sc.outBits = ok.RunInto(sc.env, sc.in, sc.outBits)
-			outBits = sc.outBits
-		} else {
-			outBits = r.kernel.Run(sc.env, sc.in)
-		}
-	})
+	abort := exec.Guard(func() { outBits = r.runKernel(sc, sc.env) })
 	if abort != nil {
 		// The run died mid-kernel; nothing certain is known about the
 		// scratch buffers, so restore the inputs before the next run.
@@ -175,11 +182,55 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 		flushRunStats(sc.ienv, 0, CauseNone, true)
 		return RunResult{}, abort
 	}
+	res := r.classify(sc, outBits, keepOutput)
+	res.FaultApplied = len(spec.Mem) > 0 || sc.ienv.Applied() > 0
+	flushRunStats(sc.ienv, res.Outcome, CauseNone, false)
+	return res, nil
+}
+
+// prepare readies sc's inputs for a run with the given memory faults:
+// the pristine encoding, restored only after a run that may have
+// corrupted it (the Kernel contract forbids Run from mutating its
+// inputs), with the faults' bits flipped.
+func (r *Runner) prepare(sc *scratch, mem []MemFault) {
+	if sc.in == nil || sc.dirty {
+		sc.in = r.art.CopyInputs(sc.in)
+	}
+	sc.dirty = len(mem) > 0
+	for _, mf := range mem {
+		if len(sc.in) == 0 {
+			break
+		}
+		arr := sc.in[mf.Array%len(sc.in)]
+		if len(arr) == 0 {
+			continue
+		}
+		i := mf.Elem % len(arr)
+		arr[i] = FlipBits(r.format, arr[i], mf.Bit, mf.Width)
+	}
+}
+
+// runKernel runs the kernel on sc's inputs under env, into sc's output
+// buffer when the kernel can write into one.
+func (r *Runner) runKernel(sc *scratch, env fp.Env) []fp.Bits {
+	if ok, isOut := r.kernel.(kernels.OutputKernel); isOut {
+		sc.outBits = ok.RunInto(env, sc.in, sc.outBits)
+		return sc.outBits
+	}
+	return r.kernel.Run(env, sc.in)
+}
+
+// classify compares a finished run's output with the golden output:
+// Masked when every element decodes equal, SDC with the worst
+// element-wise relative error otherwise. keepOutput returns the decoded
+// output.
+func (r *Runner) classify(sc *scratch, outBits []fp.Bits, keepOutput bool) RunResult {
+	f := r.format
 	golden := r.art.Golden()
 	if len(outBits) != len(golden) {
 		panic(fmt.Sprintf("inject: output length %d vs golden %d", len(outBits), len(golden)))
 	}
-	res := RunResult{FaultApplied: len(spec.Mem) > 0 || sc.ienv.Applied() > 0}
+	var res RunResult
 	var worst float64
 	same := true
 	if !r.goldenNaN && !keepOutput {
@@ -193,7 +244,7 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 			if ob == gbits[i] {
 				continue
 			}
-			if v := sc.ienv.ToFloat64(ob); v != golden[i] {
+			if v := f.ToFloat64(ob); v != golden[i] {
 				same = false
 				if e := fp.RelErr(golden[i], v); e > worst {
 					worst = e
@@ -224,6 +275,5 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 		res.Outcome = SDC
 		res.MaxRelErr = worst
 	}
-	flushRunStats(sc.ienv, res.Outcome, CauseNone, false)
-	return res, nil
+	return res
 }

@@ -26,9 +26,6 @@ var (
 	mOps           = telemetry.NewCounter("inject_ops")
 	mReplayServed  = telemetry.NewCounter("inject_replay_served")
 	mCompareServed = telemetry.NewCounter("inject_compare_served")
-	// mBackoffTrips counts scalar compare-serve backoff engagements
-	// (a run's operation stream diverged from the recorded one).
-	mBackoffTrips = telemetry.NewCounter("inject_backoff_trips")
 
 	// Behavioral-DUE detector fires, by cause.
 	mWatchdogFires = telemetry.NewCounter("inject_watchdog_fires")
@@ -47,9 +44,6 @@ func flushRunStats(e *Env, outcome Outcome, cause DUECause, aborted bool) {
 	}
 	if e.statServed > 0 {
 		mCompareServed.Add(e.statServed)
-	}
-	if e.statBackoff > 0 {
-		mBackoffTrips.Add(e.statBackoff)
 	}
 	if aborted {
 		mAborts.Inc()

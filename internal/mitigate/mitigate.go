@@ -29,7 +29,6 @@ import (
 	"mixedrel/internal/fp"
 	"mixedrel/internal/inject"
 	"mixedrel/internal/kernels"
-	"mixedrel/internal/rng"
 )
 
 // TMR wraps any kernel with triple modular redundancy and bitwise
@@ -268,67 +267,67 @@ type Report struct {
 // Evaluate injects faults (uniformly over operation, operand and memory
 // sites) into a mitigated GEMM and classifies every outcome. baseline
 // must be the unprotected kernel the mitigation wraps; its golden output
-// defines correctness of the data region.
+// defines correctness of the data region. The faults are one
+// inject.Campaign; a sample the simulator aborted fails the evaluation.
 func Evaluate(mitigated, baseline kernels.Kernel, f fp.Format, faults int, seed uint64) (*Report, error) {
-	if faults <= 0 {
-		return nil, fmt.Errorf("mitigate: %d faults", faults)
-	}
-	runner := inject.NewRunner(mitigated, f, "", nil)
-	goldenBase := exec.Artifact(baseline, f, "", nil).Golden()
-	goldenMit := runner.Golden()
+	mit := exec.Artifact(mitigated, f, "", nil)
+	base := exec.Artifact(baseline, f, "", nil)
+	goldenBase, goldenMit := base.Golden(), mit.Golden()
 	if len(goldenMit) < len(goldenBase) {
 		return nil, fmt.Errorf("mitigate: mitigated output shorter than baseline")
 	}
+	res, err := inject.Campaign{
+		Kernel:      mitigated,
+		Format:      f,
+		Faults:      faults,
+		Seed:        seed,
+		Sites:       []inject.Site{inject.SiteOperation, inject.SiteOperand, inject.SiteMemory},
+		KeepOutputs: true,
+	}.Run()
+	if err != nil {
+		return nil, fmt.Errorf("mitigate: %w", err)
+	}
+	if len(res.Aborted) > 0 {
+		a := res.Aborted[0]
+		return nil, fmt.Errorf("mitigate: sample %d (%s) aborted: %s", a.Index, a.Fault, a.Panic)
+	}
+
 	abft, isABFT := mitigated.(*ABFTGEMM)
-
-	counts := runner.Counts()
-	baseCounts := exec.Artifact(baseline, f, "", nil).Counts
-	arrayLens := runner.ArrayLens()
-
-	r := rng.New(seed)
 	rep := &Report{
 		Faults:      faults,
-		OverheadOps: float64(counts.Total()) / float64(baseCounts.Total()),
+		OverheadOps: float64(mit.Counts.Total()) / float64(base.Counts.Total()),
 	}
-	for i := 0; i < faults; i++ {
-		var rr inject.RunResult
-		switch r.Intn(3) {
-		case 0:
-			fl := inject.SampleOpFault(r, counts, f, 0, true, inject.TargetResult)
-			rr = runner.Run(&fl, nil, true)
-		case 1:
-			fl := inject.SampleOpFault(r, counts, f, 0, true, inject.TargetOperand)
-			rr = runner.Run(&fl, nil, true)
-		default:
-			mf := inject.SampleMemFault(r, arrayLens, f)
-			rr = runner.Run(nil, []inject.MemFault{mf}, true)
-		}
-
-		// Correctness is judged on the data region only (memory faults
-		// legitimately change the correct answer for both mitigated and
-		// unmitigated runs identically, so bit-compare to the mitigated
-		// golden's data region).
+	// classify judges correctness on the data region only (memory faults
+	// legitimately change the correct answer for both mitigated and
+	// unmitigated runs identically, so compare to the mitigated golden's
+	// data region). A masked sample's output decodes equal to the
+	// golden output, so it classifies as the golden output does.
+	classify := func(out []float64, n int) {
 		dataOK := true
 		for j := range goldenBase {
-			if rr.Output[j] != goldenMit[j] {
+			if out[j] != goldenMit[j] {
 				dataOK = false
 				break
 			}
 		}
 		status := ABFTClean
 		if isABFT {
-			status = abft.StatusOf(rr.Output)
+			status = abft.StatusOf(out)
 		}
 		switch {
 		case dataOK && status == ABFTCorrected:
-			rep.Corrected++
+			rep.Corrected += n
 		case dataOK:
-			rep.Clean++
+			rep.Clean += n
 		case status != ABFTClean:
-			rep.Detected++
+			rep.Detected += n
 		default:
-			rep.SDC++
+			rep.SDC += n
 		}
+	}
+	classify(goldenMit, res.Masked)
+	for _, out := range res.Outputs {
+		classify(out, 1)
 	}
 	rep.ResidualPVF = float64(rep.SDC) / float64(rep.Faults)
 	return rep, nil

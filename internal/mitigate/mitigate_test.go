@@ -1,8 +1,11 @@
 package mitigate
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
 	"mixedrel/internal/inject"
 	"mixedrel/internal/kernels"
@@ -29,12 +32,11 @@ func TestTMROutvotesSingleReplicaFault(t *testing.T) {
 	g := kernels.NewGEMM(6, 2)
 	tmr := NewTMR(g)
 	f := fp.Single
-	golden := kernels.Decode(f, kernels.Golden(tmr, f))
 	innerOps := kernels.Profile(g, f).Total()
 	// Strike an operation in the second replica: the vote must fix it.
 	fault := inject.OpFault{AnyKind: true, Index: innerOps + 7,
 		Bit: f.MantBits() - 1, Target: inject.TargetResult}
-	res := inject.Run(tmr, f, golden, &fault, nil, false)
+	res := inject.NewRunner(tmr, f, "", nil).Run([]inject.OpFault{fault}, nil, false)
 	if !res.FaultApplied {
 		t.Fatal("fault did not fire")
 	}
@@ -48,9 +50,8 @@ func TestTMRCannotFixInputFault(t *testing.T) {
 	g := kernels.NewGEMM(6, 2)
 	tmr := NewTMR(g)
 	f := fp.Single
-	golden := kernels.Decode(f, kernels.Golden(tmr, f))
 	mf := inject.MemFault{Array: 0, Elem: 0, Bit: f.MantBits() - 1}
-	res := inject.Run(tmr, f, golden, nil, []inject.MemFault{mf}, false)
+	res := inject.NewRunner(tmr, f, "", nil).Run(nil, []inject.MemFault{mf}, false)
 	if res.Outcome != inject.SDC {
 		t.Error("common-mode input corruption must defeat TMR")
 	}
@@ -88,13 +89,12 @@ func TestABFTCorrectsSingleElementFault(t *testing.T) {
 	a := NewABFTGEMM(g)
 	f := fp.Double
 	goldenData := kernels.Decode(f, kernels.Golden(g, f))
-	goldenMit := kernels.Decode(f, kernels.Golden(a, f))
 	// Corrupt the final FMA of one C element (a high bit so it is well
 	// above the checksum tolerance).
 	gemmOps := kernels.Profile(g, f).Total()
 	fault := inject.OpFault{AnyKind: true, Index: gemmOps - 5,
 		Bit: 51, Target: inject.TargetResult}
-	res := inject.Run(a, f, goldenMit, &fault, nil, true)
+	res := inject.NewRunner(a, f, "", nil).Run([]inject.OpFault{fault}, nil, true)
 	if !res.FaultApplied {
 		t.Fatal("fault did not fire")
 	}
@@ -113,12 +113,11 @@ func TestABFTDetectsPersistentRowFault(t *testing.T) {
 	g := kernels.NewGEMM(8, 3)
 	a := NewABFTGEMM(g)
 	f := fp.Double
-	goldenMit := kernels.Decode(f, kernels.Golden(a, f))
 	// A persistent fault corrupting every 8th FMA smears errors across
 	// many elements: uncorrectable, but must be *detected*.
 	fault := inject.OpFault{Kind: fp.OpFMA, Index: 3, Modulo: 8,
 		Bit: 50, Target: inject.TargetResult}
-	res := inject.Run(a, f, goldenMit, &fault, nil, true)
+	res := inject.NewRunner(a, f, "", nil).Run([]inject.OpFault{fault}, nil, true)
 	if !res.FaultApplied {
 		t.Fatal("fault did not fire")
 	}
@@ -209,5 +208,68 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 	if Outcome(9).String() != "outcome?" {
 		t.Error("unknown outcome")
+	}
+}
+
+// TestEvaluatePoolInvariant: the report depends on the seed only, not
+// on the pool size the campaign's samples spread over.
+func TestEvaluatePoolInvariant(t *testing.T) {
+	old := exec.MaxWorkers()
+	defer exec.SetMaxWorkers(old)
+	g := kernels.NewGEMM(8, 9)
+	for _, k := range []kernels.Kernel{g, NewTMR(g), NewABFTGEMM(g)} {
+		var want *Report
+		for _, pool := range []int{1, 4} {
+			exec.SetMaxWorkers(pool)
+			got, err := Evaluate(k, g, fp.Half, 150, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want != nil && *got != *want {
+				t.Errorf("%s: pool %d gives %+v, pool 1 %+v", k.Name(), pool, *got, *want)
+			}
+			want = got
+		}
+	}
+}
+
+// tripwire panics when element 0 of its first input array was
+// corrupted — a stand-in for a simulator bug in one sample.
+type tripwire struct{ inner kernels.Kernel }
+
+func (w tripwire) Name() string                   { return w.inner.Name() + "-tripwire" }
+func (w tripwire) Key() string                    { return "" } // not the inner kernel's artifacts
+func (w tripwire) Inputs(f fp.Format) [][]fp.Bits { return w.inner.Inputs(f) }
+func (w tripwire) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
+	if in[0][0] != w.Inputs(env.Format())[0][0] {
+		panic("tripwire: corrupted A[0]")
+	}
+	return w.inner.Run(env, in)
+}
+
+// TestEvaluateAbortedSampleFails: a sample the simulator aborts fails
+// the evaluation with an error naming the sample, its fault and the
+// panic — Evaluate neither dies with it nor counts it.
+func TestEvaluateAbortedSampleFails(t *testing.T) {
+	g := kernels.NewGEMM(4, 1)
+	k := tripwire{g}
+	const faults, seed = 100, 15
+	res, err := inject.Campaign{Kernel: k, Format: fp.Single, Faults: faults, Seed: seed,
+		Sites: []inject.Site{inject.SiteOperation, inject.SiteOperand, inject.SiteMemory}}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Aborted) != 1 {
+		t.Fatalf("fixture: %d aborted samples, want 1", len(res.Aborted))
+	}
+	a := res.Aborted[0]
+	rep, err := Evaluate(k, g, fp.Single, faults, seed)
+	if err == nil {
+		t.Fatalf("aborted sample counted: %+v", rep)
+	}
+	for _, want := range []string{fmt.Sprintf("sample %d ", a.Index), a.Fault, "tripwire: corrupted A[0]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

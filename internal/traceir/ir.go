@@ -199,8 +199,8 @@ type Cursor struct {
 // find locates the region containing pos and moves the cursor to it.
 // Positions advance near-monotonically within a run, but not every
 // operation consults the program (only ScalarServed kinds and batches
-// do, and the scalar serve backoff probes only every few operations),
-// so the next lookup may land any number of regions past the cursor.
+// do), so the next lookup may land any number of regions past the
+// cursor.
 // The search therefore gallops forward from the cursor — probing 1, 2,
 // 4, ... regions ahead until one starts past pos — and binary-searches
 // inside that bracket: the cursor's own region costs two probes, and a
