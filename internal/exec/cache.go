@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 
 	"mixedrel/internal/fp"
@@ -24,6 +25,15 @@ type Artifacts struct {
 	lens    []int
 	results []fp.Bits
 	prog    *traceir.Program
+	tiles   []Tile
+}
+
+// Tile is one output tile of the fault-free run (see
+// kernels.OutputKernel): the operation counts at its start and at its
+// end, and whether any of its operations produced a non-finite result.
+type Tile struct {
+	Start, End fp.OpCounts
+	NonFinite  bool
 }
 
 // GoldenBits returns the fault-free output in the configuration's
@@ -50,6 +60,12 @@ func (a *Artifacts) Results() []fp.Bits { return a.results }
 // or nil when the execution overflowed the compilation cap. Immutable
 // and safe for concurrent replays.
 func (a *Artifacts) Prog() *traceir.Program { return a.prog }
+
+// Tiles returns the output tile table of the fault-free run, in tile
+// order, or nil when the kernel is no OutputKernel, marks no tiles, or
+// its result trace (which the NonFinite flags are read from) was
+// dropped. Shared; do not mutate.
+func (a *Artifacts) Tiles() []Tile { return a.tiles }
 
 // NewInputs returns a freshly allocated mutable copy of the kernel's
 // pristine encoded inputs.
@@ -156,6 +172,7 @@ func compute(k kernels.Kernel, f fp.Format, wrap func(fp.Env) fp.Env) *Artifacts
 	}
 	out := k.Run(env, in)
 	counts := counting.Counts
+	results := rec.Results()
 	for _, arr := range in {
 		counts.Loads += uint64(len(arr))
 	}
@@ -167,7 +184,39 @@ func compute(k kernels.Kernel, f fp.Format, wrap func(fp.Env) fp.Env) *Artifacts
 		decoded: kernels.Decode(f, out),
 		inputs:  pristine,
 		lens:    lens,
-		results: rec.Results(),
+		results: results,
 		prog:    rec.Compile(),
+		tiles:   tileTable(k, f, counting.Tiles, counting.Counts, results),
 	}
+}
+
+// tileTable builds the tile table of an OutputKernel from the Tile calls
+// of its counted run and the counts at the end of the run (no arithmetic
+// follows the last tile), with each tile's NonFinite flag read off its
+// span of the result trace. Tiles called out of order break the
+// kernels.OutputKernel contract and panic. Any other kernel gets no
+// table: it may run a tiled kernel inside (mitigate.TMR runs three), but
+// nothing can skip its tiles.
+func tileTable(k kernels.Kernel, f fp.Format, calls []fp.TileStart, end fp.OpCounts, results []fp.Bits) []Tile {
+	if _, ok := k.(kernels.OutputKernel); !ok || len(calls) == 0 {
+		return nil
+	}
+	for i, c := range calls {
+		if c.Tile != i {
+			panic(fmt.Sprintf("exec: %s called tile %d where tile %d was due; tiles run in order 0, 1, ...", k.Name(), c.Tile, i))
+		}
+	}
+	if results == nil {
+		return nil
+	}
+	tiles := make([]Tile, len(calls))
+	for t := range tiles {
+		tl := &tiles[t]
+		tl.Start, tl.End = calls[t].Counts, end
+		if t+1 < len(calls) {
+			tl.End = calls[t+1].Counts
+		}
+		tl.NonFinite = f.AnyNonFinite(results[tl.Start.Total():tl.End.Total()])
+	}
+	return tiles
 }

@@ -208,11 +208,38 @@ func (c *OpCounts) Add(other OpCounts) {
 	c.IntSites += other.IntSites
 }
 
+// Tiler is implemented by environments that can stand in for whole
+// output tiles of a kernel (see kernels.OutputKernel): a kernel calls
+// Tile(t) at the start of tile t, and a true return means the
+// environment accounts for the tile's operations and its outputs
+// already hold their values, so the kernel skips the tile's body.
+type Tiler interface {
+	Tile(t int) bool
+}
+
+// SkipTile reports whether the kernel may skip output tile t under env:
+// env's Tile(t), or false for an env that does not implement Tiler.
+func SkipTile(env Env, t int) bool {
+	if tl, ok := env.(Tiler); ok {
+		return tl.Tile(t)
+	}
+	return false
+}
+
 // Counting wraps an Env and tallies every dynamic operation. It is used
 // to profile kernels (for the architecture timing/exposure models) and to
 // size fault-injection campaigns.
 type Counting struct {
 	Inner  Env
+	Counts OpCounts
+	// Tiles records every Tile call in call order (see Tiler).
+	Tiles []TileStart
+}
+
+// TileStart is one Tile call a counting run saw: the tile index passed
+// and the counts at that point.
+type TileStart struct {
+	Tile   int
 	Counts OpCounts
 }
 
@@ -269,6 +296,12 @@ func (c *Counting) Exp(a Bits) Bits {
 func (c *Counting) IntDecision(k int) int {
 	c.Counts.IntSites++
 	return k
+}
+
+// Tile implements Tiler: it records the call and never skips.
+func (c *Counting) Tile(t int) bool {
+	c.Tiles = append(c.Tiles, TileStart{Tile: t, Counts: c.Counts})
+	return false
 }
 
 // FromFloat64 implements Env.

@@ -165,6 +165,18 @@ func (f Format) IsInf(b Bits) bool {
 	return f.Exponent(b) == int(f.expMask()>>f.MantBits()) && f.Mantissa(b) == 0
 }
 
+// AnyNonFinite reports whether any of bs encodes a NaN or an infinity
+// in format f: one mask compare per value, for scanning whole traces.
+func (f Format) AnyNonFinite(bs []Bits) bool {
+	m := f.expMask()
+	for _, b := range bs {
+		if b&m == m {
+			return true
+		}
+	}
+	return false
+}
+
 // IsSubnormal reports whether b encodes a nonzero subnormal in format f.
 func (f Format) IsSubnormal(b Bits) bool {
 	return f.Exponent(b) == 0 && f.Mantissa(b) != 0

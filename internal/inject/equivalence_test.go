@@ -212,6 +212,14 @@ func TestCampaignByteIdentityCompiledVsInterpreted(t *testing.T) {
 			Faults: 100, Seed: 7, Workers: 4,
 			Sites: []Site{SiteOperand, SiteMemory},
 		},
+		{
+			// Tiled: the compiled side skips the home boxes a fault
+			// cannot reach.
+			Kernel: kernels.NewLavaMD(2, 2, 3), Format: fp.Double,
+			Faults: 120, Seed: 23, Workers: 2,
+			Sites:         []Site{SiteOperation, SiteOperand, SiteMemory, SiteControl},
+			TrapNonFinite: true, KeepOutputs: true,
+		},
 	}
 	for i, c := range cases {
 		t.Run(fmt.Sprintf("case%d", i), func(t *testing.T) {

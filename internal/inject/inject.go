@@ -21,6 +21,7 @@
 package inject
 
 import (
+	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
 	"mixedrel/internal/traceir"
 )
@@ -151,7 +152,7 @@ type Env struct {
 	// once per sample. Never read by classification.
 	statReplayed uint64 // operations served by replay induction
 	statServed   uint64 // operations served by compiled compare-serving
-	statJumped   uint64 // operations a loop-counter jump added to all without executing them
+	statJumped   uint64 // operations a loop-counter jump or a skipped tile added to all without executing them
 
 	// Behavioral-DUE state, armed per run by resetSpec. due records
 	// whether any hook is armed; the hooks themselves reach operations
@@ -168,6 +169,17 @@ type Env struct {
 	trapAll    bool    // trap from op 0 (inputs corrupted pre-run)
 	mem        [][]fp.Bits
 	memTotal   uint64 // flat element count of mem
+
+	// tiles, when non-nil, is the fault-free run's output tile table
+	// (exec.Artifacts.Tiles), installed under the same condition as
+	// replay and with the output buffer already holding the golden
+	// output. Tile then skips each tile no fault or hook can reach (see
+	// Tile). tilesOK records, at tile 0, that the prologue ran clean;
+	// statTiles counts the tiles skipped, flushed with the serve
+	// statistics above.
+	tiles     []exec.Tile
+	tilesOK   bool
+	statTiles uint64
 }
 
 // NewEnv wraps inner with the given operation fault.
@@ -501,6 +513,9 @@ func (e *Env) reset(fault *OpFault) {
 	e.statReplayed = 0
 	e.statServed = 0
 	e.statJumped = 0
+	e.statTiles = 0
+	e.tiles = nil
+	e.tilesOK = false
 	e.due = false
 	e.ctlArmed = false
 	e.ctlPending = false
@@ -688,6 +703,71 @@ func (e *Env) IntDecision(k int) int {
 	}
 	e.intCtr++
 	return k
+}
+
+// Tile implements fp.Tiler: it skips output tile t when no fault or
+// hook can reach it, adding the tile's golden operation counts to the
+// counters in place of executing it. The skipped tile's outputs keep
+// the golden values the caller filled the output buffer with, and they
+// are exact: the tile reads only the inputs, pristine while tiles are
+// installed, and values computed before tile 0, so with a clean
+// prologue and nothing acting inside it, the tile would recompute its
+// golden operations bit for bit. A tile is skipped only when all of
+// these hold:
+//
+//   - a tile table is installed, and at tile 0 nothing had been
+//     corrupted, no skip mode was on and no operand was pending (a
+//     fault in the prologue disables skipping for the run);
+//   - skip mode is off and no control-corrupted operand is pending;
+//   - the fault's next strike, counted on its own counter (all, or its
+//     kind's), lies past the tile's span from the current counter;
+//   - an int-state fault's decision site lies past the tile's int sites;
+//   - an armed control site lies past the tile's span;
+//   - the trap is not live, or the tile has no non-finite golden result.
+//
+// A tile that crosses the watchdog budget trips it as a loop jump does.
+func (e *Env) Tile(t int) bool {
+	if t >= len(e.tiles) {
+		return false
+	}
+	if t == 0 {
+		e.tilesOK = e.applied == 0 && !e.skip && !e.ctlPending
+	}
+	if !e.tilesOK || e.skip || e.ctlPending {
+		return false
+	}
+	tl := &e.tiles[t]
+	n := tl.End.Total() - tl.Start.Total()
+	ctr, span := e.all, n
+	if !e.fault.AnyKind {
+		k := e.fault.Kind
+		ctr, span = e.byKind[k], tl.End.ByOp[k]-tl.Start.ByOp[k]
+	}
+	if e.strikeAt < ctr+span {
+		return false
+	}
+	sites := tl.End.IntSites - tl.Start.IntSites
+	if e.fault.Target == TargetIntState && e.fault.Index >= e.intCtr && e.fault.Index < e.intCtr+sites {
+		return false
+	}
+	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site < e.all+n {
+		return false
+	}
+	if tl.NonFinite && e.trapLive() {
+		return false
+	}
+	for k := range e.byKind {
+		e.byKind[k] += tl.End.ByOp[k] - tl.Start.ByOp[k]
+	}
+	e.all += n
+	e.intCtr += sites
+	e.statJumped += n
+	e.statTiles++
+	if e.budget > 0 && e.all > e.budget {
+		panic(dueSignal{outcome: HangDUE, cause: CauseWatchdog})
+	}
+	e.rearm()
+	return true
 }
 
 // Format implements fp.Env.

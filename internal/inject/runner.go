@@ -166,6 +166,7 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 	sc.ienv.prog = nil
 	if !r.disableCompiledReplay {
 		sc.ienv.prog = r.art.Prog()
+		r.installTiles(sc, spec)
 	}
 	var outBits []fp.Bits
 	abort := exec.Guard(func() { outBits = r.runKernel(sc, sc.env) })
@@ -186,6 +187,20 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 	res.FaultApplied = len(spec.Mem) > 0 || sc.ienv.Applied() > 0
 	flushRunStats(sc.ienv, res.Outcome, CauseNone, false)
 	return res, nil
+}
+
+// installTiles lets the run skip the output tiles no fault can reach
+// (Env.Tile): with pristine inputs, the same condition as replay, it
+// installs the tile table and fills the output buffer with the golden
+// output, which the skipped tiles keep. Only an OutputKernel, which
+// writes into that buffer, has a tile table.
+func (r *Runner) installTiles(sc *scratch, spec FaultSpec) {
+	tiles := r.art.Tiles()
+	if tiles == nil || len(spec.Mem) > 0 {
+		return
+	}
+	sc.ienv.tiles = tiles
+	sc.outBits = append(sc.outBits[:0], r.art.GoldenBits()...)
 }
 
 // prepare readies sc's inputs for a run with the given memory faults:

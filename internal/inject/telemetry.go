@@ -27,6 +27,11 @@ var (
 	mReplayServed  = telemetry.NewCounter("inject_replay_served")
 	mCompareServed = telemetry.NewCounter("inject_compare_served")
 
+	// mTilesSkipped counts output tiles an injected run took from the
+	// golden output instead of executing (Env.Tile); their operations
+	// are not in mOps.
+	mTilesSkipped = telemetry.NewCounter("inject_tiles_skipped")
+
 	// Behavioral-DUE detector fires, by cause.
 	mWatchdogFires = telemetry.NewCounter("inject_watchdog_fires")
 	mTrapFires     = telemetry.NewCounter("inject_trap_fires")
@@ -44,6 +49,9 @@ func flushRunStats(e *Env, outcome Outcome, cause DUECause, aborted bool) {
 	}
 	if e.statServed > 0 {
 		mCompareServed.Add(e.statServed)
+	}
+	if e.statTiles > 0 {
+		mTilesSkipped.Add(e.statTiles)
 	}
 	if aborted {
 		mAborts.Inc()

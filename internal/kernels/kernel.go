@@ -58,6 +58,21 @@ type Kernel interface {
 // like Run but writes into out when cap(out) suffices (allocating
 // otherwise) and returns the slice actually used; Run(env, in) must be
 // equivalent to RunInto(env, in, nil).
+//
+// A RunInto whose output splits into independent tiles may mark each
+// tile with fp.SkipTile(env, t) and skip the tile's body when it
+// returns true; the environment then guarantees the tile's outputs
+// already hold the values the body would write. Injected runs use this
+// to execute only the tiles a fault can reach, so the marking must
+// keep this contract:
+//
+//   - tiles are called in order 0, 1, ..., n-1 (the fault-free artifact
+//     build, exec.Artifact, panics otherwise);
+//   - tile t's operations are exactly those between its call and the
+//     next tile's call;
+//   - no arithmetic follows the last tile;
+//   - a tile reads only the inputs and values computed before tile 0;
+//   - a tile writes, and initializes, only its own outputs.
 type OutputKernel interface {
 	Kernel
 	RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits

@@ -71,16 +71,14 @@ func (l *LavaMD) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 	return l.RunInto(env, in, nil)
 }
 
-// RunInto implements OutputKernel.
+// RunInto implements OutputKernel. Each home box is one output tile:
+// its particles' accumulators, zeroed and summed inside the tile from
+// the inputs and the prologue constants alone.
 func (l *LavaMD) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	rv, qv := in[0], in[1]
 	dim, perBox := l.dim, l.perBx
-	n := l.Particles()
-	fA := ensureBits(out, 4*n)
+	fA := ensureBits(out, 4*l.Particles())
 	zero := env.FromFloat64(0)
-	for i := range fA {
-		fA[i] = zero
-	}
 	a2 := env.Mul(env.FromFloat64(l.alpha), env.FromFloat64(l.alpha))
 	two := env.FromFloat64(2)
 	negOne := env.FromFloat64(-1)
@@ -90,7 +88,15 @@ func (l *LavaMD) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	for bz := 0; bz < dim; bz++ {
 		for by := 0; by < dim; by++ {
 			for bx := 0; bx < dim; bx++ {
-				home := boxIndex(bx, by, bz) * perBox
+				box := boxIndex(bx, by, bz)
+				if fp.SkipTile(env, box) {
+					continue
+				}
+				home := box * perBox
+				acc := fA[4*home : 4*(home+perBox)]
+				for i := range acc {
+					acc[i] = zero
+				}
 				// Home box plus the 26 neighbors, clamped at the
 				// grid boundary (Rodinia uses no periodic wrap).
 				for dz := -1; dz <= 1; dz++ {
