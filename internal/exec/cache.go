@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 
 	"mixedrel/internal/fp"
@@ -25,15 +24,7 @@ type Artifacts struct {
 	lens    []int
 	results []fp.Bits
 	prog    *traceir.Program
-	tiles   []Tile
-}
-
-// Tile is one output tile of the fault-free run (see
-// kernels.OutputKernel): the operation counts at its start and at its
-// end, and whether any of its operations produced a non-finite result.
-type Tile struct {
-	Start, End fp.OpCounts
-	NonFinite  bool
+	tiles   *TileTable
 }
 
 // GoldenBits returns the fault-free output in the configuration's
@@ -61,11 +52,11 @@ func (a *Artifacts) Results() []fp.Bits { return a.results }
 // and safe for concurrent replays.
 func (a *Artifacts) Prog() *traceir.Program { return a.prog }
 
-// Tiles returns the output tile table of the fault-free run, in tile
-// order, or nil when the kernel is no OutputKernel, marks no tiles, or
-// its result trace (which the NonFinite flags are read from) was
-// dropped. Shared; do not mutate.
-func (a *Artifacts) Tiles() []Tile { return a.tiles }
+// Tiles returns the output tile table of the fault-free run, or nil
+// when the kernel is no OutputKernel, marks no tiles, or its result
+// trace (which the table reads tile results from) was dropped. Shared
+// and safe for concurrent use.
+func (a *Artifacts) Tiles() *TileTable { return a.tiles }
 
 // NewInputs returns a freshly allocated mutable copy of the kernel's
 // pristine encoded inputs.
@@ -166,6 +157,14 @@ func compute(k kernels.Kernel, f fp.Format, wrap func(fp.Env) fp.Env) *Artifacts
 
 	rec := traceir.NewRecorder(fp.NewMachine(f))
 	counting := fp.NewCounting(rec)
+	var tiles *tileBuilder
+	if _, ok := k.(kernels.OutputKernel); ok {
+		// Any other kernel gets no table: it may run a tiled kernel
+		// inside (mitigate.TMR runs three), but nothing can skip its
+		// tiles.
+		tiles = &tileBuilder{kernel: k.Name()}
+		counting.Tiles = tiles
+	}
 	var env fp.Env = counting
 	if wrap != nil {
 		env = wrap(env)
@@ -186,37 +185,6 @@ func compute(k kernels.Kernel, f fp.Format, wrap func(fp.Env) fp.Env) *Artifacts
 		lens:    lens,
 		results: results,
 		prog:    rec.Compile(),
-		tiles:   tileTable(k, f, counting.Tiles, counting.Counts, results),
+		tiles:   tiles.table(f, &counting.Counts, results),
 	}
-}
-
-// tileTable builds the tile table of an OutputKernel from the Tile calls
-// of its counted run and the counts at the end of the run (no arithmetic
-// follows the last tile), with each tile's NonFinite flag read off its
-// span of the result trace. Tiles called out of order break the
-// kernels.OutputKernel contract and panic. Any other kernel gets no
-// table: it may run a tiled kernel inside (mitigate.TMR runs three), but
-// nothing can skip its tiles.
-func tileTable(k kernels.Kernel, f fp.Format, calls []fp.TileStart, end fp.OpCounts, results []fp.Bits) []Tile {
-	if _, ok := k.(kernels.OutputKernel); !ok || len(calls) == 0 {
-		return nil
-	}
-	for i, c := range calls {
-		if c.Tile != i {
-			panic(fmt.Sprintf("exec: %s called tile %d where tile %d was due; tiles run in order 0, 1, ...", k.Name(), c.Tile, i))
-		}
-	}
-	if results == nil {
-		return nil
-	}
-	tiles := make([]Tile, len(calls))
-	for t := range tiles {
-		tl := &tiles[t]
-		tl.Start, tl.End = calls[t].Counts, end
-		if t+1 < len(calls) {
-			tl.End = calls[t+1].Counts
-		}
-		tl.NonFinite = f.AnyNonFinite(results[tl.Start.Total():tl.End.Total()])
-	}
-	return tiles
 }

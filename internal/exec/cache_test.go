@@ -87,33 +87,105 @@ func TestCopyInputsLeavesCachePristine(t *testing.T) {
 	}
 }
 
+// tileCount returns the number of tiles in tt, 0 for no table.
+func tileCount(tt *TileTable) int {
+	if tt == nil {
+		return 0
+	}
+	return tt.Len()
+}
+
 func TestTileTableSpansTheRun(t *testing.T) {
 	k := kernels.NewLavaMD(2, 2, 11)
 	art := Artifact(k, fp.Single, "", nil)
 	tiles := art.Tiles()
-	if len(tiles) != 8 {
-		t.Fatalf("LavaMD(2,2): %d tiles, want one per home box (8)", len(tiles))
+	if n := tileCount(tiles); n != 8 {
+		t.Fatalf("LavaMD(2,2): %d tiles, want one per home box (8)", n)
 	}
 	// The prologue is the one a2 multiply; tiles follow back to back,
 	// and the last ends with the run.
-	if got := tiles[0].Start.Total(); got != 1 {
+	if got := tiles.Start(0); got != 1 {
 		t.Errorf("tile 0 starts at op %d, want 1", got)
 	}
-	for i := 1; i < len(tiles); i++ {
-		if tiles[i].Start != tiles[i-1].End {
-			t.Errorf("tile %d starts at %+v, tile %d ends at %+v", i, tiles[i].Start, i-1, tiles[i-1].End)
+	ops := [fp.NumOps]uint64{fp.OpMul: 1}
+	for i := 0; i < tiles.Len(); i++ {
+		sh := tiles.Shape(i)
+		if i > 0 && tiles.Start(i) != tiles.Start(i-1)+tiles.Shape(i-1).Ops {
+			t.Errorf("tile %d starts at %d, tile %d ends at %d", i, tiles.Start(i), i-1, tiles.Start(i-1)+tiles.Shape(i-1).Ops)
 		}
-	}
-	if end := tiles[len(tiles)-1].End; end.ByOp != art.Counts.ByOp {
-		t.Errorf("last tile ends at %+v, run at %+v", end.ByOp, art.Counts.ByOp)
-	}
-	for i, tl := range tiles {
-		if tl.NonFinite {
+		if sh.LiveIns != Open {
+			t.Errorf("tile %d names %d live-ins; a home box is open", i, sh.LiveIns)
+		}
+		for k, n := range sh.ByOp {
+			ops[k] += n
+		}
+		if tiles.NonFinite(i) {
 			t.Errorf("tile %d: LavaMD records a non-finite result", i)
 		}
 	}
+	if ops != art.Counts.ByOp {
+		t.Errorf("prologue and tiles count %v, the run %v", ops, art.Counts.ByOp)
+	}
 	if g := Artifact(kernels.NewGEMM(4, 1), fp.Single, "", nil); g.Tiles() != nil {
-		t.Errorf("GEMM marks %d tiles, want none", len(g.Tiles()))
+		t.Errorf("GEMM marks %d tiles, want none", g.Tiles().Len())
+	}
+}
+
+// TestHotspotTileTable checks the closed tiles of Hotspot: one per cell
+// update, (n-2)^2 per step, each of the cell's 9 operations, with the
+// stencil temperatures and the power as its live-ins, and one shape for
+// all of them.
+func TestHotspotTileTable(t *testing.T) {
+	const n, steps = 5, 3
+	k := kernels.NewHotspot(n, steps, 4)
+	art := Artifact(k, fp.Half, "", nil)
+	tiles := art.Tiles()
+	if got := tileCount(tiles); got != (n-2)*(n-2)*steps {
+		t.Fatalf("Hotspot(%d,%d): %d tiles, want (n-2)^2*steps = %d", n, steps, got, (n-2)*(n-2)*steps)
+	}
+	if len(tiles.shapes) != 1 {
+		t.Errorf("Hotspot's cells take %d shapes, want 1", len(tiles.shapes))
+	}
+	want := TileShape{Ops: 9, LiveIns: 6}
+	want.ByOp[fp.OpAdd], want.ByOp[fp.OpSub], want.ByOp[fp.OpFMA] = 2, 1, 6
+	if sh := tiles.Shape(0); *sh != want {
+		t.Errorf("cell shape %+v, want %+v", *sh, want)
+	}
+	got := 0
+	for _, c := range tiles.liveIns {
+		got += len(c)
+	}
+	if got != 6*tiles.Len() {
+		t.Errorf("live-in slab holds %d values, want 6 per tile (%d)", got, 6*tiles.Len())
+	}
+	// Step 0 reads the inputs; every later step reads the cells the step
+	// before wrote, which are its tiles' last results, or the inputs on
+	// the border.
+	in := art.NewInputs()
+	grid := append([]fp.Bits(nil), in[0]...)
+	next := append([]fp.Bits(nil), in[0]...)
+	tile := 0
+	for s := 0; s < steps; s++ {
+		for r := 1; r < n-1; r++ {
+			for c := 1; c < n-1; c++ {
+				i := r*n + c
+				wantIn := []fp.Bits{grid[i+n], grid[i-n], grid[i+1], grid[i-1], grid[i], in[1][i]}
+				if got := tiles.LiveIns(tile); fmt.Sprint(got) != fmt.Sprint(wantIn) {
+					t.Fatalf("tile %d (step %d, cell %d,%d): live-ins %x, want %x", tile, s, r, c, got, wantIn)
+				}
+				if tiles.Start(tile) != uint64(9*tile) {
+					t.Fatalf("tile %d starts at op %d, want %d", tile, tiles.Start(tile), 9*tile)
+				}
+				next[i] = tiles.Last(tile)
+				tile++
+			}
+		}
+		grid, next = next, grid
+	}
+	for i, b := range art.GoldenBits() {
+		if grid[i] != b {
+			t.Fatalf("golden cell %d is %#x, the tiles' last results give %#x", i, b, grid[i])
+		}
 	}
 }
 
@@ -133,7 +205,7 @@ func (misorderedTiles) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.B
 	}
 	out = out[:2]
 	for _, tile := range []int{1, 0} {
-		if !fp.SkipTile(env, tile) {
+		if _, skip := fp.SkipTile(env, tile, nil); !skip {
 			out[tile] = env.Add(in[0][0], in[0][0])
 		}
 	}
@@ -167,6 +239,40 @@ func (w twice) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 func TestTiledKernelInsideAnotherKernelHasNoTiles(t *testing.T) {
 	art := Artifact(twice{kernels.NewLavaMD(2, 1, 3)}, fp.Single, "", nil)
 	if art.Tiles() != nil {
-		t.Fatalf("a kernel running LavaMD twice got %d tiles, want none", len(art.Tiles()))
+		t.Fatalf("a kernel running LavaMD twice got %d tiles, want none", art.Tiles().Len())
+	}
+}
+
+// TestTileLiveInSlab round-trips live-ins of every size through the
+// table's chunked slab: a tile that would straddle two chunks, one
+// naming more than a chunk holds, an open tile and small ones around
+// them.
+func TestTileLiveInSlab(t *testing.T) {
+	sizes := []int{3, 1<<chunkBits - 5, 5, 1<<chunkBits + 7, Open, 2}
+	b := &tileBuilder{kernel: "slab"}
+	var at fp.OpCounts
+	var want [][]fp.Bits
+	v := fp.Bits(0)
+	for i, n := range sizes {
+		var in []fp.Bits
+		for j := 0; j < n; j++ {
+			v++
+			in = append(in, v)
+		}
+		want = append(want, in)
+		b.RecordTile(i, in, &at)
+		at.ByOp[fp.OpAdd]++
+	}
+	tt := b.table(fp.Single, &at, make([]fp.Bits, at.Total()))
+	for i, n := range sizes {
+		if got := tt.Shape(i).LiveIns; got != n {
+			t.Errorf("tile %d: %d live-ins, want %d", i, got, n)
+		}
+		if n == Open {
+			continue
+		}
+		if got := tt.LiveIns(i); fmt.Sprint(got) != fmt.Sprint(want[i]) {
+			t.Errorf("tile %d: live-ins differ from the %d recorded", i, n)
+		}
 	}
 }

@@ -209,21 +209,34 @@ func (c *OpCounts) Add(other OpCounts) {
 }
 
 // Tiler is implemented by environments that can stand in for whole
-// output tiles of a kernel (see kernels.OutputKernel): a kernel calls
-// Tile(t) at the start of tile t, and a true return means the
-// environment accounts for the tile's operations and its outputs
-// already hold their values, so the kernel skips the tile's body.
+// output tiles of a kernel (see kernels.OutputKernel). A kernel calls
+// Tile(t, in) at the start of tile t. in names the tile's live-ins,
+// every value the tile reads, for a closed tile, and is nil for an
+// open one. A true return means the environment accounts for the
+// tile's operations, the tile's outputs in the kernel's output buffer
+// already hold their values, and the returned Bits is the result of
+// the tile's last operation; the kernel then skips the tile's body.
 type Tiler interface {
-	Tile(t int) bool
+	Tile(t int, in []Bits) (Bits, bool)
 }
 
-// SkipTile reports whether the kernel may skip output tile t under env:
-// env's Tile(t), or false for an env that does not implement Tiler.
-func SkipTile(env Env, t int) bool {
+// SkipTile reports whether the kernel may skip output tile t, with
+// live-ins in (nil for an open tile), under env, and if so the result
+// of the tile's last operation: env's Tile(t, in), or false for an env
+// that does not implement Tiler. It is small enough to inline into a
+// kernel's tile loop.
+func SkipTile(env Env, t int, in []Bits) (res Bits, skip bool) {
 	if tl, ok := env.(Tiler); ok {
-		return tl.Tile(t)
+		res, skip = tl.Tile(t, in)
 	}
-	return false
+	return res, skip
+}
+
+// TileRecorder receives the Tile calls of a counting run (see
+// Counting.Tiles): the tile, its live-ins, and the counts at the call,
+// which the recorder must not keep.
+type TileRecorder interface {
+	RecordTile(t int, in []Bits, at *OpCounts)
 }
 
 // Counting wraps an Env and tallies every dynamic operation. It is used
@@ -232,15 +245,8 @@ func SkipTile(env Env, t int) bool {
 type Counting struct {
 	Inner  Env
 	Counts OpCounts
-	// Tiles records every Tile call in call order (see Tiler).
-	Tiles []TileStart
-}
-
-// TileStart is one Tile call a counting run saw: the tile index passed
-// and the counts at that point.
-type TileStart struct {
-	Tile   int
-	Counts OpCounts
+	// Tiles, when non-nil, is handed every Tile call in call order.
+	Tiles TileRecorder
 }
 
 // NewCounting returns a counting wrapper around inner.
@@ -298,10 +304,13 @@ func (c *Counting) IntDecision(k int) int {
 	return k
 }
 
-// Tile implements Tiler: it records the call and never skips.
-func (c *Counting) Tile(t int) bool {
-	c.Tiles = append(c.Tiles, TileStart{Tile: t, Counts: c.Counts})
-	return false
+// Tile implements Tiler: it hands the call to the Tiles recorder, if
+// any, and never skips.
+func (c *Counting) Tile(t int, in []Bits) (Bits, bool) {
+	if c.Tiles != nil {
+		c.Tiles.RecordTile(t, in, &c.Counts)
+	}
+	return 0, false
 }
 
 // FromFloat64 implements Env.

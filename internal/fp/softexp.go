@@ -128,7 +128,7 @@ func (e *ExpDecomp) Sqrt(a Bits) Bits { return e.Inner.Sqrt(a) }
 // Tile implements Tiler by forwarding to the inner environment: the
 // software exp carries no per-call state, so a tile the inner
 // environment skips needs nothing from this layer.
-func (e *ExpDecomp) Tile(t int) bool { return SkipTile(e.Inner, t) }
+func (e *ExpDecomp) Tile(t int, in []Bits) (Bits, bool) { return SkipTile(e.Inner, t, in) }
 
 // FromFloat64 implements Env.
 func (e *ExpDecomp) FromFloat64(v float64) Bits { return e.Inner.FromFloat64(v) }

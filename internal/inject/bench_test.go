@@ -5,6 +5,7 @@ import (
 
 	"mixedrel/internal/fp"
 	"mixedrel/internal/kernels"
+	"mixedrel/internal/rng"
 )
 
 // BenchmarkPersistentResultFault times one Runner sample under a
@@ -33,6 +34,42 @@ func BenchmarkPersistentResultFault(b *testing.B) {
 				of := OpFault{Kind: fp.OpFMA, Index: uint64(i) % c.mod, Modulo: c.mod,
 					Bit: i * 7 % c.f.Width(), Target: TargetResult}
 				if _, abort := runner.RunSpec(FaultSpec{Op: &of}, false); abort != nil {
+					b.Fatalf("run aborted: %v", abort.Value)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHotspotSample times one Runner sample of inject-cone's
+// Hotspot(16,8) single campaign per fault site: an operand fault over
+// every operation, a memory fault over the temperature and power maps,
+// and a control fault with the default watchdog. Each site draws its
+// faults from its own fixed stream, so every build runs the same
+// samples; the reported ns/op is per sample.
+func BenchmarkHotspotSample(b *testing.B) {
+	runner := NewRunner(kernels.NewHotspot(16, 8, 1), fp.Single, "", nil)
+	counts, lens, f := runner.Counts(), runner.ArrayLens(), fp.Single
+	sites := []struct {
+		name string
+		draw func(r *rng.Rand) Fault
+	}{
+		{"operand", func(r *rng.Rand) Fault {
+			return Fault{Site: SiteOperand, Op: SampleOpFault(r, counts, f, 0, true, TargetOperand)}
+		}},
+		{"memory", func(r *rng.Rand) Fault { return Fault{Site: SiteMemory, Mem: SampleMemFault(r, lens, f)} }},
+		{"control", func(r *rng.Rand) Fault { return Fault{Site: SiteControl, Control: SampleControlFault(r, counts)} }},
+	}
+	for _, s := range sites {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(0x407)
+			for i := 0; i < b.N; i++ {
+				fault := s.draw(r)
+				spec := fault.Spec()
+				if fault.Site == SiteControl {
+					spec.Watchdog = DefaultWatchdogFactor
+				}
+				if _, abort := runner.RunSpec(spec, false); abort != nil {
 					b.Fatalf("run aborted: %v", abort.Value)
 				}
 			}

@@ -91,8 +91,8 @@ func TestCompiledReplayEquivalence(t *testing.T) {
 	// Kernels chosen for batch-shape coverage: GEMM exercises GemmFMA
 	// cone partitioning, CG exercises DotFMA/AXPY/GemmFMA plus scalar
 	// Div, LUD exercises AXPY with scalar interleave, Micro exercises
-	// pure scalar chains (compiled into superword-merged map regions),
-	// Hotspot exercises long scalar stencils.
+	// pure scalar chains (one operand-free run region each), Hotspot
+	// exercises long scalar stencils whose cells are closed output tiles.
 	cases := []struct {
 		name string
 		k    kernels.Kernel
@@ -218,6 +218,14 @@ func TestCampaignByteIdentityCompiledVsInterpreted(t *testing.T) {
 			Kernel: kernels.NewLavaMD(2, 2, 3), Format: fp.Double,
 			Faults: 120, Seed: 23, Workers: 2,
 			Sites:         []Site{SiteOperation, SiteOperand, SiteMemory, SiteControl},
+			TrapNonFinite: true, KeepOutputs: true,
+		},
+		{
+			// Closed tiles: the compiled side skips the cells a fault
+			// cannot reach, under memory faults too.
+			Kernel: kernels.NewHotspot(8, 4, 5), Format: fp.Single,
+			Faults: 150, Seed: 31, Workers: 2,
+			Sites:         []Site{SiteOperand, SiteMemory, SiteControl},
 			TrapNonFinite: true, KeepOutputs: true,
 		},
 	}

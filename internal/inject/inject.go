@@ -21,6 +21,8 @@
 package inject
 
 import (
+	"slices"
+
 	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
 	"mixedrel/internal/traceir"
@@ -171,13 +173,13 @@ type Env struct {
 	memTotal   uint64 // flat element count of mem
 
 	// tiles, when non-nil, is the fault-free run's output tile table
-	// (exec.Artifacts.Tiles), installed under the same condition as
-	// replay and with the output buffer already holding the golden
-	// output. Tile then skips each tile no fault or hook can reach (see
-	// Tile). tilesOK records, at tile 0, that the prologue ran clean;
-	// statTiles counts the tiles skipped, flushed with the serve
+	// (exec.Artifacts.Tiles), installed with the output buffer already
+	// holding the golden output. Tile then skips each tile no fault or
+	// hook can reach (see Tile). tilesOK records, at tile 0, that the
+	// inputs were pristine and the prologue ran clean, so open tiles may
+	// skip; statTiles counts the tiles skipped, flushed with the serve
 	// statistics above.
-	tiles     []exec.Tile
+	tiles     *exec.TileTable
 	tilesOK   bool
 	statTiles uint64
 }
@@ -705,19 +707,26 @@ func (e *Env) IntDecision(k int) int {
 	return k
 }
 
-// Tile implements fp.Tiler: it skips output tile t when no fault or
-// hook can reach it, adding the tile's golden operation counts to the
-// counters in place of executing it. The skipped tile's outputs keep
-// the golden values the caller filled the output buffer with, and they
-// are exact: the tile reads only the inputs, pristine while tiles are
-// installed, and values computed before tile 0, so with a clean
-// prologue and nothing acting inside it, the tile would recompute its
-// golden operations bit for bit. A tile is skipped only when all of
-// these hold:
+// Tile implements fp.Tiler: it skips output tile t, with live-ins in,
+// when no fault or hook can reach it, adding the tile's golden operation
+// counts to the counters in place of executing it and returning the
+// golden result of its last operation. The skipped tile's outputs in
+// the output buffer keep the golden values the runner filled it with.
+// Both are exact when the tile reads only golden values and nothing acts
+// inside it: it would recompute its golden operations bit for bit.
 //
-//   - a tile table is installed, and at tile 0 nothing had been
-//     corrupted, no skip mode was on and no operand was pending (a
-//     fault in the prologue disables skipping for the run);
+// What the tile reads is golden while replay induction holds (pristine
+// inputs, nothing corrupted yet), and otherwise:
+//
+//   - for a closed tile, when every live-in it names equals the golden
+//     run's bits (the tile table keeps them), even in a memory-fault run
+//     or after a strike;
+//   - for an open tile, which names nothing, only when the inputs are
+//     pristine and nothing had been corrupted at tile 0: it reads only
+//     the inputs and values computed before tile 0.
+//
+// Nothing acts inside the tile when all of these hold:
+//
 //   - skip mode is off and no control-corrupted operand is pending;
 //   - the fault's next strike, counted on its own counter (all, or its
 //     kind's), lies past the tile's span from the current counter;
@@ -725,49 +734,63 @@ func (e *Env) IntDecision(k int) int {
 //   - an armed control site lies past the tile's span;
 //   - the trap is not live, or the tile has no non-finite golden result.
 //
-// A tile that crosses the watchdog budget trips it as a loop jump does.
-func (e *Env) Tile(t int) bool {
-	if t >= len(e.tiles) {
-		return false
+// A skip needs no re-arm of the quiet horizon: the gates are absolute
+// counter values, and a skip moves the counters only up to the next
+// strike and control site, which the rules above put past the tile. A
+// tile that crosses the watchdog budget trips it, as executing it would
+// at its first operation past the budget.
+//
+//mixedrelvet:hotpath per-tile skip decision, one call per output tile
+func (e *Env) Tile(t int, in []fp.Bits) (fp.Bits, bool) {
+	tt := e.tiles
+	if tt == nil || t >= tt.Len() {
+		return 0, false
 	}
+	induction := e.applied == 0 && e.replay != nil
 	if t == 0 {
-		e.tilesOK = e.applied == 0 && !e.skip && !e.ctlPending
+		e.tilesOK = induction
 	}
-	if !e.tilesOK || e.skip || e.ctlPending {
-		return false
+	if e.skip || e.ctlPending {
+		return 0, false
 	}
-	tl := &e.tiles[t]
-	n := tl.End.Total() - tl.Start.Total()
-	ctr, span := e.all, n
+	sh := tt.Shape(t)
+	ctr, span := e.all, sh.Ops
 	if !e.fault.AnyKind {
 		k := e.fault.Kind
-		ctr, span = e.byKind[k], tl.End.ByOp[k]-tl.Start.ByOp[k]
+		ctr, span = e.byKind[k], sh.ByOp[k]
 	}
 	if e.strikeAt < ctr+span {
-		return false
+		return 0, false
 	}
-	sites := tl.End.IntSites - tl.Start.IntSites
-	if e.fault.Target == TargetIntState && e.fault.Index >= e.intCtr && e.fault.Index < e.intCtr+sites {
-		return false
+	if e.fault.Target == TargetIntState && e.fault.Index >= e.intCtr && e.fault.Index < e.intCtr+sh.IntSites {
+		return 0, false
 	}
-	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site < e.all+n {
-		return false
+	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site < e.all+sh.Ops {
+		return 0, false
 	}
-	if tl.NonFinite && e.trapLive() {
-		return false
+	if !induction {
+		if sh.LiveIns == exec.Open {
+			if !e.tilesOK {
+				return 0, false
+			}
+		} else if !slices.Equal(in, tt.LiveIns(t)) {
+			return 0, false
+		}
 	}
-	for k := range e.byKind {
-		e.byKind[k] += tl.End.ByOp[k] - tl.Start.ByOp[k]
+	if e.trapLive() && tt.NonFinite(t) {
+		return 0, false
 	}
-	e.all += n
-	e.intCtr += sites
-	e.statJumped += n
+	for k, n := range &sh.ByOp {
+		e.byKind[k] += n
+	}
+	e.all += sh.Ops
+	e.intCtr += sh.IntSites
+	e.statJumped += sh.Ops
 	e.statTiles++
 	if e.budget > 0 && e.all > e.budget {
 		panic(dueSignal{outcome: HangDUE, cause: CauseWatchdog})
 	}
-	e.rearm()
-	return true
+	return tt.Last(t), true
 }
 
 // Format implements fp.Env.

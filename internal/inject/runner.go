@@ -166,7 +166,7 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 	sc.ienv.prog = nil
 	if !r.disableCompiledReplay {
 		sc.ienv.prog = r.art.Prog()
-		r.installTiles(sc, spec)
+		r.installTiles(sc)
 	}
 	var outBits []fp.Bits
 	abort := exec.Guard(func() { outBits = r.runKernel(sc, sc.env) })
@@ -190,13 +190,12 @@ func (r *Runner) RunSpec(spec FaultSpec, keepOutput bool) (RunResult, *exec.Abor
 }
 
 // installTiles lets the run skip the output tiles no fault can reach
-// (Env.Tile): with pristine inputs, the same condition as replay, it
-// installs the tile table and fills the output buffer with the golden
-// output, which the skipped tiles keep. Only an OutputKernel, which
-// writes into that buffer, has a tile table.
-func (r *Runner) installTiles(sc *scratch, spec FaultSpec) {
+// (Env.Tile): it installs the tile table and fills the output buffer
+// with the golden output, which the skipped tiles keep. Only an
+// OutputKernel, which writes into that buffer, has a tile table.
+func (r *Runner) installTiles(sc *scratch) {
 	tiles := r.art.Tiles()
-	if tiles == nil || len(spec.Mem) > 0 {
+	if tiles == nil {
 		return
 	}
 	sc.ienv.tiles = tiles

@@ -42,8 +42,8 @@ func tileRunners(t *testing.T, k kernels.Kernel, f fp.Format, key string, wrap f
 	compiled = NewRunner(k, f, key, wrap)
 	interpreted = NewRunner(k, f, key, wrap)
 	interpreted.disableCompiledReplay = true
-	if len(compiled.art.Tiles()) < 2 {
-		t.Fatalf("%s/%v: %d tiles, want at least 2", k.Key(), f, len(compiled.art.Tiles()))
+	if tt := compiled.art.Tiles(); tt == nil || tt.Len() < 2 {
+		t.Fatalf("%s/%v: fewer than 2 tiles", k.Key(), f)
 	}
 	return compiled, interpreted
 }
@@ -161,35 +161,44 @@ func TestTileSkipEquivalenceSampled(t *testing.T) {
 	}
 }
 
-// tileProbe is a four-tile OutputKernel built so that each skip rule of
-// Env.Tile decides an outcome: its prologue value p feeds every tile,
-// each tile runs one Exp (integer sequencing sites under a software
-// exp), and tile 1 overflows to +Inf on its way to a finite output.
+// tileProbe is an OutputKernel built so that each skip rule of
+// Env.Tile decides an outcome. Tiles 0-3 are open: its prologue value p
+// feeds each of them, each runs one Exp (integer sequencing sites under
+// a software exp), and tile 1 overflows to +Inf on its way to a finite
+// output. Tiles 4-6 are closed, each a multiply-add over its named
+// live-ins from the second input array, and tile 5 also reads tile 4's
+// output.
 type tileProbe struct{}
+
+// probeOpen is the number of the probe's open tiles, which precede its
+// closed ones.
+const probeOpen = 4
 
 func (tileProbe) Name() string { return "tile-probe" }
 func (tileProbe) Key() string  { return "tile-probe" }
 
 func (tileProbe) Inputs(f fp.Format) [][]fp.Bits {
-	xs := []float64{0.5, 0.75, 1.25, 1.5}
-	in := make([]fp.Bits, len(xs))
-	for i, x := range xs {
-		in[i] = f.FromFloat64(x)
+	enc := func(xs ...float64) []fp.Bits {
+		in := make([]fp.Bits, len(xs))
+		for i, x := range xs {
+			in[i] = f.FromFloat64(x)
+		}
+		return in
 	}
-	return [][]fp.Bits{in}
+	return [][]fp.Bits{enc(0.5, 0.75, 1.25, 1.5), enc(2, 3, 5)}
 }
 
 func (p tileProbe) Run(env fp.Env, in [][]fp.Bits) []fp.Bits { return p.RunInto(env, in, nil) }
 
 func (tileProbe) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
-	x := in[0]
-	if cap(out) < len(x) {
-		out = make([]fp.Bits, len(x))
+	x, y := in[0], in[1]
+	if cap(out) < len(x)+len(y) {
+		out = make([]fp.Bits, len(x)+len(y))
 	}
-	out = out[:len(x)]
+	out = out[:len(x)+len(y)]
 	p := env.Mul(env.FromFloat64(1.5), env.FromFloat64(1.5))
 	for t := range x {
-		if fp.SkipTile(env, t) {
+		if _, skip := fp.SkipTile(env, t, nil); skip {
 			continue
 		}
 		v := env.Exp(env.Mul(p, x[t]))
@@ -199,22 +208,40 @@ func (tileProbe) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 		}
 		out[t] = env.Add(v, p)
 	}
+	for i := range y {
+		t := probeOpen + i
+		live := []fp.Bits{y[i], y[i]}
+		if i == 1 {
+			live[0] = out[t-1]
+		}
+		if v, skip := fp.SkipTile(env, t, live); skip {
+			out[t] = v
+			continue
+		}
+		out[t] = env.Add(env.Mul(live[0], live[1]), live[1])
+	}
 	return out
 }
 
 // probeTileStart returns the all-operation counter at the start of tile t.
-func probeTileStart(r *Runner, t int) uint64 { return r.art.Tiles()[t].Start.Total() }
+func probeTileStart(r *Runner, t int) uint64 { return r.art.Tiles().Start(t) }
+
+// probeTileEnd returns the all-operation counter at the end of tile t.
+func probeTileEnd(r *Runner, t int) uint64 {
+	tt := r.art.Tiles()
+	return tt.Start(t) + tt.Shape(t).Ops
+}
 
 // TestTileSkipRules drives the probe with one fault per rule, each of
-// which an unguarded skip would misclassify, and requires the compiled
-// runner to agree with the interpreted one on the outcome the rule
-// protects.
+// which an unguarded skip would misclassify or mis-skip, and requires
+// the compiled runner to agree with the interpreted one on the outcome
+// the rule protects and to skip exactly the tiles the rules allow.
 func TestTileSkipRules(t *testing.T) {
 	f := fp.Single
 	shape := fp.ExpShape{Terms: 7, Squarings: 1, IntSites: 1}
 	bare := func() (*Runner, *Runner) { return tileRunners(t, tileProbe{}, f, "", nil) }
 	soft := func() (*Runner, *Runner) { return tileRunners(t, tileProbe{}, f, shape.Key(), fp.WrapExp(shape)) }
-	if c, _ := bare(); !c.art.Tiles()[1].NonFinite {
+	if c, _ := bare(); !c.art.Tiles().NonFinite(1) {
 		t.Fatal("probe tile 1 records no non-finite result")
 	}
 	lowBit := 3
@@ -223,10 +250,12 @@ func TestTileSkipRules(t *testing.T) {
 		runners func() (*Runner, *Runner)
 		spec    func(c *Runner) FaultSpec
 		want    Outcome
+		skipped uint64 // tiles the compiled run skips
 	}{
 		{
-			// A struck prologue value reaches every tile.
-			name: "prologue", runners: bare, want: SDC,
+			// A struck prologue value reaches every open tile; the
+			// closed ones name golden live-ins.
+			name: "prologue", runners: bare, want: SDC, skipped: 3,
 			spec: func(*Runner) FaultSpec {
 				return FaultSpec{Op: &OpFault{AnyKind: true, Index: 0, Bit: lowBit}}
 			},
@@ -234,31 +263,63 @@ func TestTileSkipRules(t *testing.T) {
 		{
 			// A strike in tile 0 makes the trap live, and tile 1's
 			// +Inf then traps.
-			name: "trap", runners: bare, want: CrashDUE,
+			name: "trap", runners: bare, want: CrashDUE, skipped: 0,
 			spec: func(c *Runner) FaultSpec {
 				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileStart(c, 0), Bit: lowBit}, TrapNonFinite: true}
 			},
 		},
 		{
 			// An aliased operand at tile 2's first operation.
-			name: "control", runners: bare, want: SDC,
+			name: "control", runners: bare, want: SDC, skipped: 3 + 3,
 			spec: func(c *Runner) FaultSpec {
 				return FaultSpec{Control: &ControlFault{Class: IndexControl, Site: probeTileStart(c, 2), Bit: 0}, Watchdog: DefaultWatchdogFactor}
 			},
 		},
 		{
 			// A corrupted reduction quotient inside tile 2's exp.
-			name: "int-site", runners: soft, want: SDC,
+			name: "int-site", runners: soft, want: SDC, skipped: 3 + 3,
 			spec: func(c *Runner) FaultSpec {
-				return FaultSpec{Op: &OpFault{Index: c.art.Tiles()[2].Start.IntSites, Bit: 0, Target: TargetIntState}}
+				tt := c.art.Tiles()
+				return FaultSpec{Op: &OpFault{Index: tt.Shape(0).IntSites + tt.Shape(1).IntSites, Bit: 0, Target: TargetIntState}}
 			},
 		},
 		{
-			// With nothing struck before it, tile 1's +Inf cannot trap:
-			// tiles 0, 1 and 3 are skipped.
-			name: "trap-not-live", runners: bare, want: SDC,
+			// With nothing struck before it, tile 1's +Inf cannot trap.
+			// After the strike in tile 2, the open tile 3 skips on a
+			// clean prologue and the closed tiles on golden live-ins.
+			name: "trap-not-live", runners: bare, want: SDC, skipped: 3 + 3,
 			spec: func(c *Runner) FaultSpec {
 				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileStart(c, 2), Bit: lowBit}, TrapNonFinite: true}
+			},
+		},
+		{
+			// Tile 4's struck output is tile 5's first live-in: tile 5
+			// must run, and tile 6, whose live-ins match, skips.
+			name: "live-in-differs", runners: bare, want: SDC, skipped: 4 + 1,
+			spec: func(c *Runner) FaultSpec {
+				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileEnd(c, probeOpen) - 1, Bit: lowBit}}
+			},
+		},
+		{
+			// A strike in tile 5 leaves tile 6's live-ins golden.
+			name: "live-ins-match", runners: bare, want: SDC, skipped: 4 + 2,
+			spec: func(c *Runner) FaultSpec {
+				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileStart(c, probeOpen+1), Bit: lowBit}}
+			},
+		},
+		{
+			// A corrupted open input: no open tile may skip, and every
+			// closed one does.
+			name: "memory-open", runners: bare, want: SDC, skipped: 3,
+			spec: func(*Runner) FaultSpec {
+				return FaultSpec{Mem: []MemFault{{Array: 0, Elem: 2, Bit: lowBit}}}
+			},
+		},
+		{
+			// A corrupted live-in of tile 6: tiles 4 and 5 skip.
+			name: "memory-closed", runners: bare, want: SDC, skipped: 2,
+			spec: func(*Runner) FaultSpec {
+				return FaultSpec{Mem: []MemFault{{Array: 1, Elem: 2, Bit: lowBit}}}
 			},
 		},
 	}
@@ -270,22 +331,91 @@ func TestTileSkipRules(t *testing.T) {
 			if abort != nil || ri.Outcome != tc.want {
 				t.Fatalf("%s: interpreted outcome %v (abort %v), want %v", spec.Desc(), ri.Outcome, abort, tc.want)
 			}
+			before := mTilesSkipped.Load()
 			checkEquivalent(t, compiled, interpreted, spec, true)
+			if got := mTilesSkipped.Load() - before; got != tc.skipped {
+				t.Errorf("%s: %d tiles skipped, want %d", spec.Desc(), got, tc.skipped)
+			}
 		})
 	}
 	// Skipped tiles' operations are accounted, not executed: the run
 	// executes the prologue and tile 2 only.
-	before, opsBefore := mTilesSkipped.Load(), mOps.Load()
+	opsBefore := mOps.Load()
 	compiled, _ := bare()
 	of := OpFault{AnyKind: true, Index: probeTileStart(compiled, 2), Bit: lowBit}
 	if _, abort := compiled.RunSpec(FaultSpec{Op: &of, TrapNonFinite: true}, false); abort != nil {
 		t.Fatal(abort)
 	}
-	if got := mTilesSkipped.Load() - before; got != 3 {
-		t.Errorf("strike in tile 2: %d tiles skipped, want 3", got)
-	}
-	tile2 := compiled.art.Tiles()[2]
-	if got, want := mOps.Load()-opsBefore, 1+tile2.End.Total()-tile2.Start.Total(); got != want {
+	if got, want := mOps.Load()-opsBefore, 1+compiled.art.Tiles().Shape(2).Ops; got != want {
 		t.Errorf("strike in tile 2: inject_ops advanced %d, want the %d executed operations", got, want)
+	}
+}
+
+// Hotspot's cells are closed tiles: they skip after a strike and under
+// corrupted inputs whenever the stencil values they read are golden, so
+// an injected run recomputes only its fault's cone. Skipping under
+// corrupted inputs is what open tiles never do, so the sweep covers
+// every memory element and bit besides every operation index and
+// control site, each bare and with the trap and a tight watchdog armed.
+func TestHotspotTileSkipEquivalenceEveryIndex(t *testing.T) {
+	k := kernels.NewHotspot(5, 3, 8)
+	for _, f := range []fp.Format{fp.Half, fp.Single, fp.Double} {
+		t.Run(f.String(), func(t *testing.T) {
+			compiled, interpreted := tileRunners(t, k, f, "", nil)
+			check := func(spec FaultSpec) {
+				checkEquivalent(t, compiled, interpreted, spec, true)
+				spec.TrapNonFinite, spec.Watchdog = true, 1
+				checkEquivalent(t, compiled, interpreted, spec, true)
+			}
+			before := mTilesSkipped.Load()
+			total := compiled.Counts().Total()
+			for idx := uint64(0); idx < total; idx++ {
+				bit := int(idx) % f.Width()
+				for _, target := range []Target{TargetResult, TargetOperand} {
+					for _, mod := range []uint64{0, 7} {
+						check(FaultSpec{Op: &OpFault{AnyKind: true, Index: idx, Modulo: mod, Bit: bit, Target: target, OperandIdx: int(idx) % 3}})
+					}
+				}
+				for c := ControlClass(0); c < numControlClasses; c++ {
+					check(FaultSpec{Control: &ControlFault{Class: c, Site: idx, Bit: int(idx+uint64(c)) % pointerBits}})
+				}
+			}
+			requireSkips(t, before)
+			before = mTilesSkipped.Load()
+			for a, n := range compiled.ArrayLens() {
+				for e := 0; e < n; e++ {
+					for bit := 0; bit < f.Width(); bit++ {
+						check(FaultSpec{Mem: []MemFault{{Array: a, Elem: e, Bit: bit}}})
+					}
+				}
+			}
+			requireSkips(t, before)
+		})
+	}
+}
+
+// TestHotspotTileSkipEquivalenceSampled runs inject-cone's Hotspot size
+// under random faults of every class, memory faults included.
+func TestHotspotTileSkipEquivalenceSampled(t *testing.T) {
+	k := kernels.NewHotspot(16, 8, 12)
+	samples := 300
+	if testing.Short() {
+		samples = 60
+	}
+	for _, f := range []fp.Format{fp.Half, fp.Single} {
+		t.Run(f.String(), func(t *testing.T) {
+			compiled, interpreted := tileRunners(t, k, f, "", nil)
+			before := mTilesSkipped.Load()
+			r := rng.New(0x4075 + uint64(f))
+			for i := 0; i < samples; i++ {
+				spec := randomTileSpec(r, compiled.Counts(), f)
+				if i%4 == 0 {
+					spec.Op, spec.Control = nil, nil
+					spec.Mem = []MemFault{SampleMemFault(r, compiled.ArrayLens(), f)}
+				}
+				checkEquivalent(t, compiled, interpreted, spec, i%5 == 0)
+			}
+			requireSkips(t, before)
+		})
 	}
 }

@@ -82,15 +82,19 @@ func (h *Hotspot) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 }
 
 // RunInto implements OutputKernel. The double-buffered grids come from
-// the scratch pool; only the final copy touches out.
+// the scratch pool; only the final copy touches out. Each cell update
+// of each step is one closed output tile, numbered in update order,
+// whose live-ins are the five stencil temperatures and the cell's
+// power: an injected run recomputes only the cells its fault reaches.
 func (h *Hotspot) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	n := h.n
-	buf := getBuf(2 * n * n)
+	buf := getBuf(2*n*n + hotspotLiveIns)
 	defer putBuf(buf)
 	cur := buf.s[:n*n]
 	copy(cur, in[0])
-	next := buf.s[n*n:]
+	next := buf.s[n*n : 2*n*n]
 	copy(next, in[0]) // borders keep their boundary temperature
+	live := buf.s[2*n*n:]
 	power := in[1]
 
 	k := env.FromFloat64(hotspotK)
@@ -100,23 +104,34 @@ func (h *Hotspot) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	tamb := env.FromFloat64(hotspotTamb)
 	negTwo := env.FromFloat64(-2)
 
+	tile := 0
 	// Every cell's update is one dependent chain mixing Add/Sub/FMA over
 	// five neighbours; batching across cells would reorder the op stream.
 	//mixedrelvet:allow batchops dependent per-cell stencil chain
 	for s := 0; s < h.steps; s++ {
 		for r := 1; r < n-1; r++ {
 			for c := 1; c < n-1; c++ {
-				t := cur[r*n+c]
+				i := r*n + c
+				live[0], live[1] = cur[i+n], cur[i-n]
+				live[2], live[3] = cur[i+1], cur[i-1]
+				live[4], live[5] = cur[i], power[i]
+				v, skip := fp.SkipTile(env, tile, live)
+				tile++
+				if skip {
+					next[i] = v
+					continue
+				}
+				t := live[4]
 				// Vertical and horizontal second differences.
-				dv := env.Add(cur[(r+1)*n+c], cur[(r-1)*n+c])
+				dv := env.Add(live[0], live[1])
 				dv = env.FMA(negTwo, t, dv)
-				dh := env.Add(cur[r*n+c+1], cur[r*n+c-1])
+				dh := env.Add(live[2], live[3])
 				dh = env.FMA(negTwo, t, dh)
-				acc := power[r*n+c]
+				acc := live[5]
 				acc = env.FMA(dv, ry, acc)
 				acc = env.FMA(dh, rx, acc)
 				acc = env.FMA(env.Sub(tamb, t), rz, acc)
-				next[r*n+c] = env.FMA(k, acc, t)
+				next[i] = env.FMA(k, acc, t)
 			}
 		}
 		cur, next = next, cur
@@ -125,3 +140,7 @@ func (h *Hotspot) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	copy(res, cur)
 	return res
 }
+
+// hotspotLiveIns is the number of live-ins of a Hotspot cell update:
+// the cell's temperature, its four neighbours' and its power.
+const hotspotLiveIns = 6

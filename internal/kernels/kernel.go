@@ -60,19 +60,31 @@ type Kernel interface {
 // equivalent to RunInto(env, in, nil).
 //
 // A RunInto whose output splits into independent tiles may mark each
-// tile with fp.SkipTile(env, t) and skip the tile's body when it
-// returns true; the environment then guarantees the tile's outputs
-// already hold the values the body would write. Injected runs use this
-// to execute only the tiles a fault can reach, so the marking must
-// keep this contract:
+// tile with fp.SkipTile(env, t, in) and skip the tile's body when it
+// reports a skip. Injected runs use this to execute only the tiles a
+// fault can reach. A tile is one of two kinds:
+//
+//   - closed: in names the tile's live-ins, every value the tile reads
+//     that an operation computed or an input holds (constants from
+//     FromFloat64 need no naming), in a fixed order. A closed tile may
+//     read values computed anywhere before it, since the environment
+//     compares the live-ins with the fault-free run's (Hotspot: each
+//     cell update names its five stencil temperatures and its power);
+//   - open: in is nil, and the tile reads only the inputs and values
+//     computed before tile 0 (LavaMD: each home box).
+//
+// On a skip, SkipTile returns the fault-free result of the tile's last
+// operation, which the kernel stores where the body would have, and
+// every value the body would write in out already holds its fault-free
+// value. The marking must keep this contract:
 //
 //   - tiles are called in order 0, 1, ..., n-1 (the fault-free artifact
 //     build, exec.Artifact, panics otherwise);
 //   - tile t's operations are exactly those between its call and the
 //     next tile's call;
 //   - no arithmetic follows the last tile;
-//   - a tile reads only the inputs and values computed before tile 0;
-//   - a tile writes, and initializes, only its own outputs.
+//   - a tile writes, and initializes, only its own outputs: the result
+//     of its last operation, and elements of out.
 type OutputKernel interface {
 	Kernel
 	RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits

@@ -71,9 +71,9 @@ func (l *LavaMD) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 	return l.RunInto(env, in, nil)
 }
 
-// RunInto implements OutputKernel. Each home box is one output tile:
-// its particles' accumulators, zeroed and summed inside the tile from
-// the inputs and the prologue constants alone.
+// RunInto implements OutputKernel. Each home box is one open output
+// tile: its particles' accumulators, zeroed and summed inside the tile
+// from the inputs and the prologue constants alone.
 func (l *LavaMD) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	rv, qv := in[0], in[1]
 	dim, perBox := l.dim, l.perBx
@@ -89,7 +89,7 @@ func (l *LavaMD) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 		for by := 0; by < dim; by++ {
 			for bx := 0; bx < dim; bx++ {
 				box := boxIndex(bx, by, bz)
-				if fp.SkipTile(env, box) {
+				if _, skip := fp.SkipTile(env, box, nil); skip {
 					continue
 				}
 				home := box * perBox
