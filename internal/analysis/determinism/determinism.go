@@ -1,8 +1,8 @@
 // Package determinism forbids the three nondeterminism vectors that the
 // campaign engine's bit-exactness guarantee cannot survive:
 //
-//  1. math/rand (v1 or v2): every stochastic draw must come from a
-//     splittable rng.Rand stream derived from the campaign seed, so a
+//  1. math/rand (v1 or v2): every stochastic draw must come from an
+//     rng.Rand stream derived from the campaign seed, so a
 //     campaign re-run with the same seed replays bit-identically and
 //     parallel shards get decorrelated streams by construction;
 //  2. wall-clock reads (time.Now, time.Since, time.Until): clock-derived
@@ -235,7 +235,7 @@ func checkImports(pass *analysis.Pass, file *ast.File) {
 		}
 		if path == "math/rand" || path == "math/rand/v2" {
 			if !pass.Allowed(file, spec) {
-				pass.Reportf(spec.Pos(), "import of %s in deterministic code; draw from a seeded, splittable rng.Rand stream instead", path)
+				pass.Reportf(spec.Pos(), "import of %s in deterministic code; draw from a seeded rng.Rand stream instead", path)
 			}
 		}
 	}

@@ -78,7 +78,7 @@ func (a Accumulation) Run() (*AccumulationResult, error) {
 	// executes every depth 1…MaxFaults on the pool.
 	runner := inject.NewRunner(m.Kernel, m.Format, m.WrapKey, m.Wrap)
 	golden := runner.Golden()
-	sess, err := exec.NewSession[[]inject.OpFault, []depthOutcome, []depthOutcome](nil, 1, nil, nil, nil)
+	sess, err := exec.NewSession[[]inject.OpFault, []depthOutcome](nil, 1, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"mixedrel/internal/arch"
 	"mixedrel/internal/exec"
@@ -117,19 +116,12 @@ type Experiment struct {
 	// datapath strike classes, so e.g. a NaN-producing register flip
 	// can surface as a crash rather than an SDC.
 	BehavioralDUE bool
-	// Watchdog is the op-budget hang-detection factor used by
-	// behavioral runs (0 means inject.DefaultWatchdogFactor).
-	Watchdog float64
 	// TrapNonFinite arms the FP trap in behavioral runs.
 	TrapNonFinite bool
-	// Checkpoint, when non-nil, journals classified trials for
-	// crash-tolerant resume through the same driver (exec.Session) as
-	// inject.Campaign.Checkpoint: per-trial random streams regardless of
-	// Workers, byte-identical aggregates across interruptions.
-	Checkpoint *exec.Checkpoint
-	// Context, when non-nil, makes the campaign cancellable exactly like
-	// inject.Campaign.Context: in-flight trials drain, the journal (if
-	// any) is flushed and synced, and Run returns an *exec.Interrupted.
+	// Context, when non-nil, makes the campaign cancellable like
+	// inject.Campaign.Context: in-flight trials drain and Run returns an
+	// *exec.Interrupted. A beam campaign keeps no journal, so its
+	// Journaled is -1 and a rerun starts from the first trial.
 	Context context.Context
 }
 
@@ -154,12 +146,6 @@ type Result struct {
 	// Aborted diagnoses trials whose execution panicked inside the
 	// simulator; they are excluded from every rate denominator.
 	Aborted []inject.AbortedSample
-	// CheckpointDegraded/CheckpointError mirror inject.Result's fields:
-	// the journal hit a persistent I/O failure and checkpointing was
-	// disabled mid-campaign. Infrastructure status, not beam statistics;
-	// byte-identity comparisons clear them first.
-	CheckpointDegraded bool   `json:",omitempty"`
-	CheckpointError    string `json:",omitempty"`
 }
 
 // Classified returns how many trials produced a masked/SDC/DUE
@@ -179,8 +165,9 @@ func (e Experiment) Run() (*Result, error) {
 	}
 
 	// A beam experiment is a different per-sample function on the same
-	// driver as an injection campaign: one flat batch of trials.
-	sess, err := exec.NewSession[trialSpec](e.Context, e.Workers, e.Checkpoint, trialOutcome.record, trialRecord.outcome)
+	// driver as an injection campaign: one flat batch of trials, with no
+	// journal.
+	sess, err := exec.NewSession[trialSpec, trialOutcome](e.Context, e.Workers, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +192,6 @@ func (e Experiment) Run() (*Result, error) {
 		}
 		res.record(o, e.KeepOutputs)
 	}
-	res.CheckpointDegraded, res.CheckpointError = sess.Close()
 
 	n := float64(res.Classified())
 	if n > 0 {
@@ -256,8 +242,8 @@ func (e Experiment) trials() (*trialCtx, error) {
 	// most once per (kernel, format, wrap) in the whole process.
 	runner := inject.NewRunner(m.Kernel, m.Format, m.WrapKey, m.Wrap)
 
-	watchdog := e.Watchdog
-	if watchdog <= 0 && (e.BehavioralDUE || e.TrapNonFinite) {
+	var watchdog float64
+	if e.BehavioralDUE || e.TrapNonFinite {
 		watchdog = inject.DefaultWatchdogFactor
 	}
 	return &trialCtx{exp: e, exposures: exposures, rate: rate,
@@ -284,45 +270,6 @@ const (
 	outSDC
 	outDUE
 )
-
-// trialRecord is trialOutcome's checkpoint encoding; floats travel as
-// IEEE bit patterns so resume stays bit-exact (JSON has no NaN/Inf).
-type trialRecord struct {
-	Class      int      `json:"cl"`
-	Outcome    int      `json:"o,omitempty"`
-	Cause      int      `json:"c,omitempty"`
-	RelErrBits uint64   `json:"r,omitempty"`
-	OutputBits []uint64 `json:"out,omitempty"`
-	Aborted    bool     `json:"ab,omitempty"`
-	Fault      string   `json:"f,omitempty"`
-	Panic      string   `json:"p,omitempty"`
-}
-
-func (o trialOutcome) record() trialRecord {
-	return trialRecord{
-		Class:      int(o.class),
-		Outcome:    o.outcome,
-		Cause:      int(o.cause),
-		RelErrBits: math.Float64bits(o.relErr),
-		OutputBits: exec.MapSlice(o.output, math.Float64bits),
-		Aborted:    o.aborted,
-		Fault:      o.fault,
-		Panic:      o.panicMsg,
-	}
-}
-
-func (rec trialRecord) outcome() trialOutcome {
-	return trialOutcome{
-		class:    arch.ResourceClass(rec.Class),
-		outcome:  rec.Outcome,
-		cause:    inject.DUECause(rec.Cause),
-		relErr:   math.Float64frombits(rec.RelErrBits),
-		output:   exec.MapSlice(rec.OutputBits, math.Float64frombits),
-		aborted:  rec.Aborted,
-		fault:    rec.Fault,
-		panicMsg: rec.Panic,
-	}
-}
 
 // record folds one trial into the aggregate result.
 func (res *Result) record(o trialOutcome, keep bool) {

@@ -1,12 +1,9 @@
 package beam
 
 import (
-	"errors"
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
 	"mixedrel/internal/kernels"
 	"mixedrel/internal/xeonphi"
@@ -62,51 +59,5 @@ func TestBehavioralVsConstantDUE(t *testing.T) {
 	}
 	if behav.DUE == 0 || behav.FITDUE <= 0 {
 		t.Errorf("behavioral model observed no DUEs (DUE=%d FITDUE=%g)", behav.DUE, behav.FITDUE)
-	}
-}
-
-// TestBeamCheckpointResume: an interrupted-then-resumed behavioral
-// campaign must match both an uninterrupted checkpointed run and a
-// plain parallel run.
-func TestBeamCheckpointResume(t *testing.T) {
-	m := mustMap(t, xeonphi.New(), kernels.NewGEMM(6, 2), fp.Single)
-	base := Experiment{Mapping: m, Trials: 30, Seed: 11, BehavioralDUE: true, TrapNonFinite: true}
-	dir := t.TempDir()
-
-	var resumed *Result
-	for i := 0; ; i++ {
-		e := base
-		e.Checkpoint = &exec.Checkpoint{Path: filepath.Join(dir, "a.ckpt"), Limit: 11, Every: 4}
-		res, err := e.Run()
-		if err == nil {
-			resumed = res
-			break
-		}
-		if !errors.Is(err, exec.ErrPartial) {
-			t.Fatal(err)
-		}
-		if i > 10 {
-			t.Fatal("campaign never completed")
-		}
-	}
-
-	e := base
-	e.Checkpoint = &exec.Checkpoint{Path: filepath.Join(dir, "b.ckpt")}
-	oneShot, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed, oneShot) {
-		t.Errorf("resumed result differs from uninterrupted run:\n%+v\nvs\n%+v", resumed, oneShot)
-	}
-
-	e = base
-	e.Workers = 2
-	parallel, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed, parallel) {
-		t.Errorf("checkpointed result differs from parallel run:\n%+v\nvs\n%+v", resumed, parallel)
 	}
 }

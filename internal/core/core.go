@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -53,17 +52,6 @@ type Config struct {
 	// different — equally valid — sample) on up to that many
 	// goroutines.
 	SampleWorkers int
-	// CheckpointDir, when set, makes checkpoint-aware experiments
-	// (ext-due) journal their campaigns there for crash-tolerant
-	// resume: an interrupted grid re-run with the same configuration
-	// completes only the missing samples and renders byte-identical
-	// tables. Checkpointed campaigns use per-sample random streams, so
-	// their tables differ from (equally valid) non-checkpointed runs.
-	CheckpointDir string
-	// CheckpointLimit, when positive, bounds how many new samples each
-	// checkpointed campaign classifies per invocation before returning
-	// exec.ErrPartial — a deterministic interruption for resume tests.
-	CheckpointLimit int
 }
 
 // DefaultConfig returns the paper-sized campaign configuration.
@@ -104,26 +92,6 @@ func (c Config) seedFor(id string, idx uint64) uint64 {
 		h = h*1099511628211 + uint64(b)
 	}
 	return h*31 + idx
-}
-
-// checkpointFor returns the checkpoint for one campaign of a
-// checkpoint-aware experiment, nil when checkpointing is disabled. The
-// name parts must uniquely identify the campaign within the directory.
-func (c Config) checkpointFor(parts ...string) *exec.Checkpoint {
-	if c.CheckpointDir == "" {
-		return nil
-	}
-	name := ""
-	for i, p := range parts {
-		if i > 0 {
-			name += "-"
-		}
-		name += p
-	}
-	return &exec.Checkpoint{
-		Path:  filepath.Join(c.CheckpointDir, name+".ckpt"),
-		Limit: c.CheckpointLimit,
-	}
 }
 
 // gridWorkers returns the effective cross-configuration parallelism.

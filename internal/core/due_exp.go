@@ -16,10 +16,6 @@ import (
 // benchmarks, the watchdog and FP trap classify crashes and hangs
 // behaviorally, and the beam model's FIT-DUE is recomputed from the
 // observed rates next to the legacy constant-DUEFraction value.
-//
-// The experiment is checkpoint-aware: with Config.CheckpointDir set,
-// every campaign journals its classified samples and an interrupted
-// grid resumes to byte-identical tables.
 func ExtDUE(cfg Config) (*report.Table, error) {
 	t := &report.Table{
 		ID:    "ext-due",
@@ -56,17 +52,15 @@ func ExtDUE(cfg Config) (*report.Table, error) {
 			Workers:       cfg.SampleWorkers,
 			BehavioralDUE: true,
 			TrapNonFinite: true,
-			Checkpoint:    cfg.checkpointFor("ext-due-beam", name, f.String()),
 		}.Run()
 		if err != nil {
 			return nil, err
 		}
 		konst, err := beam.Experiment{
-			Mapping:    m,
-			Trials:     cfg.trials(),
-			Seed:       cfg.seedFor("ext-due-beam-"+name, uint64(fi)),
-			Workers:    cfg.SampleWorkers,
-			Checkpoint: cfg.checkpointFor("ext-due-const", name, f.String()),
+			Mapping: m,
+			Trials:  cfg.trials(),
+			Seed:    cfg.seedFor("ext-due-beam-"+name, uint64(fi)),
+			Workers: cfg.SampleWorkers,
 		}.Run()
 		if err != nil {
 			return nil, err
@@ -102,6 +96,5 @@ func extDUEControl(cfg Config, m *arch.Mapping, name string, fi int) (*inject.Re
 		WrapKey:       m.WrapKey,
 		TrapNonFinite: true,
 		Workers:       cfg.SampleWorkers,
-		Checkpoint:    cfg.checkpointFor("ext-due-pvf", name, f.String()),
 	}.Run()
 }

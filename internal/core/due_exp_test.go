@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
-	"mixedrel/internal/exec"
 	"mixedrel/internal/report"
 	"mixedrel/internal/xeonphi"
 )
@@ -89,51 +86,5 @@ func checkExtDUECounts(t *testing.T, cfg Config, tbl *report.Table) {
 				}
 			}
 		}
-	}
-}
-
-// TestExtDUECheckpointResume: the whole experiment grid, interrupted by
-// a per-invocation sample budget and resumed until complete, must
-// render a table byte-identical to an uninterrupted checkpointed run.
-func TestExtDUECheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grid resume is a multi-campaign test")
-	}
-	base := Config{Seed: 3, Trials: 30, Faults: 30}
-
-	interrupted := base
-	interrupted.CheckpointDir = t.TempDir()
-	interrupted.CheckpointLimit = 12
-	var resumed *report.Table
-	for i := 0; ; i++ {
-		tbl, err := ExtDUE(interrupted)
-		if err == nil {
-			resumed = tbl
-			break
-		}
-		if !errors.Is(err, exec.ErrPartial) {
-			t.Fatal(err)
-		}
-		if i > 60 {
-			t.Fatal("grid never completed")
-		}
-	}
-
-	fresh := base
-	fresh.CheckpointDir = t.TempDir()
-	oneShot, err := ExtDUE(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var a, b bytes.Buffer
-	if err := resumed.WriteASCII(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := oneShot.WriteASCII(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("resumed table differs from uninterrupted run:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Artifacts bundles the memoized fault-free products of one
 // (kernel, format, wrap) configuration: the dynamic operation profile,
 // the golden output (raw and decoded), and the pristine encoded inputs.
-// All slices returned by accessors other than CopyInputs/NewInputs are
+// All slices returned by accessors other than CopyInputs are
 // shared and must be treated as immutable.
 type Artifacts struct {
 	// Counts is the dynamic operation profile with the wrap applied,
@@ -57,10 +57,6 @@ func (a *Artifacts) Prog() *traceir.Program { return a.prog }
 // trace (which the table reads tile results from) was dropped. Shared
 // and safe for concurrent use.
 func (a *Artifacts) Tiles() *TileTable { return a.tiles }
-
-// NewInputs returns a freshly allocated mutable copy of the kernel's
-// pristine encoded inputs.
-func (a *Artifacts) NewInputs() [][]fp.Bits { return a.CopyInputs(nil) }
 
 // CopyInputs fills dst with the kernel's pristine encoded inputs,
 // reusing dst's backing arrays where they fit, and returns it. This is

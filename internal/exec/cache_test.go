@@ -57,13 +57,13 @@ func TestArtifactSharedAcrossEqualKeys(t *testing.T) {
 func TestCopyInputsLeavesCachePristine(t *testing.T) {
 	k := kernels.NewGEMM(8, 43)
 	art := Artifact(k, fp.Double, "", nil)
-	in := art.NewInputs()
+	in := art.CopyInputs(nil)
 	for _, arr := range in {
 		for i := range arr {
 			arr[i] = ^arr[i]
 		}
 	}
-	fresh := art.NewInputs()
+	fresh := art.CopyInputs(nil)
 	want := k.Inputs(fp.Double)
 	for ai := range want {
 		for i := range want[ai] {
@@ -161,7 +161,7 @@ func TestHotspotTileTable(t *testing.T) {
 	// Step 0 reads the inputs; every later step reads the cells the step
 	// before wrote, which are its tiles' last results, or the inputs on
 	// the border.
-	in := art.NewInputs()
+	in := art.CopyInputs(nil)
 	grid := append([]fp.Bits(nil), in[0]...)
 	next := append([]fp.Bits(nil), in[0]...)
 	tile := 0

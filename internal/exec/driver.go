@@ -41,26 +41,29 @@ func Keyed(keys []int, seeds []uint64) Batch {
 // worker fan-out, the checkpoint journal (lookup, decode, Record), the
 // Checkpoint.Limit rule, cancellation, journal degradation, and the
 // progress line. S is the campaign's sample spec (every random
-// decision of one sample, held by value), T its sample value and R its
-// journal record.
-type Session[S, T, R any] struct {
+// decision of one sample, held by value) and T its sample value.
+type Session[S, T any] struct {
 	ctx     context.Context
 	workers int
 	j       *Journal // nil without a checkpoint
 	limit   int64
 	ran     atomic.Int64 // samples run (not read from the journal) so far
 	drew    atomic.Bool  // Progressf was called
-	encode  func(T) R
-	decode  func(R) T
+	encode  func(T) any
+	decode  func(json.RawMessage) (T, error)
 }
 
 // NewSession opens a campaign's session: up to workers goroutines per
 // batch under ctx (nil: not cancellable), journaling to ck (nil: no
-// checkpoint) through encode and decode. The caller must Close it.
-// The spec type S cannot be inferred: name it,
-// NewSession[Spec](ctx, workers, ck, encode, decode).
-func NewSession[S, T, R any](ctx context.Context, workers int, ck *Checkpoint, encode func(T) R, decode func(R) T) (*Session[S, T, R], error) {
-	s := &Session[S, T, R]{ctx: ctx, workers: workers, encode: encode, decode: decode}
+// checkpoint). With a checkpoint, encode turns a sample value into its
+// journal record and decode turns a journaled record back into the
+// value, rejecting any record encode cannot have written; a session
+// without one never calls either, so both may be nil. The caller must
+// Close it. The spec type S cannot be inferred: name it,
+// NewSession[Spec](ctx, workers, ck, encode, decode), or
+// NewSession[Spec, Value](ctx, workers, nil, nil, nil).
+func NewSession[S, T any](ctx context.Context, workers int, ck *Checkpoint, encode func(T) any, decode func(json.RawMessage) (T, error)) (*Session[S, T], error) {
+	s := &Session[S, T]{ctx: ctx, workers: workers, encode: encode, decode: decode}
 	if ck != nil {
 		j, err := ck.Open()
 		if err != nil {
@@ -97,7 +100,7 @@ func NewSession[S, T, R any](ctx context.Context, workers int, ck *Checkpoint, e
 // of the batch (the journal holds every sample that ran); an
 // *Interrupted after ctx is done (in-flight samples drained and were
 // journaled whole, and the journal is closed).
-func (s *Session[S, T, R]) Run(b Batch, draw func(key int, r *rng.Rand) S, run func(key int, spec S) T) (out []T, seeds []uint64, err error) {
+func (s *Session[S, T]) Run(b Batch, draw func(key int, r *rng.Rand) S, run func(key int, spec S) T) (out []T, seeds []uint64, err error) {
 	out = make([]T, b.n)
 	if s.j == nil && s.workers <= 1 && b.seeds == nil {
 		var (
@@ -135,11 +138,11 @@ func (s *Session[S, T, R]) Run(b Batch, draw func(key int, r *rng.Rand) S, run f
 		}
 		if s.j != nil {
 			if raw, ok := s.j.Done(key); ok {
-				var rec R
-				if err := json.Unmarshal(raw, &rec); err != nil {
+				v, err := s.decode(raw)
+				if err != nil {
 					return fmt.Errorf("exec: corrupt checkpoint record %d: %w", key, err)
 				}
-				out[i] = s.decode(rec)
+				out[i] = v
 				return nil
 			}
 			if s.limit > 0 && s.ran.Add(1) > s.limit {
@@ -164,7 +167,7 @@ func (s *Session[S, T, R]) Run(b Batch, draw func(key int, r *rng.Rand) S, run f
 
 // interrupted turns a context error into *Interrupted, closing the
 // session first so the Journaled count it reports is durable.
-func (s *Session[S, T, R]) interrupted(err error) error {
+func (s *Session[S, T]) interrupted(err error) error {
 	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
@@ -180,7 +183,7 @@ func (s *Session[S, T, R]) interrupted(err error) error {
 
 // Progressf renders the campaign's live status line
 // (telemetry.Progressf); Close ends it.
-func (s *Session[S, T, R]) Progressf(format string, args ...any) {
+func (s *Session[S, T]) Progressf(format string, args ...any) {
 	s.drew.Store(true)
 	telemetry.Progressf(format, args...)
 }
@@ -189,7 +192,7 @@ func (s *Session[S, T, R]) Progressf(format string, args ...any) {
 // closes the journal and clears the progress line. It reports whether
 // the journal degraded (see Journal) and the rendered cause — campaign
 // results carry both as infrastructure status. Safe to call twice.
-func (s *Session[S, T, R]) Close() (degraded bool, cause string) {
+func (s *Session[S, T]) Close() (degraded bool, cause string) {
 	if s.drew.Load() {
 		telemetry.ProgressDone()
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -15,13 +16,19 @@ import (
 	"mixedrel/internal/rng"
 )
 
-func ident(v uint64) uint64 { return v }
+func encodeU64(v uint64) any { return v }
+
+func decodeU64(raw json.RawMessage) (uint64, error) {
+	var v uint64
+	err := json.Unmarshal(raw, &v)
+	return v, err
+}
 
 // newTestSession opens a session whose samples are the first draw of
 // their stream, journaled as is.
-func newTestSession(t *testing.T, ctx context.Context, workers int, ck *Checkpoint) *Session[uint64, uint64, uint64] {
+func newTestSession(t *testing.T, ctx context.Context, workers int, ck *Checkpoint) *Session[uint64, uint64] {
 	t.Helper()
-	s, err := NewSession[uint64](ctx, workers, ck, ident, ident)
+	s, err := NewSession[uint64](ctx, workers, ck, encodeU64, decodeU64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +157,7 @@ func TestSessionLimitSpansBatches(t *testing.T) {
 		Keyed([]int{SampleKey(0, 0), SampleKey(1, 0), SampleKey(1, 1)}, []uint64{11, 12, 13}),
 		Keyed([]int{SampleKey(0, 1), SampleKey(2, 0)}, []uint64{14, 15}),
 	}
-	runAll := func(s *Session[uint64, uint64, uint64]) ([]uint64, error) {
+	runAll := func(s *Session[uint64, uint64]) ([]uint64, error) {
 		var all []uint64
 		for _, b := range batches {
 			out, _, err := s.Run(b, firstDraw, keep)

@@ -193,11 +193,6 @@ func (c OpCounts) Total() uint64 {
 	return t
 }
 
-// FLOPs returns floating-point operations counting FMA as two.
-func (c OpCounts) FLOPs() uint64 {
-	return c.Total() + c.ByOp[OpFMA]
-}
-
 // Add accumulates other into c.
 func (c *OpCounts) Add(other OpCounts) {
 	for i := range c.ByOp {

@@ -165,9 +165,6 @@ func TestCountingEnv(t *testing.T) {
 	if m.Counts.Total() != 8 {
 		t.Errorf("Total = %d, want 8", m.Counts.Total())
 	}
-	if m.Counts.FLOPs() != 9 {
-		t.Errorf("FLOPs = %d, want 9 (FMA counts twice)", m.Counts.FLOPs())
-	}
 }
 
 func TestOpCountsAdd(t *testing.T) {

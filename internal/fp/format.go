@@ -177,11 +177,6 @@ func (f Format) AnyNonFinite(bs []Bits) bool {
 	return false
 }
 
-// IsSubnormal reports whether b encodes a nonzero subnormal in format f.
-func (f Format) IsSubnormal(b Bits) bool {
-	return f.Exponent(b) == 0 && f.Mantissa(b) != 0
-}
-
 // IsZero reports whether b encodes positive or negative zero.
 func (f Format) IsZero(b Bits) bool { return b&^f.signMask() == 0 }
 

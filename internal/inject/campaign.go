@@ -3,6 +3,7 @@ package inject
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -309,7 +310,7 @@ func (c Campaign) runOn(runner *Runner) (*Result, error) {
 // runUniform draws every sample's site, then its fault, uniformly: the
 // campaign is one flat batch on the driver.
 func (c Campaign) runUniform(runner *Runner, sites []Site, watchdog float64) (*Result, error) {
-	sess, err := exec.NewSession[Fault](c.Context, c.Workers, c.Checkpoint, sample.record, sampleRecord.sample)
+	sess, err := exec.NewSession[Fault](c.Context, c.Workers, c.Checkpoint, encodeSample, decodeSample)
 	if err != nil {
 		return nil, err
 	}
@@ -441,6 +442,9 @@ type sampleRecord struct {
 	Panic      string   `json:"p,omitempty"`
 }
 
+// encodeSample is the campaign's journal encoder.
+func encodeSample(s sample) any { return s.record() }
+
 func (s sample) record() sampleRecord {
 	return sampleRecord{
 		Outcome:    s.rr.Outcome,
@@ -452,6 +456,52 @@ func (s sample) record() sampleRecord {
 		Fault:      s.fault,
 		Panic:      s.panicMsg,
 	}
+}
+
+// noOutcome marks a record whose "o" is missing or null: Unmarshal
+// leaves the field as it found it.
+const noOutcome Outcome = -1
+
+// decodeSample is the campaign's journal decoder. A record the encoder
+// cannot have written is an error, never a classified sample: a resumed
+// campaign must not count damage as masked.
+func decodeSample(raw json.RawMessage) (sample, error) {
+	rec := sampleRecord{Outcome: noOutcome}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return sample{}, err
+	}
+	if err := rec.check(); err != nil {
+		return sample{}, err
+	}
+	return rec.sample(), nil
+}
+
+// check rejects what encodeSample never writes: an outcome outside
+// Masked…HangDUE; a cause its outcome's detector cannot report (a crash
+// comes from a segfault or the trap, a hang from the watchdog, masked
+// and SDC runs have none); an aborted sample without its diagnostic or
+// with a classification; a diagnostic on a classified sample; an empty
+// kept output.
+func (rec sampleRecord) check() error {
+	switch {
+	case rec.Outcome == noOutcome:
+		return errors.New("no outcome")
+	case rec.Outcome < Masked || rec.Outcome > HangDUE:
+		return fmt.Errorf("outcome %d out of range", rec.Outcome)
+	case rec.Outcome < CrashDUE && rec.Cause != CauseNone,
+		rec.Outcome == CrashDUE && rec.Cause != CauseSegfault && rec.Cause != CauseTrap,
+		rec.Outcome == HangDUE && rec.Cause != CauseWatchdog:
+		return fmt.Errorf("%v with cause %d", rec.Outcome, rec.Cause)
+	case rec.Aborted && (rec.Fault == "" || rec.Panic == ""):
+		return errors.New("aborted sample without its fault and panic text")
+	case rec.Aborted && (rec.Outcome != Masked || rec.RelErrBits != 0 || rec.Applied || rec.OutputBits != nil):
+		return errors.New("aborted sample with a classification")
+	case !rec.Aborted && (rec.Fault != "" || rec.Panic != ""):
+		return errors.New("fault or panic text on a classified sample")
+	case rec.OutputBits != nil && len(rec.OutputBits) == 0:
+		return errors.New("empty kept output")
+	}
+	return nil
 }
 
 func (rec sampleRecord) sample() sample {

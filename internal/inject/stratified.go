@@ -144,7 +144,7 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 		sts[h].seedSrc = rng.New(exec.StratumSeed(c.Seed, h))
 	}
 
-	sess, err := exec.NewSession[FaultSpec](c.Context, c.Workers, c.Checkpoint, sample.record, sampleRecord.sample)
+	sess, err := exec.NewSession[FaultSpec](c.Context, c.Workers, c.Checkpoint, encodeSample, decodeSample)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 //
 // The matrix is generated as A = M^T M / n + I (symmetric positive
 // definite, moderate condition number), b is dense, and the output is
-// the iterate x after Iters steps.
+// the iterate x after the fixed iteration count.
 type CG struct {
 	n     int
 	iters int
@@ -64,9 +64,6 @@ func (c *CG) Key() string { return c.key }
 
 // N returns the system dimension.
 func (c *CG) N() int { return c.n }
-
-// Iters returns the iteration count.
-func (c *CG) Iters() int { return c.iters }
 
 // Inputs implements Kernel: element 0 is A (row-major), element 1 is b.
 func (c *CG) Inputs(f fp.Format) [][]fp.Bits {

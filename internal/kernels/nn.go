@@ -367,13 +367,6 @@ func softmax64(dst, in []float64) {
 	}
 }
 
-// sigmoidT computes 1/(1+exp(-x)) through env.
-func sigmoidT(env fp.Env, x fp.Bits) fp.Bits {
-	one := env.FromFloat64(1)
-	negX := env.Mul(x, env.FromFloat64(-1))
-	return env.Div(one, env.Add(one, env.Exp(negX)))
-}
-
 func sigmoid64(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Argmax returns the index of the largest element (first on ties).

@@ -147,27 +147,6 @@ func ClassifyYOLO(y *kernels.YOLO, golden []float64, faulty [][]float64) YOLOCri
 	return res
 }
 
-// Normalize scales a set of values so the largest is 1, for reporting in
-// the paper's arbitrary units. It returns a new slice; an all-zero input
-// comes back unchanged.
-func Normalize(values []float64) []float64 {
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	out := make([]float64, len(values))
-	if max == 0 {
-		copy(out, values)
-		return out
-	}
-	for i, v := range values {
-		out[i] = v / max
-	}
-	return out
-}
-
 // Ratio formats a/b defensively for report rows.
 func Ratio(a, b float64) string {
 	if b == 0 {

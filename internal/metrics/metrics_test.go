@@ -147,17 +147,6 @@ func TestYOLOCriticalityEmpty(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 1})
-	if out[1] != 1 || out[0] != 0.5 || out[2] != 0.25 {
-		t.Errorf("normalized %v", out)
-	}
-	zeros := Normalize([]float64{0, 0})
-	if zeros[0] != 0 || zeros[1] != 0 {
-		t.Errorf("zero input changed: %v", zeros)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(1, 0) != "inf" {
 		t.Error("division by zero should format as inf")

@@ -71,44 +71,6 @@ func TestTRECurveConsistencyProperty(t *testing.T) {
 	}
 }
 
-// Property: Normalize output is scale-invariant with max exactly 1 for
-// nonzero inputs.
-func TestNormalizeProperty(t *testing.T) {
-	r := rng.New(71)
-	prop := func(seed uint64, n uint8) bool {
-		rr := rng.New(seed ^ r.Uint64())
-		xs := make([]float64, int(n%20)+1)
-		allZero := true
-		for i := range xs {
-			xs[i] = rr.Float64() * 100
-			if xs[i] != 0 {
-				allZero = false
-			}
-		}
-		out := Normalize(xs)
-		if allZero {
-			return true
-		}
-		max := 0.0
-		for i, v := range out {
-			if v < 0 || v > 1+1e-12 {
-				return false
-			}
-			if v > max {
-				max = v
-			}
-			// Ratios preserved.
-			if xs[i] != 0 && out[i] == 0 {
-				return false
-			}
-		}
-		return math.Abs(max-1) < 1e-12
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: MEBF is inversely proportional to both FIT and time.
 func TestMEBFScalingProperty(t *testing.T) {
 	prop := func(fitRaw, timeRaw uint16) bool {

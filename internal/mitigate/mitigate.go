@@ -76,11 +76,12 @@ func (t *TMR) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 // ABFTStatus).
 type ABFTGEMM struct {
 	G *kernels.GEMM
-	// TolUlps is the checksum comparison tolerance in units of
-	// n * MachineEpsilon * |checksum| (different summation orders of
-	// the same values differ by rounding). Zero means 8.
-	TolUlps float64
 }
+
+// abftTolUlps is the checksum comparison tolerance in units of
+// n * MachineEpsilon * |checksum| (different summation orders of the
+// same values differ by rounding).
+const abftTolUlps = 8
 
 // ABFTStatus is the trailing status word of an ABFTGEMM output.
 type ABFTStatus int
@@ -101,11 +102,10 @@ func NewABFTGEMM(g *kernels.GEMM) *ABFTGEMM { return &ABFTGEMM{G: g} }
 // Name implements Kernel.
 func (a *ABFTGEMM) Name() string { return a.G.Name() + "+ABFT" }
 
-// Key implements Kernel: the tolerance changes Run's output (the status
-// word), so it is part of the identity.
+// Key implements Kernel.
 func (a *ABFTGEMM) Key() string {
 	if k := a.G.Key(); k != "" {
-		return fmt.Sprintf("abft(%s)/tol%g", k, a.TolUlps)
+		return "abft(" + k + ")"
 	}
 	return ""
 }
@@ -161,10 +161,6 @@ func (a *ABFTGEMM) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 
 	// Compare against row/column sums of C with a rounding-aware
 	// tolerance.
-	tolUlps := a.TolUlps
-	if tolUlps <= 0 {
-		tolUlps = 8
-	}
 	f := env.Format()
 	eps := f.MachineEpsilon()
 	badRows, badCols := []int{}, []int{}
@@ -175,7 +171,7 @@ func (a *ABFTGEMM) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 		}
 		want := f.ToFloat64(u[i])
 		got := f.ToFloat64(s)
-		tol := tolUlps * float64(n) * eps * (1 + math.Abs(want))
+		tol := abftTolUlps * float64(n) * eps * (1 + math.Abs(want))
 		if math.IsNaN(got) || math.Abs(got-want) > tol {
 			badRows = append(badRows, i)
 
@@ -188,7 +184,7 @@ func (a *ABFTGEMM) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 		}
 		want := f.ToFloat64(v[j])
 		got := f.ToFloat64(s)
-		tol := tolUlps * float64(n) * eps * (1 + math.Abs(want))
+		tol := abftTolUlps * float64(n) * eps * (1 + math.Abs(want))
 		if math.IsNaN(got) || math.Abs(got-want) > tol {
 			badCols = append(badCols, j)
 		}

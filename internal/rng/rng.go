@@ -1,4 +1,4 @@
-// Package rng provides a deterministic, splittable pseudo-random number
+// Package rng provides a deterministic pseudo-random number
 // generator used by every stochastic component of the simulator (beam
 // strike sampling, fault-site selection, workload input generation).
 //
@@ -6,14 +6,15 @@
 // campaign seeded with the same 64-bit seed must produce bit-identical
 // results on every platform. The generator is xoshiro256** seeded through
 // splitmix64, following the reference constructions by Blackman and
-// Vigna. Streams are splittable: Split derives an independent child
-// stream, so concurrent campaign shards never share state.
+// Vigna. A stream is never shared by concurrent draws: exec.Session
+// either seeds one stream per sample from its address (exec.SampleSeed)
+// or draws every sample in order from one stream under a lock.
 package rng
 
 import "math"
 
 // Rand is a deterministic xoshiro256** stream. The zero value is not
-// usable; construct streams with New or Split.
+// usable; construct streams with New.
 type Rand struct {
 	s [4]uint64
 }
@@ -58,13 +59,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Split derives an independent child stream. The child is seeded from the
-// parent's output, so parent and child sequences are decorrelated and the
-// parent advances by exactly one step.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64())
-}
-
 // Uint64n returns a uniform integer in [0, n). It panics if n == 0.
 // Lemire's nearly-divisionless method with rejection keeps the result
 // exactly uniform.
@@ -107,66 +101,5 @@ func (r *Rand) NormFloat64() float64 {
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Poisson returns a Poisson variate with the given mean. For small means
-// it uses Knuth's product method; for large means a normal approximation
-// with continuity correction, which is accurate to well under the
-// statistical noise of any campaign at mean >= 64.
-func (r *Rand) Poisson(mean float64) int64 {
-	if mean < 0 || math.IsNaN(mean) {
-		panic("rng: Poisson with negative or NaN mean")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean < 64 {
-		l := math.Exp(-mean)
-		var k int64
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := math.Round(mean + math.Sqrt(mean)*r.NormFloat64())
-	if n < 0 {
-		return 0
-	}
-	return int64(n)
-}
-
-// Perm returns a uniformly random permutation of [0, n) (Fisher–Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

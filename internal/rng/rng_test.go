@@ -38,61 +38,6 @@ func TestZeroSeedUsable(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	// The child must differ from a fresh continuation of the parent.
-	diverged := false
-	for i := 0; i < 64; i++ {
-		if parent.Uint64() != child.Uint64() {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Fatal("child stream tracks parent stream")
-	}
-}
-
-// TestSplitStreamsAreIndependent guards the splittable-stream contract
-// the determinism analyzer assumes: after Split, parent and child are
-// fully decoupled, so the order in which the two streams are consumed —
-// which under the parallel scheduler depends on worker count, not on
-// interleaving — can never change either stream's outputs.
-func TestSplitStreamsAreIndependent(t *testing.T) {
-	const n = 512
-	p1 := New(0xfeedface)
-	c1 := p1.Split()
-	p2 := New(0xfeedface)
-	c2 := p2.Split()
-
-	// Pair 1: drain the child in one burst, then the parent.
-	cOut1 := make([]uint64, n)
-	for i := range cOut1 {
-		cOut1[i] = c1.Uint64()
-	}
-	pOut1 := make([]uint64, n)
-	for i := range pOut1 {
-		pOut1[i] = p1.Uint64()
-	}
-	// Pair 2: alternate parent and child draws.
-	pOut2 := make([]uint64, n)
-	cOut2 := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		pOut2[i] = p2.Uint64()
-		cOut2[i] = c2.Uint64()
-	}
-
-	for i := 0; i < n; i++ {
-		if pOut1[i] != pOut2[i] {
-			t.Fatalf("parent output %d depends on child consumption: %#x vs %#x", i, pOut1[i], pOut2[i])
-		}
-		if cOut1[i] != cOut2[i] {
-			t.Fatalf("child output %d depends on parent consumption: %#x vs %#x", i, cOut1[i], cOut2[i])
-		}
-	}
-}
-
 func TestUint64nBounds(t *testing.T) {
 	r := New(3)
 	for _, n := range []uint64{1, 2, 3, 7, 10, 1 << 20, 1<<63 + 12345} {
@@ -186,98 +131,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.02 {
 		t.Errorf("variance = %v, want ~1", variance)
-	}
-}
-
-func TestExpFloat64Moments(t *testing.T) {
-	r := New(19)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("negative exponential variate %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("mean = %v, want ~1", mean)
-	}
-}
-
-func TestPoissonSmallMean(t *testing.T) {
-	r := New(23)
-	const mean, n = 3.5, 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(r.Poisson(mean))
-	}
-	if got := sum / n; math.Abs(got-mean) > 0.05 {
-		t.Errorf("Poisson(%v) sample mean = %v", mean, got)
-	}
-}
-
-func TestPoissonLargeMean(t *testing.T) {
-	r := New(29)
-	const mean, n = 500.0, 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(r.Poisson(mean))
-	}
-	if got := sum / n; math.Abs(got-mean) > 2 {
-		t.Errorf("Poisson(%v) sample mean = %v", mean, got)
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	r := New(31)
-	for i := 0; i < 100; i++ {
-		if v := r.Poisson(0); v != 0 {
-			t.Fatalf("Poisson(0) = %d", v)
-		}
-	}
-}
-
-func TestPoissonPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Poisson(-1) did not panic")
-		}
-	}()
-	New(1).Poisson(-1)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(37)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(41)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed the multiset: %v", s)
 	}
 }
 

@@ -13,11 +13,6 @@ import (
 // The Wilson score interval is the standard choice there — unlike the
 // Wald interval it never collapses to zero width at the edges.
 
-// NormalQuantile returns the p-quantile of the standard normal
-// distribution (Beasley–Springer–Moro rational approximation). It
-// panics outside (0, 1).
-func NormalQuantile(p float64) float64 { return normQuantile(p) }
-
 // zFor returns the two-sided critical value for a confidence level,
 // e.g. 1.96 for 0.95.
 func zFor(confidence float64) float64 {
@@ -73,31 +68,6 @@ func wilsonBounds(p, n, z float64) (lower, upper float64) {
 func WilsonHalfWidth(k, n int64, confidence float64) float64 {
 	lo, hi := WilsonCI(k, n, confidence)
 	return (hi - lo) / 2
-}
-
-// WaldCI returns the textbook normal-approximation interval
-// p̂ ± z·sqrt(p̂(1-p̂)/n), clamped to [0, 1]. It is reported alongside
-// Wilson for comparison; it degenerates to zero width at k == 0 and
-// k == n, which is why it is never used for stopping decisions.
-func WaldCI(k, n int64, confidence float64) (lower, upper float64) {
-	if k < 0 || n < 0 || k > n {
-		panic(fmt.Sprintf("stats: Wald interval of %d/%d", k, n))
-	}
-	if n == 0 {
-		return 0, 1
-	}
-	z := zFor(confidence)
-	p := float64(k) / float64(n)
-	half := z * math.Sqrt(p*(1-p)/float64(n))
-	lower = p - half
-	upper = p + half
-	if lower < 0 {
-		lower = 0
-	}
-	if upper > 1 {
-		upper = 1
-	}
-	return lower, upper
 }
 
 // WilsonSamplesFor returns the smallest number of uniform samples for

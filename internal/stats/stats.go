@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolbox the reliability
-// analyses need: summary statistics, Poisson confidence intervals for
-// observed error counts (the standard treatment for beam-test data, cf.
-// JEDEC JESD89A), and simple fixed-width histograms for error-magnitude
-// distributions.
+// analyses need: Poisson confidence intervals for observed error counts
+// (the standard treatment for beam-test data, cf. JEDEC JESD89A),
+// binomial intervals for campaign early stopping, stratified estimators
+// and their sample allocators, and sample quantiles.
 package stats
 
 import (
@@ -10,60 +10,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary holds running moments of a sample.
-type Summary struct {
-	n          int
-	mean, m2   float64
-	min, max   float64
-	hasExtrema bool
-}
-
-// Observe adds one observation (Welford's online algorithm).
-func (s *Summary) Observe(x float64) {
-	s.n++
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-	if !s.hasExtrema || x < s.min {
-		s.min = x
-	}
-	if !s.hasExtrema || x > s.max {
-		s.max = x
-	}
-	s.hasExtrema = true
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the sample mean (0 for an empty summary).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation (0 for an empty summary).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty summary).
-func (s *Summary) Max() float64 { return s.max }
-
-// StdErr returns the standard error of the mean.
-func (s *Summary) StdErr() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.StdDev() / math.Sqrt(float64(s.n))
-}
 
 // PoissonCI returns an approximate central confidence interval for the
 // rate parameter of a Poisson process from which k events were observed,
@@ -134,67 +80,6 @@ func normQuantile(p float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// RateRatio returns the ratio a/b of two event rates together with an
-// approximate relative 1-sigma uncertainty assuming Poisson counting
-// statistics for both numerators.
-func RateRatio(eventsA, eventsB int64, exposureA, exposureB float64) (ratio, relSigma float64) {
-	if eventsB == 0 || exposureA == 0 || exposureB == 0 {
-		return math.Inf(1), math.Inf(1)
-	}
-	ra := float64(eventsA) / exposureA
-	rb := float64(eventsB) / exposureB
-	ratio = ra / rb
-	var va, vb float64
-	if eventsA > 0 {
-		va = 1 / float64(eventsA)
-	}
-	vb = 1 / float64(eventsB)
-	relSigma = math.Sqrt(va + vb)
-	return ratio, relSigma
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi) with overflow and
-// underflow buckets.
-type Histogram struct {
-	Lo, Hi              float64
-	Buckets             []int64
-	Underflow, Overflow int64
-}
-
-// NewHistogram creates a histogram with n equal-width buckets spanning
-// [lo, hi). It panics for a degenerate range or n <= 0.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || !(hi > lo) {
-		panic("stats: bad histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(x float64) {
-	switch {
-	case math.IsNaN(x) || x >= h.Hi:
-		h.Overflow++
-	case x < h.Lo:
-		h.Underflow++
-	default:
-		i := int(float64(len(h.Buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Buckets) { // guard float rounding at the top edge
-			i--
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total returns the count of all observations including over/underflow.
-func (h *Histogram) Total() int64 {
-	t := h.Underflow + h.Overflow
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of a sample, using

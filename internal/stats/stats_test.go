@@ -3,74 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"mixedrel/internal/rng"
 )
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Observe(x)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
-	}
-	if got := s.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	// Unbiased variance of this classic sample is 32/7.
-	if got := s.Variance(); math.Abs(got-32.0/7) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", got, 32.0/7)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("extrema = (%v, %v)", s.Min(), s.Max())
-	}
-	if s.StdErr() <= 0 {
-		t.Error("StdErr should be positive")
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 || s.StdErr() != 0 {
-		t.Error("empty summary should be all zero")
-	}
-}
-
-func TestSummarySingle(t *testing.T) {
-	var s Summary
-	s.Observe(42)
-	if s.Mean() != 42 || s.Variance() != 0 || s.Min() != 42 || s.Max() != 42 {
-		t.Error("single-element summary wrong")
-	}
-}
-
-func TestSummaryMatchesDirectComputation(t *testing.T) {
-	r := rng.New(5)
-	f := func(seed uint64) bool {
-		rr := rng.New(seed ^ r.Uint64())
-		n := 3 + rr.Intn(50)
-		var s Summary
-		xs := make([]float64, n)
-		var sum float64
-		for i := range xs {
-			xs[i] = rr.NormFloat64() * 10
-			s.Observe(xs[i])
-			sum += xs[i]
-		}
-		mean := sum / float64(n)
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		wantVar := ss / float64(n-1)
-		return math.Abs(s.Mean()-mean) < 1e-9 && math.Abs(s.Variance()-wantVar) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestPoissonCIZeroEvents(t *testing.T) {
 	lo, hi := PoissonCI(0, 0.95)
@@ -141,59 +74,6 @@ func TestNormQuantile(t *testing.T) {
 		if got := normQuantile(c.p); math.Abs(got-c.z) > 5e-3 {
 			t.Errorf("normQuantile(%v) = %v, want %v", c.p, got, c.z)
 		}
-	}
-}
-
-func TestRateRatio(t *testing.T) {
-	ratio, sigma := RateRatio(100, 50, 10, 10)
-	if math.Abs(ratio-2) > 1e-12 {
-		t.Errorf("ratio = %v, want 2", ratio)
-	}
-	want := math.Sqrt(1.0/100 + 1.0/50)
-	if math.Abs(sigma-want) > 1e-12 {
-		t.Errorf("relSigma = %v, want %v", sigma, want)
-	}
-	if r, _ := RateRatio(10, 0, 1, 1); !math.IsInf(r, 1) {
-		t.Error("division by zero rate should be +Inf")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-1)
-	h.Observe(10)  // at the top edge -> overflow
-	h.Observe(1e9) // far overflow
-	h.Observe(math.NaN())
-	for i, b := range h.Buckets {
-		if b != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, b)
-		}
-	}
-	if h.Underflow != 1 || h.Overflow != 3 {
-		t.Errorf("under/over = %d/%d, want 1/3", h.Underflow, h.Overflow)
-	}
-	if h.Total() != 14 {
-		t.Errorf("Total = %d, want 14", h.Total())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 0, 10) },
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("degenerate histogram did not panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 

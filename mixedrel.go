@@ -306,8 +306,8 @@ type StratumResult = inject.StratumResult
 // Checkpoint makes a campaign crash-tolerant and resumable: classified
 // samples are journaled to Path and a re-run with the same
 // configuration completes only the missing ones, producing a
-// byte-identical result. Usable on both InjectionCampaign and
-// BeamExperiment.
+// byte-identical result. InjectionCampaign takes one; a BeamExperiment
+// keeps no journal.
 type Checkpoint = exec.Checkpoint
 
 // ErrPartialCampaign is returned by a checkpointed campaign that
