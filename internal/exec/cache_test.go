@@ -205,7 +205,7 @@ func (misorderedTiles) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.B
 	}
 	out = out[:2]
 	for _, tile := range []int{1, 0} {
-		if _, skip := fp.SkipTile(env, tile, nil); !skip {
+		if _, skip := fp.SkipTile(env, tile, nil, nil); !skip {
 			out[tile] = env.Add(in[0][0], in[0][0])
 		}
 	}
@@ -243,30 +243,192 @@ func TestTiledKernelInsideAnotherKernelHasNoTiles(t *testing.T) {
 	}
 }
 
-// TestTileLiveInSlab round-trips live-ins of every size through the
-// table's chunked slab: a tile that would straddle two chunks, one
-// naming more than a chunk holds, an open tile and small ones around
-// them.
+// yoloConv is the reference convolution of a YOLO layer stage, one
+// scalar FMA chain per output pixel from its bias in (ic, ky, kx)
+// order, with valid padding and stride 1.
+func yoloConv(m *fp.Machine, x []fp.Bits, c, h, w int, wt, b []fp.Bits) (out []fp.Bits, oc, oh, ow int) {
+	const k = 3
+	oc, oh, ow = len(b), h-k+1, w-k+1
+	out = make([]fp.Bits, oc*oh*ow)
+	for o := 0; o < oc; o++ {
+		for y := 0; y < oh; y++ {
+			for xx := 0; xx < ow; xx++ {
+				acc := b[o]
+				for ic := 0; ic < c; ic++ {
+					for ky := 0; ky < k; ky++ {
+						for kx := 0; kx < k; kx++ {
+							acc = m.FMA(x[(ic*h+y+ky)*w+xx+kx], wt[((o*c+ic)*k+ky)*k+kx], acc)
+						}
+					}
+				}
+				out[(o*oh+y)*ow+xx] = acc
+			}
+		}
+	}
+	return out, oc, oh, ow
+}
+
+// yoloLeakyPool is the reference leaky ReLU (negative values times 1/8)
+// and 2x2 max-pool of a c x h x w tensor.
+func yoloLeakyPool(m *fp.Machine, x []fp.Bits, c, h, w int) []fp.Bits {
+	f := m.Format()
+	eighth := m.FromFloat64(0.125)
+	for i, v := range x {
+		if f.Sign(v) && !f.IsZero(v) || f.IsNaN(v) {
+			x[i] = m.Mul(v, eighth)
+		}
+	}
+	oh, ow := h/2, w/2
+	out := make([]fp.Bits, c*oh*ow)
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < oh; y++ {
+			for xx := 0; xx < ow; xx++ {
+				best := x[(ch*h+2*y)*w+2*xx]
+				for _, v := range []fp.Bits{x[(ch*h+2*y)*w+2*xx+1], x[(ch*h+2*y+1)*w+2*xx], x[(ch*h+2*y+1)*w+2*xx+1]} {
+					if f.ToFloat64(v) > f.ToFloat64(best) {
+						best = v
+					}
+				}
+				out[(ch*oh+y)*ow+xx] = best
+			}
+		}
+	}
+	return out
+}
+
+// TestYOLOTileTable checks YOLO's three layer stages against a plain
+// fp.Machine run of the network: each stage's live-ins are its input
+// tensor, weights and bias, the first two name the pooled tensor the
+// next stage reads as their outputs, the last names none, and the
+// stages span the run.
+func TestYOLOTileTable(t *testing.T) {
+	k := kernels.NewYOLO(1006)
+	for _, f := range []fp.Format{fp.Half, fp.Single, fp.Double} {
+		art := Artifact(k, f, "", nil)
+		tiles := art.Tiles()
+		if n := tileCount(tiles); n != 3 {
+			t.Fatalf("%v: YOLO marks %d tiles, want its 3 layer stages", f, n)
+		}
+		m := fp.NewMachine(f)
+		in := art.CopyInputs(nil)
+		x, c, h, w := in[0], 1, kernels.YOLOInputSize, kernels.YOLOInputSize
+		var ops uint64
+		for s := 0; s < 3; s++ {
+			wt, b := in[1+2*s], in[2+2*s]
+			want := append(append(append([]fp.Bits(nil), x...), wt...), b...)
+			if got := tiles.LiveIns(s); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%v stage %d: live-ins differ from its input tensor, weights and bias", f, s)
+			}
+			if tiles.Start(s) != ops {
+				t.Errorf("%v stage %d starts at op %d, want %d", f, s, tiles.Start(s), ops)
+			}
+			ops += tiles.Shape(s).Ops
+			conv, oc, oh, ow := yoloConv(m, x, c, h, w, wt, b)
+			if s == 2 {
+				if fmt.Sprint(conv) != fmt.Sprint(art.GoldenBits()) {
+					t.Errorf("%v: conv3 of stage 2's live-ins is not the golden output", f)
+				}
+				if n := len(tiles.Outputs(s)); n != 0 {
+					t.Errorf("%v: the last stage names %d outputs", f, n)
+				}
+				break
+			}
+			x, c, h, w = yoloLeakyPool(m, conv, oc, oh, ow), oc, oh/2, ow/2
+			if got := tiles.Outputs(s); fmt.Sprint(got) != fmt.Sprint(x) {
+				t.Errorf("%v stage %d: its %d recorded outputs differ from the %d-value pooled tensor", f, s, len(got), len(x))
+			}
+		}
+		if ops != art.Counts.Total() {
+			t.Errorf("%v: stages span %d operations, the run %d", f, ops, art.Counts.Total())
+		}
+	}
+}
+
+// lastTileNamesOutputs marks two tiles, the last of which names an
+// output outside the output buffer, breaking the tile contract of
+// kernels.OutputKernel.
+type lastTileNamesOutputs struct{}
+
+func (lastTileNamesOutputs) Name() string                   { return "last-names-outputs" }
+func (lastTileNamesOutputs) Key() string                    { return "" }
+func (lastTileNamesOutputs) Inputs(f fp.Format) [][]fp.Bits { return [][]fp.Bits{{f.FromFloat64(1)}} }
+
+func (k lastTileNamesOutputs) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
+	return k.RunInto(env, in, nil)
+}
+
+func (lastTileNamesOutputs) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
+	if cap(out) < 1 {
+		out = make([]fp.Bits, 1)
+	}
+	out = out[:1]
+	mid := make([]fp.Bits, 1)
+	if _, skip := fp.SkipTile(env, 0, in[0], mid); !skip {
+		mid[0] = env.Add(in[0][0], in[0][0])
+	}
+	if _, skip := fp.SkipTile(env, 1, mid, mid); !skip {
+		mid[0] = env.Add(mid[0], mid[0])
+		out[0] = mid[0]
+	}
+	return out
+}
+
+func TestLastTileNamingOutputsFailsArtifactBuild(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("artifact build accepted a last tile that names outputs")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "last tile 1 names 1 outputs") {
+			t.Fatalf("artifact build failed with %q, not the last-tile check", msg)
+		}
+	}()
+	Artifact(lastTileNamesOutputs{}, fp.Single, "", nil)
+}
+
+func TestYOLOInsideAnotherKernelHasNoTiles(t *testing.T) {
+	art := Artifact(twice{kernels.NewYOLO(5)}, fp.Half, "", nil)
+	if art.Tiles() != nil {
+		t.Fatalf("a kernel running YOLO twice got %d tiles, want none", art.Tiles().Len())
+	}
+}
+
+// TestTileLiveInSlab round-trips live-ins and named outputs of every
+// size through the table's chunked slab: a tile that would straddle two
+// chunks, one naming more than a chunk holds, an open tile naming an
+// output, and small ones around them. Each tile writes its outputs
+// after its call, so the slab must take them at the next one.
 func TestTileLiveInSlab(t *testing.T) {
 	sizes := []int{3, 1<<chunkBits - 5, 5, 1<<chunkBits + 7, Open, 2}
+	outs := []int{2, 4, 1 << chunkBits, 3, 1, 0}
 	b := &tileBuilder{kernel: "slab"}
 	var at fp.OpCounts
-	var want [][]fp.Bits
+	var want, wantOut [][]fp.Bits
 	v := fp.Bits(0)
-	for i, n := range sizes {
-		var in []fp.Bits
+	seq := func(n int) []fp.Bits {
+		var s []fp.Bits
 		for j := 0; j < n; j++ {
 			v++
-			in = append(in, v)
+			s = append(s, v)
 		}
+		return s
+	}
+	for i, n := range sizes {
+		in := seq(n)
 		want = append(want, in)
-		b.RecordTile(i, in, &at)
+		out := make([]fp.Bits, outs[i])
+		b.RecordTile(i, in, out, &at)
+		copy(out, seq(outs[i])) // the tile runs
+		wantOut = append(wantOut, out)
 		at.ByOp[fp.OpAdd]++
 	}
 	tt := b.table(fp.Single, &at, make([]fp.Bits, at.Total()))
 	for i, n := range sizes {
 		if got := tt.Shape(i).LiveIns; got != n {
 			t.Errorf("tile %d: %d live-ins, want %d", i, got, n)
+		}
+		if got := tt.Outputs(i); fmt.Sprint(got) != fmt.Sprint(wantOut[i]) {
+			t.Errorf("tile %d: %d outputs differ from the %d the tile wrote", i, len(got), outs[i])
 		}
 		if n == Open {
 			continue

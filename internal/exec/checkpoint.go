@@ -161,10 +161,12 @@ func (c Checkpoint) Open() (*Journal, error) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var jl journalLine
-		if json.Unmarshal(line, &jl) != nil {
-			// A torn line from a crash mid-write: the sample it would
-			// have recorded simply re-runs on resume.
+		// A missing or null index leaves I at -1.
+		jl := journalLine{I: -1}
+		if json.Unmarshal(line, &jl) != nil || jl.I < 0 {
+			// A torn line from a crash mid-write, or one naming no
+			// sample: the sample it would have recorded simply re-runs
+			// on resume.
 			damaged++
 			continue
 		}

@@ -12,16 +12,17 @@ import (
 // kernels.OutputKernel). It is compact, because a kernel may mark
 // thousands of small tiles (each Hotspot cell update is one): per tile
 // it keeps where the tile ends in the result trace, the index of its
-// shape, and where its live-ins start in the slab; per distinct shape,
-// the counts a skip adds. The slab is built in chunks, which are never
-// copied to grow it, and no tile's live-ins straddle two. Whether a
+// shape, and where its live-ins start in the slab, followed by its
+// named outputs; per distinct shape, the counts a skip adds and how
+// many values the tile names. The slab is built in chunks, which are
+// never copied to grow it, and no tile's values straddle two. Whether a
 // tile produced a non-finite result is read off the result trace on
 // first use, since only a run with a live trap asks. Shared and safe
 // for concurrent use.
 type TileTable struct {
 	tiles   []tileEntry
 	shapes  []TileShape
-	liveIns [][]fp.Bits // the slab's chunks
+	liveIns [][]fp.Bits // the slab's chunks: live-ins, then named outputs
 	results []fp.Bits
 	format  fp.Format
 
@@ -42,12 +43,14 @@ const chunkBits = 12
 
 // TileShape is what skipping a tile adds to a run's counters, the
 // tile's operations by kind and in all and its integer sequencing
-// sites, and how many live-ins it names: Open for an open tile.
+// sites, how many live-ins it names (Open for an open tile), and how
+// many outputs outside the output buffer it names.
 type TileShape struct {
 	ByOp     [fp.NumOps]uint64
 	Ops      uint64
 	IntSites uint64
 	LiveIns  int
+	Outs     int
 }
 
 // Open is TileShape.LiveIns of an open tile, which names no live-ins.
@@ -72,6 +75,19 @@ func (tt *TileTable) LiveIns(t int) []fp.Bits {
 	e := tt.tiles[t]
 	off := int(e.in & (1<<chunkBits - 1))
 	return tt.liveIns[e.in>>chunkBits][off : off+tt.shapes[e.shape].LiveIns]
+}
+
+// Outputs returns the values tile t names as outputs, as the tile
+// wrote them in the fault-free run, in the order the kernel named
+// them. Shared; do not mutate.
+func (tt *TileTable) Outputs(t int) []fp.Bits {
+	e := tt.tiles[t]
+	sh := &tt.shapes[e.shape]
+	if sh.Outs == 0 {
+		return nil
+	}
+	off := int(e.in&(1<<chunkBits-1)) + max(sh.LiveIns, 0)
+	return tt.liveIns[e.in>>chunkBits][off : off+sh.Outs]
 }
 
 // Last returns the fault-free result of tile t's last operation, or 0
@@ -103,7 +119,10 @@ func (tt *TileTable) scanNonFinite() {
 
 // tileBuilder builds a TileTable from the Tile calls of a counting run
 // (fp.TileRecorder). A tile's shape is known at the next call, or at
-// the end of the run for the last tile: no arithmetic follows it.
+// the end of the run for the last tile: no arithmetic follows it. So
+// are the values of its named outputs, which the tile has written by
+// then; the last tile may name none, since once Run returns the kernel
+// may already have reused their storage.
 type tileBuilder struct {
 	kernel  string
 	n       int // tiles called
@@ -114,52 +133,62 @@ type tileBuilder struct {
 	at      fp.OpCounts // counts at the last Tile call
 	pos     uint64      // operation index at the last tile's start
 	in      int         // live-ins the last tile named, or Open
+	out     []fp.Bits   // the outputs the last tile named, in the kernel's storage
+	outAt   []fp.Bits   // their place in the slab
 	dropped bool        // the run outgrew the result trace: no table
 }
 
 // RecordTile implements fp.TileRecorder. Tiles called out of order
 // break the kernels.OutputKernel contract and panic.
-func (b *tileBuilder) RecordTile(t int, in []fp.Bits, at *fp.OpCounts) {
+func (b *tileBuilder) RecordTile(t int, in, out []fp.Bits, at *fp.OpCounts) {
 	if t != b.n {
 		panic(fmt.Sprintf("exec: %s called tile %d where tile %d was due; tiles run in order 0, 1, ...", b.kernel, t, b.n))
 	}
 	b.n++
+	// The last tile called has run: its named outputs hold their values.
+	copy(b.outAt, b.out)
+	b.out = out
 	if b.dropped {
 		return
 	}
 	start := b.end(at)
 	if start > traceir.MaxOps {
 		b.dropped = true
-		b.tiles, b.liveIns, b.index = nil, nil, nil
+		b.tiles, b.liveIns, b.index, b.outAt = nil, nil, nil, nil
 		return
 	}
 	b.pos, b.in = start, Open
 	if in != nil {
 		b.in = len(in)
 	}
-	b.tiles = append(b.tiles, tileEntry{in: b.appendLiveIns(in)})
+	var pos uint32
+	pos, b.outAt = b.reserve(in, len(out))
+	b.tiles = append(b.tiles, tileEntry{in: pos})
 }
 
-// appendLiveIns adds in to the slab and returns where it starts.
-func (b *tileBuilder) appendLiveIns(in []fp.Bits) uint32 {
-	if len(in) == 0 {
-		return 0
+// reserve adds in to the slab, followed by room for nOut outputs, and
+// returns where in starts and the room.
+func (b *tileBuilder) reserve(in []fp.Bits, nOut int) (uint32, []fp.Bits) {
+	n := len(in) + nOut
+	if n == 0 {
+		return 0, nil
 	}
 	last := len(b.liveIns) - 1
-	if last < 0 || len(b.liveIns[last])+len(in) > cap(b.liveIns[last]) {
-		b.liveIns = append(b.liveIns, make([]fp.Bits, 0, max(1<<chunkBits, len(in))))
+	if last < 0 || len(b.liveIns[last])+n > cap(b.liveIns[last]) {
+		b.liveIns = append(b.liveIns, make([]fp.Bits, 0, max(1<<chunkBits, n)))
 		last++
 	}
 	c := &b.liveIns[last]
-	at := uint32(last<<chunkBits | len(*c))
+	at := len(*c)
 	*c = append(*c, in...)
-	return at
+	*c = (*c)[:at+n]
+	return uint32(last<<chunkBits | at), (*c)[at+len(in):]
 }
 
 // end closes the last tile called, if any, at the counts at, which it
 // keeps for the next tile, and returns their operation total.
 func (b *tileBuilder) end(at *fp.OpCounts) uint64 {
-	sh := TileShape{IntSites: at.IntSites - b.at.IntSites, LiveIns: b.in}
+	sh := TileShape{IntSites: at.IntSites - b.at.IntSites, LiveIns: b.in, Outs: len(b.outAt)}
 	var total uint64
 	for k, n := range &at.ByOp {
 		sh.ByOp[k] = n - b.at.ByOp[k]
@@ -198,9 +227,16 @@ func (b *tileBuilder) shapeIndex(sh *TileShape) uint32 {
 
 // table returns the finished table, with the run ending at the counts
 // end, or nil when no tile was called (or b is nil: the kernel is no
-// OutputKernel) or the result trace was dropped.
+// OutputKernel) or the result trace was dropped. A last tile that
+// names outputs breaks the kernels.OutputKernel contract and panics.
 func (b *tileBuilder) table(f fp.Format, end *fp.OpCounts, results []fp.Bits) *TileTable {
-	if b == nil || b.dropped || len(b.tiles) == 0 || results == nil {
+	if b == nil {
+		return nil
+	}
+	if len(b.out) > 0 {
+		panic(fmt.Sprintf("exec: %s's last tile %d names %d outputs; it may write only the output buffer", b.kernel, b.n-1, len(b.out)))
+	}
+	if b.dropped || len(b.tiles) == 0 || results == nil {
 		return nil
 	}
 	b.end(end)

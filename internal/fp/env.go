@@ -205,33 +205,37 @@ func (c *OpCounts) Add(other OpCounts) {
 
 // Tiler is implemented by environments that can stand in for whole
 // output tiles of a kernel (see kernels.OutputKernel). A kernel calls
-// Tile(t, in) at the start of tile t. in names the tile's live-ins,
-// every value the tile reads, for a closed tile, and is nil for an
-// open one. A true return means the environment accounts for the
-// tile's operations, the tile's outputs in the kernel's output buffer
-// already hold their values, and the returned Bits is the result of
-// the tile's last operation; the kernel then skips the tile's body.
+// Tile(t, in, out) at the start of tile t. in names the tile's
+// live-ins, every value the tile reads, for a closed tile, and is nil
+// for an open one. out names every value the tile writes that is read
+// after it and is not in the kernel's output buffer, and is nil when
+// there is none; the last tile must name none. A true return means the
+// environment accounts for the tile's operations, out and the tile's
+// outputs in the kernel's output buffer already hold their values, and
+// the returned Bits is the result of the tile's last operation; the
+// kernel then skips the tile's body.
 type Tiler interface {
-	Tile(t int, in []Bits) (Bits, bool)
+	Tile(t int, in, out []Bits) (Bits, bool)
 }
 
 // SkipTile reports whether the kernel may skip output tile t, with
-// live-ins in (nil for an open tile), under env, and if so the result
-// of the tile's last operation: env's Tile(t, in), or false for an env
-// that does not implement Tiler. It is small enough to inline into a
-// kernel's tile loop.
-func SkipTile(env Env, t int, in []Bits) (res Bits, skip bool) {
+// live-ins in (nil for an open tile) and named outputs out, under env,
+// and if so the result of the tile's last operation: env's Tile(t, in,
+// out), or false for an env that does not implement Tiler. It is small
+// enough to inline into a kernel's tile loop.
+func SkipTile(env Env, t int, in, out []Bits) (res Bits, skip bool) {
 	if tl, ok := env.(Tiler); ok {
-		res, skip = tl.Tile(t, in)
+		res, skip = tl.Tile(t, in, out)
 	}
 	return res, skip
 }
 
 // TileRecorder receives the Tile calls of a counting run (see
-// Counting.Tiles): the tile, its live-ins, and the counts at the call,
-// which the recorder must not keep.
+// Counting.Tiles): the tile, its live-ins, its named outputs, and the
+// counts at the call, which the recorder must not keep. out holds the
+// tile's values only once the tile has run, at the next call.
 type TileRecorder interface {
-	RecordTile(t int, in []Bits, at *OpCounts)
+	RecordTile(t int, in, out []Bits, at *OpCounts)
 }
 
 // Counting wraps an Env and tallies every dynamic operation. It is used
@@ -301,9 +305,9 @@ func (c *Counting) IntDecision(k int) int {
 
 // Tile implements Tiler: it hands the call to the Tiles recorder, if
 // any, and never skips.
-func (c *Counting) Tile(t int, in []Bits) (Bits, bool) {
+func (c *Counting) Tile(t int, in, out []Bits) (Bits, bool) {
 	if c.Tiles != nil {
-		c.Tiles.RecordTile(t, in, &c.Counts)
+		c.Tiles.RecordTile(t, in, out, &c.Counts)
 	}
 	return 0, false
 }

@@ -228,6 +228,15 @@ func TestCampaignByteIdentityCompiledVsInterpreted(t *testing.T) {
 			Sites:         []Site{SiteOperand, SiteMemory, SiteControl},
 			TrapNonFinite: true, KeepOutputs: true,
 		},
+		{
+			// Layer stages: the compiled side skips the stages before
+			// a fault and those its corruption does not reach, and
+			// writes their golden pooled tensors.
+			Kernel: kernels.NewYOLO(1006), Format: fp.Half,
+			Faults: 100, Seed: 41, Workers: 2,
+			Sites:         []Site{SiteOperation, SiteOperand, SiteMemory, SiteControl},
+			TrapNonFinite: true, KeepOutputs: true,
+		},
 	}
 	for i, c := range cases {
 		t.Run(fmt.Sprintf("case%d", i), func(t *testing.T) {

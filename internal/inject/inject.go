@@ -707,13 +707,15 @@ func (e *Env) IntDecision(k int) int {
 	return k
 }
 
-// Tile implements fp.Tiler: it skips output tile t, with live-ins in,
-// when no fault or hook can reach it, adding the tile's golden operation
-// counts to the counters in place of executing it and returning the
-// golden result of its last operation. The skipped tile's outputs in
-// the output buffer keep the golden values the runner filled it with.
-// Both are exact when the tile reads only golden values and nothing acts
-// inside it: it would recompute its golden operations bit for bit.
+// Tile implements fp.Tiler: it skips output tile t, with live-ins in
+// and named outputs out, when no fault or hook can reach it, adding the
+// tile's golden operation counts to the counters in place of executing
+// it, copying the golden values of its named outputs into out, and
+// returning the golden result of its last operation. The skipped tile's
+// outputs in the output buffer keep the golden values the runner filled
+// it with. All three are exact when the tile reads only golden values
+// and nothing acts inside it: it would recompute its golden operations
+// and rewrite its golden outputs bit for bit.
 //
 // What the tile reads is golden while replay induction holds (pristine
 // inputs, nothing corrupted yet), and otherwise:
@@ -741,7 +743,7 @@ func (e *Env) IntDecision(k int) int {
 // at its first operation past the budget.
 //
 //mixedrelvet:hotpath per-tile skip decision, one call per output tile
-func (e *Env) Tile(t int, in []fp.Bits) (fp.Bits, bool) {
+func (e *Env) Tile(t int, in, out []fp.Bits) (fp.Bits, bool) {
 	tt := e.tiles
 	if tt == nil || t >= tt.Len() {
 		return 0, false
@@ -780,6 +782,7 @@ func (e *Env) Tile(t int, in []fp.Bits) (fp.Bits, bool) {
 	if e.trapLive() && tt.NonFinite(t) {
 		return 0, false
 	}
+	copy(out, tt.Outputs(t))
 	for k, n := range &sh.ByOp {
 		e.byKind[k] += n
 	}

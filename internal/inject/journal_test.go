@@ -52,7 +52,11 @@ func journalLine(t testing.TB, i int, s sample) string {
 // resumeGEMM runs a 4-fault GEMM(4) campaign over a journal holding
 // lines.
 func resumeGEMM(t *testing.T, lines ...string) (*Result, error) {
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	return resumeGEMMAt(t, filepath.Join(t.TempDir(), "ck.jsonl"), lines...)
+}
+
+// resumeGEMMAt is resumeGEMM with the journal at path.
+func resumeGEMMAt(t *testing.T, path string, lines ...string) (*Result, error) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +77,53 @@ func TestCorruptJournalFailsCampaign(t *testing.T) {
 			want := fmt.Sprintf("exec: corrupt checkpoint record %d", i)
 			if _, err := resumeGEMM(t, line); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("resume over %s: err %v, want %q", line, err, want)
+			}
+		})
+	}
+}
+
+// indexlessLines are journal lines holding a valid record but naming no
+// sample: no "i", or a null, string, fractional or negative one. The
+// first used to resume as sample 0, an SDC of relative error 1.
+var indexlessLines = []string{
+	`{"v":{"o":1,"r":4607182418800017408}}`,
+	`{"i":null,"v":{"o":1,"r":4607182418800017408}}`,
+	`{"i":"0","v":{"o":1,"r":4607182418800017408}}`,
+	`{"i":0.5,"v":{"o":1,"r":4607182418800017408}}`,
+	`{"i":-1,"v":{"o":1,"r":4607182418800017408}}`,
+}
+
+// TestJournalLineWithoutIndexReruns: a line naming no sample is
+// damaged. The resumed campaign skips it and re-runs every sample,
+// matching an uninterrupted run, and the journal is compacted free of
+// the line.
+func TestJournalLineWithoutIndexReruns(t *testing.T) {
+	run := func(t *testing.T, lines ...string) (string, []byte) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		res, err := resumeGEMMAt(t, path, lines...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(got), data
+	}
+	want, _ := run(t)
+	for _, line := range indexlessLines {
+		t.Run(line, func(t *testing.T) {
+			got, data := run(t, line)
+			if got != want {
+				t.Errorf("resumed: %s, want the uninterrupted %s", got, want)
+			}
+			if strings.Contains(string(data), line) {
+				t.Errorf("journal still holds the damaged line:\n%s", data)
 			}
 		})
 	}

@@ -198,7 +198,7 @@ func (tileProbe) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	out = out[:len(x)+len(y)]
 	p := env.Mul(env.FromFloat64(1.5), env.FromFloat64(1.5))
 	for t := range x {
-		if _, skip := fp.SkipTile(env, t, nil); skip {
+		if _, skip := fp.SkipTile(env, t, nil, nil); skip {
 			continue
 		}
 		v := env.Exp(env.Mul(p, x[t]))
@@ -214,11 +214,55 @@ func (tileProbe) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 		if i == 1 {
 			live[0] = out[t-1]
 		}
-		if v, skip := fp.SkipTile(env, t, live); skip {
+		if v, skip := fp.SkipTile(env, t, live, nil); skip {
 			out[t] = v
 			continue
 		}
 		out[t] = env.Add(env.Mul(live[0], live[1]), live[1])
+	}
+	return out
+}
+
+// outProbe is an OutputKernel whose tile 0 writes two values outside
+// the output buffer, into a buffer that starts zeroed each run, and
+// names them as its outputs. Tile 1 reads them with an input and
+// writes one output element; tile 2 reads only inputs and writes the
+// other. Each tile is a multiply and an add.
+type outProbe struct{}
+
+func (outProbe) Name() string { return "out-probe" }
+func (outProbe) Key() string  { return "out-probe" }
+
+func (outProbe) Inputs(f fp.Format) [][]fp.Bits {
+	return [][]fp.Bits{
+		{f.FromFloat64(0.5), f.FromFloat64(0.75)},
+		{f.FromFloat64(2), f.FromFloat64(3), f.FromFloat64(5)},
+	}
+}
+
+func (p outProbe) Run(env fp.Env, in [][]fp.Bits) []fp.Bits { return p.RunInto(env, in, nil) }
+
+func (outProbe) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
+	x, y := in[0], in[1]
+	if cap(out) < 2 {
+		out = make([]fp.Bits, 2)
+	}
+	out = out[:2]
+	mid := make([]fp.Bits, 2)
+	if _, skip := fp.SkipTile(env, 0, x, mid); !skip {
+		mid[0] = env.Mul(x[0], x[1])
+		mid[1] = env.Add(x[0], x[1])
+	}
+	live := []fp.Bits{mid[0], mid[1], y[0]}
+	if v, skip := fp.SkipTile(env, 1, live, nil); skip {
+		out[0] = v
+	} else {
+		out[0] = env.Add(env.Mul(live[0], live[2]), live[1])
+	}
+	if v, skip := fp.SkipTile(env, 2, y[1:], nil); skip {
+		out[1] = v
+	} else {
+		out[1] = env.Add(env.Mul(y[1], y[2]), y[1])
 	}
 	return out
 }
@@ -240,6 +284,7 @@ func TestTileSkipRules(t *testing.T) {
 	f := fp.Single
 	shape := fp.ExpShape{Terms: 7, Squarings: 1, IntSites: 1}
 	bare := func() (*Runner, *Runner) { return tileRunners(t, tileProbe{}, f, "", nil) }
+	outs := func() (*Runner, *Runner) { return tileRunners(t, outProbe{}, f, "", nil) }
 	soft := func() (*Runner, *Runner) { return tileRunners(t, tileProbe{}, f, shape.Key(), fp.WrapExp(shape)) }
 	if c, _ := bare(); !c.art.Tiles().NonFinite(1) {
 		t.Fatal("probe tile 1 records no non-finite result")
@@ -320,6 +365,39 @@ func TestTileSkipRules(t *testing.T) {
 			name: "memory-closed", runners: bare, want: SDC, skipped: 2,
 			spec: func(*Runner) FaultSpec {
 				return FaultSpec{Mem: []MemFault{{Array: 1, Elem: 2, Bit: lowBit}}}
+			},
+		},
+		{
+			// A corrupted live-in of the out-probe's tile 2: tile 0
+			// skips and writes its named outputs, whose golden values
+			// let tile 1 skip too.
+			name: "outputs-written", runners: outs, want: SDC, skipped: 2,
+			spec: func(*Runner) FaultSpec {
+				return FaultSpec{Mem: []MemFault{{Array: 1, Elem: 2, Bit: lowBit}}}
+			},
+		},
+		{
+			// A corrupted live-in of tile 0: it runs and writes its
+			// own outputs, which differ, so tile 1 runs; tile 2 skips.
+			name: "outputs-own", runners: outs, want: SDC, skipped: 1,
+			spec: func(*Runner) FaultSpec {
+				return FaultSpec{Mem: []MemFault{{Array: 0, Elem: 0, Bit: lowBit}}}
+			},
+		},
+		{
+			// A strike on tile 0's last operation corrupts a named
+			// output: tile 1 runs on it, tile 2 skips.
+			name: "outputs-struck", runners: outs, want: SDC, skipped: 1,
+			spec: func(c *Runner) FaultSpec {
+				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileEnd(c, 0) - 1, Bit: lowBit}}
+			},
+		},
+		{
+			// A strike in tile 2: tiles 0 and 1 skip on replay
+			// induction, tile 0 writing its outputs.
+			name: "outputs-before-strike", runners: outs, want: SDC, skipped: 2,
+			spec: func(c *Runner) FaultSpec {
+				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileStart(c, 2), Bit: lowBit}}
 			},
 		},
 	}
@@ -414,6 +492,90 @@ func TestHotspotTileSkipEquivalenceSampled(t *testing.T) {
 					spec.Mem = []MemFault{SampleMemFault(r, compiled.ArrayLens(), f)}
 				}
 				checkEquivalent(t, compiled, interpreted, spec, i%5 == 0)
+			}
+			requireSkips(t, before)
+		})
+	}
+}
+
+// YOLO's three layer stages are closed tiles whose first two name their
+// pooled tensor as outputs: a skipped stage writes the golden tensor the
+// next one reads, so a fault in conv3's weights runs conv3 alone, and a
+// strike in a stage leaves later stages to run or skip on what reaches
+// them. The sweep strikes every element of every input array, at one
+// drawn bit each, the operations around every stage boundary and
+// sampled ones, and control sites at the boundaries, each bare and with
+// the trap and the watchdog armed. A live trap checks every operation
+// one by one, which makes an armed run cost twenty bare ones, so the
+// memory sweep arms every 16th element only; under -short and the
+// race detector, whose pass does not need the full sweep, it visits
+// every 23rd element and arms every fourth of those, and the race
+// detector's pass runs half precision alone.
+func TestTileSkipEquivalenceYOLO(t *testing.T) {
+	k := kernels.NewYOLO(1006)
+	stride, armEvery := 1, 16
+	if testing.Short() || raceEnabled {
+		stride, armEvery = 23, 4
+	}
+	formats := []fp.Format{fp.Half, fp.Single, fp.Double}
+	if raceEnabled {
+		formats = formats[:1]
+	}
+	for _, f := range formats {
+		t.Run(f.String(), func(t *testing.T) {
+			compiled, interpreted := tileRunners(t, k, f, "", nil)
+			check := func(spec FaultSpec) {
+				checkEquivalent(t, compiled, interpreted, spec, false)
+				checkEquivalent(t, compiled, interpreted, armed(spec), false)
+			}
+			r := rng.New(0x9010 + uint64(f))
+			before := mTilesSkipped.Load()
+			visited := 0
+			for a, n := range compiled.ArrayLens() {
+				for e := r.Intn(stride); e < n; e += stride {
+					spec := FaultSpec{Mem: []MemFault{{Array: a, Elem: e, Bit: r.Intn(f.Width())}}}
+					checkEquivalent(t, compiled, interpreted, spec, false)
+					if visited%armEvery == 0 {
+						checkEquivalent(t, compiled, interpreted, armed(spec), false)
+					}
+					visited++
+				}
+			}
+			requireSkips(t, before)
+
+			before = mTilesSkipped.Load()
+			tt := compiled.art.Tiles()
+			counts := compiled.Counts()
+			var at []uint64
+			for s := 0; s < tt.Len(); s++ {
+				first, last := tt.Start(s), tt.Start(s)+tt.Shape(s).Ops-1
+				at = append(at, first-1, first, first+1, last-1, last, last+1)
+			}
+			boundaries := len(at)
+			for i := 0; i < 40/stride+8; i++ {
+				at = append(at, r.Uint64n(counts.Total()))
+			}
+			for i, idx := range at {
+				if idx >= counts.Total() {
+					continue
+				}
+				bit := r.Intn(f.Width())
+				for _, target := range []Target{TargetResult, TargetOperand} {
+					check(FaultSpec{Op: &OpFault{AnyKind: true, Index: idx, Bit: bit, Target: target, OperandIdx: int(idx) % 3}})
+				}
+				if i < boundaries {
+					for c := ControlClass(0); c < numControlClasses; c++ {
+						spec := FaultSpec{Control: &ControlFault{Class: c, Site: idx, Bit: r.Intn(indexBits)}, Watchdog: DefaultWatchdogFactor}
+						checkEquivalent(t, compiled, interpreted, spec, false)
+						spec.TrapNonFinite = true
+						checkEquivalent(t, compiled, interpreted, spec, false)
+					}
+				}
+			}
+			// The leaky ReLU's multiplies on their own counter.
+			for i := 0; i < 8; i++ {
+				idx := r.Uint64n(counts.ByOp[fp.OpMul])
+				check(FaultSpec{Op: &OpFault{Kind: fp.OpMul, Index: idx, Bit: r.Intn(f.Width()), Target: Target(i % 2)}})
 			}
 			requireSkips(t, before)
 		})

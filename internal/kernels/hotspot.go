@@ -112,7 +112,7 @@ func (h *Hotspot) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 				live[0], live[1] = cur[i+n], cur[i-n]
 				live[2], live[3] = cur[i+1], cur[i-1]
 				live[4], live[5] = cur[i], power[i]
-				v, skip := fp.SkipTile(env, tile, live)
+				v, skip := fp.SkipTile(env, tile, live, nil)
 				tile++
 				if skip {
 					next[i] = v

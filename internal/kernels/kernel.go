@@ -60,8 +60,8 @@ type Kernel interface {
 // equivalent to RunInto(env, in, nil).
 //
 // A RunInto whose output splits into independent tiles may mark each
-// tile with fp.SkipTile(env, t, in) and skip the tile's body when it
-// reports a skip. Injected runs use this to execute only the tiles a
+// tile with fp.SkipTile(env, t, in, out) and skip the tile's body when
+// it reports a skip. Injected runs use this to execute only the tiles a
 // fault can reach. A tile is one of two kinds:
 //
 //   - closed: in names the tile's live-ins, every value the tile reads
@@ -69,14 +69,24 @@ type Kernel interface {
 //     FromFloat64 need no naming), in a fixed order. A closed tile may
 //     read values computed anywhere before it, since the environment
 //     compares the live-ins with the fault-free run's (Hotspot: each
-//     cell update names its five stencil temperatures and its power);
+//     cell update names its five stencil temperatures and its power;
+//     YOLO: each layer stage names its input tensor, weights and bias);
 //   - open: in is nil, and the tile reads only the inputs and values
 //     computed before tile 0 (LavaMD: each home box).
 //
+// SkipTile's out names the tile's outputs outside the output buffer:
+// every value the tile writes that is read after it and is not in the
+// output buffer, in a fixed order (YOLO: the pooled tensor a stage
+// hands the next), or nil when there is none. The fault-free artifact
+// build records their values at the next tile's call, so the last tile
+// must name none: once RunInto returns, their storage may already be
+// reused (exec.Artifact panics otherwise).
+//
 // On a skip, SkipTile returns the fault-free result of the tile's last
-// operation, which the kernel stores where the body would have, and
-// every value the body would write in out already holds its fault-free
-// value. The marking must keep this contract:
+// operation, which the kernel stores where the body would have, the
+// named outputs hold their fault-free values, and every value the body
+// would write in the output buffer already holds its fault-free value.
+// The marking must keep this contract:
 //
 //   - tiles are called in order 0, 1, ..., n-1 (the fault-free artifact
 //     build, exec.Artifact, panics otherwise);
@@ -84,7 +94,8 @@ type Kernel interface {
 //     next tile's call;
 //   - no arithmetic follows the last tile;
 //   - a tile writes, and initializes, only its own outputs: the result
-//     of its last operation, and elements of out.
+//     of its last operation, its named outputs, elements of the output
+//     buffer, and scratch that nothing reads after it.
 type OutputKernel interface {
 	Kernel
 	RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits

@@ -89,7 +89,7 @@ func (l *LavaMD) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 		for by := 0; by < dim; by++ {
 			for bx := 0; bx < dim; bx++ {
 				box := boxIndex(bx, by, bz)
-				if _, skip := fp.SkipTile(env, box, nil); skip {
+				if _, skip := fp.SkipTile(env, box, nil, nil); skip {
 					continue
 				}
 				home := box * perBox

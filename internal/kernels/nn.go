@@ -59,16 +59,22 @@ func (l *convLayer) encodeParams(f fp.Format) (w, b []fp.Bits) {
 }
 
 // forward applies the convolution through env using pre-encoded params.
+func (l *convLayer) forward(env fp.Env, in tensor, w, b []fp.Bits) tensor {
+	oh, ow := l.outShape(in.h, in.w)
+	return l.forwardInto(env, in, w, b, make([]fp.Bits, l.outC*oh*ow))
+}
+
+// forwardInto is forward writing its outC x oh x ow result into dst.
 // The input is gathered im2col-style into a pooled patch matrix (pure
 // data movement, no env operations), so every output pixel is one
 // contiguous DotFMA chain — the identical dynamic FMA sequence, in the
 // identical (oc, y, x, ic, ky, kx) order, as the original scalar nest.
-func (l *convLayer) forward(env fp.Env, in tensor, w, b []fp.Bits) tensor {
+func (l *convLayer) forwardInto(env fp.Env, in tensor, w, b, dst []fp.Bits) tensor {
 	if in.c != l.inC {
 		panic(fmt.Sprintf("kernels: conv expects %d channels, got %d", l.inC, in.c))
 	}
 	oh, ow := l.outShape(in.h, in.w)
-	out := newTensor(l.outC, oh, ow)
+	out := tensor{c: l.outC, h: oh, w: ow, data: dst[:l.outC*oh*ow]}
 	k := l.k
 	plen := l.inC * k * k
 	buf := getBuf(oh * ow * plen)
@@ -225,11 +231,12 @@ func avgPool2x64(dst, in []float64, c, h, w int) {
 	}
 }
 
-// maxPool2 halves both spatial dimensions with 2x2 max windows.
-func maxPool2(env fp.Env, in tensor) tensor {
+// maxPool2 halves both spatial dimensions with 2x2 max windows,
+// writing the result into dst.
+func maxPool2(env fp.Env, in tensor, dst []fp.Bits) {
 	f := env.Format()
 	oh, ow := in.h/2, in.w/2
-	out := newTensor(in.c, oh, ow)
+	out := tensor{c: in.c, h: oh, w: ow, data: dst[:in.c*oh*ow]}
 	for c := 0; c < in.c; c++ {
 		for y := 0; y < oh; y++ {
 			for x := 0; x < ow; x++ {
@@ -243,7 +250,6 @@ func maxPool2(env fp.Env, in tensor) tensor {
 			}
 		}
 	}
-	return out
 }
 
 // denseLayer is a fully connected layer, weights laid out out x in.

@@ -132,16 +132,72 @@ func (y *YOLO) Inputs(f fp.Format) [][]fp.Bits {
 // channel-major (8 x 4 x 4 = 128 values). Decoding to boxes happens in
 // Detections, mirroring YOLO's host-side post-processing.
 func (y *YOLO) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
-	img, w1, b1, w2, b2, w3, b3 := in[0], in[1], in[2], in[3], in[4], in[5], in[6]
-	t := tensor{c: 1, h: YOLOInputSize, w: YOLOInputSize, data: img}
-	x := y.conv1.forward(env, t, w1, b1)
-	leakyReLUT(env, x)
-	x = maxPool2(env, x)
-	x = y.conv2.forward(env, x, w2, b2)
-	leakyReLUT(env, x)
-	x = maxPool2(env, x)
-	x = y.conv3.forward(env, x, w3, b3)
-	return x.data
+	return y.RunInto(env, in, nil)
+}
+
+// RunInto implements OutputKernel. Each of the three layer stages is
+// one closed output tile: conv1, leaky ReLU and max-pool; the same for
+// conv2; and conv3 into out. A stage's live-ins are its input tensor,
+// weights and bias, back to back in one pooled slice, and the first two
+// stages name their pooled tensor, the head of the next stage's
+// live-ins, as their output: an injected run executes only the stages
+// its fault reaches.
+func (y *YOLO) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
+	x0 := tensor{c: 1, h: YOLOInputSize, w: YOLOInputSize}
+	c1h, c1w := y.conv1.outShape(x0.h, x0.w)
+	x1 := tensor{c: y.conv1.outC, h: c1h / 2, w: c1w / 2}
+	c2h, c2w := y.conv2.outShape(x1.h, x1.w)
+	x2 := tensor{c: y.conv2.outC, h: c2h / 2, w: c2w / 2}
+	oh, ow := y.conv3.outShape(x2.h, x2.w)
+	n := max(y.conv1.outC*c1h*c1w, y.conv2.outC*c2h*c2w) // conv scratch
+	for _, arr := range in {
+		n += len(arr)
+	}
+	buf := getBuf(n + x1.c*x1.h*x1.w + x2.c*x2.h*x2.w)
+	defer putBuf(buf)
+	var st [3]yoloStage
+	rest := buf.s
+	for i, x := range []tensor{x0, x1, x2} {
+		st[i], rest = newYOLOStage(rest, x.c*x.h*x.w, in[1+2*i], in[2+2*i])
+	}
+	copy(st[0].x, in[0])
+	x0.data, x1.data, x2.data = st[0].x, st[1].x, st[2].x
+	if _, skip := fp.SkipTile(env, 0, st[0].live, x1.data); !skip {
+		leakyPoolStage(env, y.conv1, x0, &st[0], rest, x1.data)
+	}
+	if _, skip := fp.SkipTile(env, 1, st[1].live, x2.data); !skip {
+		leakyPoolStage(env, y.conv2, x1, &st[1], rest, x2.data)
+	}
+	res := ensureBits(out, y.conv3.outC*oh*ow)
+	if _, skip := fp.SkipTile(env, 2, st[2].live, nil); !skip {
+		y.conv3.forwardInto(env, x2, st[2].w, st[2].b, res)
+	}
+	return res
+}
+
+// yoloStage is one YOLO layer stage's live-ins, back to back in live:
+// the stage's input tensor x, then its layer's weights w and bias b.
+type yoloStage struct {
+	live, x, w, b []fp.Bits
+}
+
+// newYOLOStage lays out a stage's live-ins at the head of buf, with
+// room for an n-element input tensor and copies of w and b, and returns
+// the stage and the rest of buf.
+func newYOLOStage(buf []fp.Bits, n int, w, b []fp.Bits) (yoloStage, []fp.Bits) {
+	live := buf[:n+len(w)+len(b)]
+	s := yoloStage{live: live, x: live[:n], w: live[n : n+len(w)], b: live[n+len(w):]}
+	copy(s.w, w)
+	copy(s.b, b)
+	return s, buf[len(live):]
+}
+
+// leakyPoolStage runs l on x with s's weights and bias into conv, then
+// leaky ReLU and a 2x2 max-pool into dst.
+func leakyPoolStage(env fp.Env, l *convLayer, x tensor, s *yoloStage, conv, dst []fp.Bits) {
+	c := l.forwardInto(env, x, s.w, s.b, conv)
+	leakyReLUT(env, c)
+	maxPool2(env, c, dst)
 }
 
 // Detection is one decoded object: box center/size normalized to [0,1],

@@ -39,10 +39,12 @@ type Recorder struct {
 	ops       uint64
 	regions   []Region
 	operands  []fp.Bits
-	results   []fp.Bits
-	tails     []fp.Bits // every KGemm grid's chain results, row-major
-	truncated bool      // result trace exceeded MaxOps; nothing is usable
-	irDropped bool      // IR exceeded maxCompiledOps; results still usable
+	results   []fp.Bits   // the result trace's current chunk
+	full      [][]fp.Bits // its earlier, full chunks
+	done      int         // results in full
+	tails     []fp.Bits   // every KGemm grid's chain results, row-major
+	truncated bool        // result trace exceeded MaxOps; nothing is usable
+	irDropped bool        // IR exceeded maxCompiledOps; results still usable
 }
 
 // NewRecorder returns a recorder computing through inner (the
@@ -59,6 +61,7 @@ func (r *Recorder) Results() []fp.Bits {
 	if r.truncated {
 		return nil
 	}
+	r.joinResults()
 	return r.results
 }
 
@@ -71,6 +74,7 @@ func (r *Recorder) Compile() *Program {
 	if r.truncated || r.irDropped {
 		return nil
 	}
+	r.joinResults()
 	return finalize(&Program{
 		format:   r.inner.Format(),
 		ops:      r.ops,
@@ -97,15 +101,53 @@ func (r *Recorder) irFull(n int) bool {
 
 // pushResult appends one operation result to the flat trace.
 func (r *Recorder) pushResult(b fp.Bits) {
-	if r.truncated {
-		return
-	}
-	if len(r.results) >= MaxOps {
-		r.truncated = true
-		r.results = nil
+	if len(r.results) == cap(r.results) && !r.growResults() {
 		return
 	}
 	r.results = append(r.results, b)
+}
+
+// Result chunks start at minResultChunk elements and double with the
+// trace up to maxResultChunk, so growing the trace never copies it.
+const (
+	minResultChunk = 1 << 10
+	maxResultChunk = 1 << 16
+)
+
+// growResults starts a new chunk of the result trace once the current
+// one is full, and reports whether the trace can take another result:
+// it cannot once truncated at MaxOps, which drops it.
+func (r *Recorder) growResults() bool {
+	if r.truncated {
+		return false
+	}
+	n := r.done + len(r.results)
+	if n >= MaxOps {
+		r.truncated = true
+		r.results, r.full = nil, nil
+		return false
+	}
+	if len(r.results) > 0 {
+		r.full = append(r.full, r.results)
+		r.done = n
+	}
+	r.results = make([]fp.Bits, 0, min(max(n, minResultChunk), maxResultChunk, MaxOps-n))
+	return true
+}
+
+// joinResults makes the result trace one slice of exactly its length,
+// which the cached artifacts keep.
+func (r *Recorder) joinResults() {
+	if len(r.full) == 0 && len(r.results) == cap(r.results) {
+		return
+	}
+	all := make([]fp.Bits, r.done+len(r.results))
+	n := 0
+	for _, c := range r.full {
+		n += copy(all[n:], c)
+	}
+	copy(all[n:], r.results)
+	r.results, r.full, r.done = all, nil, 0
 }
 
 // scalar records one scalar operation: a ScalarServed kind as a

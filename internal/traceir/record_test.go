@@ -265,3 +265,31 @@ func TestServeScalarRefusesRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestResultTraceChunks records traces around the result chunks' sizes
+// and requires each to come back whole, in order and exactly as long as
+// the run, with the program sharing it.
+func TestResultTraceChunks(t *testing.T) {
+	m := fp.NewMachine(fp.Single)
+	one := m.FromFloat64(1)
+	for _, n := range []int{0, 1, minResultChunk - 1, minResultChunk, minResultChunk + 1, 3*maxResultChunk + 5} {
+		r := NewRecorder(m)
+		acc := m.FromFloat64(0)
+		want := make([]fp.Bits, n)
+		for i := range want {
+			acc = r.Add(acc, one)
+			want[i] = acc
+		}
+		got := r.Results()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d operations: the result trace differs from the results", n)
+		}
+		if len(got) != cap(got) {
+			t.Errorf("%d operations: the trace keeps %d values of slack", n, cap(got)-len(got))
+		}
+		p := r.Compile()
+		if n > 0 && &p.Results()[0] != &got[0] {
+			t.Errorf("%d operations: the program does not share the trace", n)
+		}
+	}
+}
