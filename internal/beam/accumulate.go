@@ -75,7 +75,8 @@ func (a Accumulation) Run() (*AccumulationResult, error) {
 	// Each round is one sample of a sequential-stream session batch (no
 	// checkpoint, so no journal record codec): draw takes the round's
 	// upsets from the stream in the order they accumulate, and run
-	// executes every depth 1…MaxFaults on the pool.
+	// executes every depth k = 1…MaxFaults on the pool, each one run with
+	// the first k upsets as its fault schedule.
 	runner := inject.NewRunner(m.Kernel, m.Format, m.WrapKey, m.Wrap)
 	golden := runner.Golden()
 	sess, err := exec.NewSession[[]inject.OpFault, []depthOutcome](nil, 1, nil, nil, nil)
@@ -98,7 +99,11 @@ func (a Accumulation) Run() (*AccumulationResult, error) {
 	}, func(_ int, faults []inject.OpFault) []depthOutcome {
 		out := make([]depthOutcome, len(faults))
 		for k := range faults {
-			rr := runner.Run(faults[:k+1], nil, true)
+			rr, abort := runner.RunSpec(inject.FaultSpec{Ops: faults[:k+1]}, true)
+			if abort != nil {
+				out[k].panicMsg = abort.String()
+				break
+			}
 			out[k].sdc = rr.Outcome == inject.SDC
 			out[k].dead = out[k].sdc && isDead(golden, rr.Output)
 		}
@@ -111,7 +116,10 @@ func (a Accumulation) Run() (*AccumulationResult, error) {
 	res := &AccumulationResult{}
 	for k := 0; k < a.MaxFaults; k++ {
 		var sdc, dead int
-		for _, round := range rounds {
+		for i, round := range rounds {
+			if msg := round[k].panicMsg; msg != "" {
+				return nil, fmt.Errorf("beam: accumulation round %d, depth %d aborted: %s", i, k+1, msg)
+			}
 			if round[k].sdc {
 				sdc++
 			}
@@ -129,7 +137,10 @@ func (a Accumulation) Run() (*AccumulationResult, error) {
 }
 
 // depthOutcome is one accumulation depth's classification in one round.
-type depthOutcome struct{ sdc, dead bool }
+type depthOutcome struct {
+	sdc, dead bool
+	panicMsg  string // set when the simulator aborted the run
+}
 
 // isDead reports whether the output indicates a functionally broken
 // circuit: at least half the elements non-finite or off by a factor of

@@ -1,6 +1,8 @@
 package beam
 
 import (
+	"math"
+	"regexp"
 	"testing"
 
 	"mixedrel/internal/arch"
@@ -156,6 +158,52 @@ func TestAccumulationDeterministic(t *testing.T) {
 					t.Fatalf("%v pool %d: depth %d gives %+v, want %+v", f, pool, i+1, got.Points[i], want.Points[i])
 				}
 			}
+		}
+	}
+}
+
+// blowUpAborts is MxM whose simulation dies (panics, as a simulator bug
+// would) on a run whose first output is NaN or beyond ±100.
+type blowUpAborts struct{ *kernels.GEMM }
+
+func (k blowUpAborts) Key() string { return k.GEMM.Key() + "/aborts" }
+
+func (k blowUpAborts) Run(env fp.Env, in [][]fp.Bits) []fp.Bits { return k.RunInto(env, in, nil) }
+
+func (k blowUpAborts) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
+	out = k.GEMM.RunInto(env, in, out)
+	if v := env.ToFloat64(out[0]); !(math.Abs(v) <= 100) {
+		panic("C[0][0] blew up")
+	}
+	return out
+}
+
+// TestAccumulationAbortFails: a run the simulator aborts inside an
+// accumulation round fails the simulation with an error naming the
+// round, the depth and the panic, the same one at every pool size,
+// instead of taking the process down.
+func TestAccumulationAbortFails(t *testing.T) {
+	old := exec.MaxWorkers()
+	defer exec.SetMaxWorkers(old)
+	m, err := fpga.New().Map(arch.NewWorkload(blowUpAborts{kernels.NewGEMM(6, 1)}, 512, 64), fp.Half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := regexp.MustCompile(`^beam: accumulation round \d+, depth \d+ aborted: C\[0\]\[0\] blew up$`)
+	var first string
+	for _, pool := range []int{1, 4} {
+		exec.SetMaxWorkers(pool)
+		res, err := Accumulation{Mapping: m, MaxFaults: 4, Rounds: 12, Seed: 3}.Run()
+		if err == nil || res != nil {
+			t.Fatalf("pool %d: aborted runs gave %+v, err %v", pool, res, err)
+		}
+		if !want.MatchString(err.Error()) {
+			t.Fatalf("pool %d: error %q does not name round, depth and panic", pool, err)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Errorf("pool %d: %q, pool 1: %q", pool, err, first)
 		}
 	}
 }

@@ -111,9 +111,11 @@ func (c Checkpoint) fs() FS {
 }
 
 // Open loads the journal at c.Path (tolerating a torn tail line from a
-// crashed writer) and opens it for appending. When damaged lines are
-// found, the journal is first compacted: the surviving records are
-// rewritten to a scratch file which is renamed over the original, so
+// crashed writer) and opens it for appending. Lines that repeat a
+// sample's record collapse into one; a sample recorded twice with
+// different values fails the open, naming the sample. When damaged
+// lines are found, the journal is first compacted: the surviving records
+// are rewritten to a scratch file which is renamed over the original, so
 // repeated crashes cannot accrete garbage. Compaction is best-effort —
 // on any error the original journal is appended to as-is (damaged
 // lines are skipped on every load anyway).
@@ -169,6 +171,10 @@ func (c Checkpoint) Open() (*Journal, error) {
 			// on resume.
 			damaged++
 			continue
+		}
+		if prev, ok := j.done[jl.I]; ok && !bytes.Equal(prev, jl.V) {
+			// Not a flush retry's rewrite: resuming would keep either.
+			return nil, fmt.Errorf("exec: journal %s records sample %d twice with different values", c.Path, jl.I)
 		}
 		j.done[jl.I] = jl.V
 	}
@@ -320,8 +326,8 @@ func (j *Journal) Close() error {
 // failed write the file may end mid-line, so the next attempt first
 // emits a newline terminator and then rewrites the entire buffer.
 // Records whose lines made it to disk before the tear are written
-// twice — harmless, since reload keeps the last value per index and
-// skips unparsable fragments.
+// twice — harmless, since reload collapses identical records of one
+// index and skips unparsable fragments.
 func (j *Journal) flushLocked() {
 	var err error
 	for attempt := 0; attempt <= j.retries; attempt++ {

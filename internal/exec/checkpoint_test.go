@@ -77,6 +77,33 @@ func TestJournalRecordReload(t *testing.T) {
 	}
 }
 
+// TestJournalDuplicateIndex: lines repeating a sample's record collapse
+// into one, as a flush retry's rewrite leaves them; two lines giving one
+// sample different values fail the open, naming the sample, instead of
+// resuming whichever came last.
+func TestJournalDuplicateIndex(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name, body string) (*Journal, error) {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Checkpoint{Path: path}.Open()
+	}
+	j, err := open("same.ckpt", "{\"i\":0,\"v\":1}\n{\"i\":1,\"v\":{\"o\":2}}\n{\"i\":1,\"v\":{\"o\":2}}\n")
+	if err != nil {
+		t.Fatalf("identical duplicates rejected: %v", err)
+	}
+	if j.Len() != 2 {
+		t.Errorf("identical duplicates reloaded as %d records, want 2", j.Len())
+	}
+	j.Close()
+	_, err = open("differ.ckpt", "{\"i\":0,\"v\":1}\n{\"i\":7,\"v\":{\"o\":2}}\n{\"i\":7,\"v\":{\"o\":3}}\n")
+	if err == nil || !strings.Contains(err.Error(), "sample 7 twice") {
+		t.Fatalf("conflicting duplicates of sample 7 opened: err %v", err)
+	}
+}
+
 // TestJournalTornTail: a crash mid-write leaves a torn final line; the
 // reload must skip it, and appends must start on a fresh line.
 func TestJournalTornTail(t *testing.T) {

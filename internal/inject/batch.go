@@ -29,7 +29,8 @@ import "mixedrel/internal/fp"
 // touches; with no DUE hook armed (a scheduled fault, see Env.scheduled)
 // that operation takes the slow path's struck-result exit, its inner
 // compute plus one XOR with the fault's mask. GemmFMA goes further for a
-// scheduled fault: once its next gate is a strike, the rest of the grid
+// scheduled fault (one entry; several faults on a one-instance datapath
+// merge into one): once its next gate is a strike, the rest of the grid
 // is one struck machine grid (strikeGrid), at interleaved speed however
 // many strikes it holds. A live trap has no quiet stretch (every result
 // must be checked at its exact operation), so the window decomposes
@@ -78,18 +79,6 @@ func (e *Env) replayable() bool {
 	return e.applied == 0 && uint64(len(e.replay)) >= e.all
 }
 
-// compiled reports whether a just-advanced quiet stretch — missed by
-// replayable — may try the compiled trace program's compare-serving. No
-// operation in the stretch is struck and no behavioral-DUE hook can fire
-// inside it; compare-serving then answers each operation from the trace
-// exactly when its recorded operands match the live ones, which is the
-// post-fault cone partition: compares miss precisely on the
-// fault-dependent operations, and only those recompute through the
-// inner machine.
-func (e *Env) compiled() bool {
-	return e.prog != nil
-}
-
 // DotFMA implements fp.BatchEnv.
 //
 //mixedrelvet:hotpath batched injection inner loop
@@ -120,7 +109,7 @@ func (e *Env) dot(acc fp.Bits, a, b []fp.Bits) fp.Bits {
 		e.statReplayed += n
 		return e.replay[e.all-1]
 	}
-	if e.compiled() {
+	if e.prog != nil {
 		// Serve the longest operand-matching prefix of the chain and
 		// recompute only the suffix the fault's cone reaches (a miss
 		// serves nothing and passes acc through).
@@ -182,14 +171,11 @@ func (e *Env) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) strikeGrid(m *fp.Machine, out, accs, a, bt []fp.Bits, rows, cols, k, first int) {
 	n := uint64(rows*cols-first) * uint64(k)
-	ctr := e.all
-	if !e.fault.AnyKind {
-		ctr = e.byKind[fp.OpFMA]
-	}
-	off, mod := e.strikeAt-ctr, e.fault.Modulo
+	f := &e.faults[0]
+	off, mod := f.at-e.counter(f), f.fault.Modulo
 	// A period past the window strikes it once, so it is clamped to the
 	// window to fit an int.
-	s := fp.Strike{First: int(off), Period: int(min(mod, n)), Mask: e.mask}
+	s := fp.Strike{First: int(off), Period: int(min(mod, n)), Mask: f.mask}
 	m.GemmStrike(out, accs, a, bt, rows, cols, k, first, s)
 	e.advance(fp.OpFMA, n)
 	e.strikeOn((n-off-1)/mod + 1)
@@ -213,7 +199,7 @@ func (e *Env) gemmChains(out, accs, a, bt []fp.Bits, rows, cols, k, first, limit
 	pos := e.all - n
 	if e.replayable() {
 		e.statReplayed += n
-		if e.compiled() {
+		if e.prog != nil {
 			if tails, ok := e.prog.GemmTails(&e.cur, pos, rows, cols, k, first, limit); ok {
 				copy(out[first:limit], tails)
 				return
@@ -225,7 +211,7 @@ func (e *Env) gemmChains(out, accs, a, bt []fp.Bits, rows, cols, k, first, limit
 		}
 		return
 	}
-	if e.compiled() {
+	if e.prog != nil {
 		if recomputed, ok := e.prog.ServeGemm(&e.cur, pos, out, accs, a, bt, rows, cols, k, first, limit, e.inner); ok {
 			e.statServed += n - recomputed
 			return
@@ -276,7 +262,7 @@ func (e *Env) axpy(dst []fp.Bits, s fp.Bits, x []fp.Bits) {
 		e.statReplayed += n
 		return
 	}
-	if e.compiled() {
+	if e.prog != nil {
 		// The dirty interval keeps its pristine accumulator inputs in
 		// dst; only those elements recompute.
 		if lo, hi, ok := e.prog.ServeAxpy(&e.cur, e.all-n, s, x, dst); ok {

@@ -248,7 +248,7 @@ func TestGemmServedCountsOnlyServedOps(t *testing.T) {
 		if tc.dirtyBt {
 			cbt[col*k+eb] ^= 1 << 21
 		}
-		e := NewEnv(m, neverFault)
+		e := NewEnv(m)
 		e.prog = prog
 		got := make([]fp.Bits, rows*cols)
 		e.GemmFMA(got, accs, ca, cbt, rows, cols, k)

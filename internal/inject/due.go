@@ -153,11 +153,13 @@ type dueSignal struct {
 // dueSignal without capturing a stack.
 func (dueSignal) ClassifiedOutcome() {}
 
-// FaultSpec is the full fault specification of one sample: at most one
-// of Op/Control, any number of memory faults, plus the runtime
-// detectors armed for the run.
+// FaultSpec is the full fault specification of one sample: a schedule
+// of operation faults (Op, when set, and Ops; a campaign sample draws
+// at most one of Op/Control), any number of memory faults, plus the
+// runtime detectors armed for the run.
 type FaultSpec struct {
 	Op      *OpFault
+	Ops     []OpFault // further op faults, e.g. accumulated FPGA upsets
 	Mem     []MemFault
 	Control *ControlFault
 	// Watchdog is the op-budget factor k (0 disables the watchdog).
@@ -196,10 +198,13 @@ func (f *Fault) Spec() FaultSpec {
 // Desc renders the spec compactly for aborted-sample replay
 // diagnostics.
 func (s FaultSpec) Desc() string {
-	out := ""
+	out, ops := "", s.Ops
 	if s.Op != nil {
+		ops = append([]OpFault{*s.Op}, ops...)
+	}
+	for _, f := range ops {
 		out += fmt.Sprintf("op[kind=%v any=%v idx=%d mod=%d bit=%d w=%d tgt=%v] ",
-			s.Op.Kind, s.Op.AnyKind, s.Op.Index, s.Op.Modulo, s.Op.Bit, s.Op.Width, s.Op.Target)
+			f.Kind, f.AnyKind, f.Index, f.Modulo, f.Bit, f.Width, f.Target)
 	}
 	for _, mf := range s.Mem {
 		out += fmt.Sprintf("mem[arr=%d elem=%d bit=%d w=%d] ", mf.Array, mf.Elem, mf.Bit, mf.Width)

@@ -70,6 +70,13 @@ func TestFaultSpecDesc(t *testing.T) {
 			t.Errorf("desc %q missing %q", d, frag)
 		}
 	}
+	// A schedule of two op faults names both, Op first.
+	op := OpFault{Kind: fp.OpFMA, Index: 3, Modulo: 1, Bit: 14, Target: TargetResult}
+	spec = FaultSpec{Op: &op, Ops: []OpFault{{AnyKind: true, Index: 40, Bit: 2, Width: 2, Target: TargetOperand}}}
+	want := "op[kind=FMA any=false idx=3 mod=1 bit=14 w=0 tgt=result] op[kind=ADD any=true idx=40 mod=0 bit=2 w=2 tgt=operand]"
+	if d := spec.Desc(); d != want {
+		t.Errorf("two-fault desc %q, want %q", d, want)
+	}
 }
 
 func TestSampleControlFaultBounds(t *testing.T) {
@@ -243,7 +250,7 @@ func TestTrapFiresAfterCorruption(t *testing.T) {
 	f := fp.Double
 	huge := f.FromFloat64(1e308)
 
-	armed := NewEnv(fp.NewMachine(f), neverFault)
+	armed := NewEnv(fp.NewMachine(f))
 	armed.resetSpec(FaultSpec{
 		Mem:           []MemFault{{Array: 0, Elem: 0, Bit: 62}},
 		TrapNonFinite: true,
@@ -261,7 +268,7 @@ func TestTrapFiresAfterCorruption(t *testing.T) {
 	// No corruption anywhere: the trap must stay quiet even for
 	// non-finite results (the golden computation may legitimately
 	// overflow).
-	quiet := NewEnv(fp.NewMachine(f), neverFault)
+	quiet := NewEnv(fp.NewMachine(f))
 	quiet.resetSpec(FaultSpec{TrapNonFinite: true, Watchdog: 4}, 100, nil)
 	if abort := exec.Guard(func() { quiet.Mul(huge, huge) }); abort != nil {
 		t.Fatalf("trap fired without a corruption: %v", abort.Value)

@@ -27,23 +27,23 @@ import (
 // methods, so the fp batch helpers decompose through it.
 type oracle struct{ e *Env }
 
-// match reports whether the current operation (of the given kind) is
-// struck, using the counters prior to increment.
-func (o oracle) match(kind fp.Op) bool {
+// match reports whether fault f strikes the current operation (of the
+// given kind), using the counters prior to increment.
+func (o oracle) match(f OpFault, kind fp.Op) bool {
 	e := o.e
 	var ctr uint64
-	if e.fault.AnyKind {
+	if f.AnyKind {
 		ctr = e.all
 	} else {
-		if kind != e.fault.Kind {
+		if kind != f.Kind {
 			return false
 		}
 		ctr = e.byKind[kind]
 	}
-	if e.fault.Modulo > 0 {
-		return ctr%e.fault.Modulo == e.fault.Index%e.fault.Modulo
+	if f.Modulo > 0 {
+		return ctr%f.Modulo == f.Index%f.Modulo
 	}
-	return ctr == e.fault.Index
+	return ctr == f.Index
 }
 
 // dueStep runs the watchdog and the control strike for the operation
@@ -61,32 +61,41 @@ func (o oracle) dueStep() {
 
 func (o oracle) op(kind fp.Op, a, b, c fp.Bits) fp.Bits {
 	e := o.e
-	hit := o.match(kind)
+	var struck []entry
+	for _, s := range e.faults {
+		if o.match(s.fault, kind) {
+			struck = append(struck, s)
+		}
+	}
 	e.all++
 	e.byKind[kind]++
 	if e.due {
 		o.dueStep()
 	}
-	hitOperand := hit && e.fault.Target == TargetOperand
-	hitResult := hit && e.fault.Target == TargetResult
-	if hitOperand {
+	for _, s := range struck {
+		if s.fault.Target == TargetResult {
+			e.applied++
+		}
+		if s.fault.Target != TargetOperand {
+			continue
+		}
 		switch kind {
 		case fp.OpSqrt, fp.OpExp:
-			a = e.flip(a)
+			a = fp.FlipMask(a, s.mask)
 		case fp.OpFMA:
-			switch e.fault.OperandIdx % 3 {
+			switch s.fault.OperandIdx % 3 {
 			case 0:
-				a = e.flip(a)
+				a = fp.FlipMask(a, s.mask)
 			case 1:
-				b = e.flip(b)
+				b = fp.FlipMask(b, s.mask)
 			default:
-				c = e.flip(c)
+				c = fp.FlipMask(c, s.mask)
 			}
 		default:
-			if e.fault.OperandIdx%2 == 0 {
-				a = e.flip(a)
+			if s.fault.OperandIdx%2 == 0 {
+				a = fp.FlipMask(a, s.mask)
 			} else {
-				b = e.flip(b)
+				b = fp.FlipMask(b, s.mask)
 			}
 		}
 		e.applied++
@@ -117,9 +126,10 @@ func (o oracle) op(kind fp.Op, a, b, c fp.Bits) fp.Bits {
 			res = e.inner.Exp(a)
 		}
 	}
-	if hitResult {
-		res = e.flip(res)
-		e.applied++
+	for _, s := range struck {
+		if s.fault.Target == TargetResult {
+			res = fp.FlipMask(res, s.mask)
+		}
 	}
 	if e.due {
 		res = e.duePost(res)
@@ -140,9 +150,9 @@ func (o oracle) Sqrt(a fp.Bits) fp.Bits        { return o.op(fp.OpSqrt, a, 0, 0)
 func (o oracle) Exp(a fp.Bits) fp.Bits         { return o.op(fp.OpExp, a, 0, 0) }
 
 // spyCall is one operation that reached an injector's inner machine,
-// with the injector's corruption count at that moment: an operand strike
-// shows as a corrupted operand in the entry it hits and as the count
-// rising there, a result strike as the count rising on the next entry.
+// with the injector's corruption count at that moment: a strike shows as
+// the count rising at the entry of the operation it hits, an operand
+// strike also as a corrupted operand there.
 // Two injectors whose spy logs agree struck the same positions.
 type spyCall struct {
 	kind    fp.Op
@@ -172,7 +182,7 @@ func (s *spy) Exp(a fp.Bits) fp.Bits       { s.rec(fp.OpExp, a, 0, 0); return s.
 // newSpied builds an injecting environment over a logging machine.
 func newSpied(f fp.Format) (*Env, *spy) {
 	s := &spy{Env: fp.NewMachine(f)}
-	e := NewEnv(s, neverFault)
+	e := NewEnv(s)
 	s.owner = e
 	return e, s
 }
@@ -322,7 +332,7 @@ func TestQuietHorizonMatchesOracle(t *testing.T) {
 		// Ops of each kind in the stream, for Kind-specific index ranges.
 		var byKind [fp.NumOps]uint64
 		{
-			e := NewEnv(fp.NewMachine(f), neverFault)
+			e := NewEnv(fp.NewMachine(f))
 			gateStream(noBatch{e}, f)
 			byKind = e.byKind
 		}
@@ -457,7 +467,7 @@ func TestSplitWindowsMatchOracle(t *testing.T) {
 		n := uint64(len(fx.trace))
 		var byKind [fp.NumOps]uint64
 		{
-			e := NewEnv(fp.NewMachine(f), neverFault)
+			e := NewEnv(fp.NewMachine(f))
 			splitStream(noBatch{e}, f)
 			byKind = e.byKind
 		}
@@ -502,7 +512,7 @@ func TestFaultMaskMatchesFlipBits(t *testing.T) {
 			for bit := 0; bit < f.Width(); bit++ {
 				for _, target := range []Target{TargetResult, TargetOperand} {
 					e := NewEnv(fp.NewMachine(f), OpFault{Bit: bit, Width: width, Target: target})
-					if got, want := e.flip(b), FlipBits(f, b, bit, width); got != want {
+					if got, want := fp.FlipMask(b, e.faults[0].mask), FlipBits(f, b, bit, width); got != want {
 						t.Fatalf("%v %v bit %d width %d: flip %#x, FlipBits %#x", f, target, bit, width, got, want)
 					}
 				}
@@ -608,8 +618,8 @@ func TestStruckGridMatchesSlowPath(t *testing.T) {
 									g := make([]fp.Bits, chains)
 									fp.GemmFMA(env, g, accs, a, bt, sh.rows, sh.cols, k)
 									out = append(out, g...)
-									if e.strikeAt != e.fault.Index%mod+(e.applied)*mod {
-										t.Fatalf("%v %+v: strike at %d after %d strikes", f, of, e.strikeAt, e.applied)
+									if at := e.faults[0].at; at != of.Index%mod+(e.applied)*mod {
+										t.Fatalf("%v %+v: strike at %d after %d strikes", f, of, at, e.applied)
 									}
 									return append(out, prefix(env, int(min(mod, 16))+1)...), e
 								}
@@ -620,9 +630,9 @@ func TestStruckGridMatchesSlowPath(t *testing.T) {
 									t.Fatalf("%s: outputs\n  %x\nslow path\n  %x", desc, got, want)
 								}
 								if ge.applied != we.applied || ge.all != we.all || ge.byKind != we.byKind ||
-									ge.strikeAt != we.strikeAt || ge.quiet != we.quiet || ge.kindAt != we.kindAt {
+									ge.faults[0].at != we.faults[0].at || ge.quiet != we.quiet || ge.kindAt != we.kindAt {
 									t.Fatalf("%s: applied %d all %d byKind %v strike %d, slow path applied %d all %d byKind %v strike %d",
-										desc, ge.applied, ge.all, ge.byKind, ge.strikeAt, we.applied, we.all, we.byKind, we.strikeAt)
+										desc, ge.applied, ge.all, ge.byKind, ge.faults[0].at, we.applied, we.all, we.byKind, we.faults[0].at)
 								}
 							}
 						}
@@ -769,7 +779,7 @@ func checkKernelGates(t *testing.T, runner *Runner, k kernels.Kernel, f fp.Forma
 		i := mf.Elem % len(arr)
 		arr[i] = FlipBits(f, arr[i], mf.Bit, mf.Width)
 	}
-	e := NewEnv(fp.NewMachine(f), neverFault)
+	e := NewEnv(fp.NewMachine(f))
 	e.resetSpec(spec, runner.Counts().Total(), in)
 	var outBits []fp.Bits
 	sig := runGuarded(t, func() { outBits = k.Run(oracle{e}, in) })

@@ -89,10 +89,10 @@ type MemFault struct {
 	Width int // adjacent bits flipped; 0 means 1
 }
 
-// Env wraps an fp.Env and applies an OpFault. It implements fp.Env.
+// Env wraps an fp.Env and applies a schedule of OpFaults, all of one
+// run's. It implements fp.Env.
 type Env struct {
 	inner   fp.Env
-	fault   OpFault
 	all     uint64
 	byKind  [fp.NumOps]uint64
 	intCtr  uint64
@@ -105,25 +105,19 @@ type Env struct {
 	// method. quiet gates everything counted over all operations (an
 	// AnyKind strike, the watchdog budget, the armed control site, and
 	// skip mode or a pending operand, which pin it to 0); kindAt gates a
-	// Kind-specific strike. The first operation past a gate takes the
-	// outlined slow path, which matches it exactly and recomputes both
-	// gates (rearm). A quiet operation therefore costs one counter tick
-	// and one compare, however many DUE hooks are armed.
+	// Kind-specific strike (each the nearest over the schedule). The first
+	// operation past a gate takes the outlined slow path, which matches it
+	// exactly and recomputes both gates (rearm). A quiet operation
+	// therefore costs one counter tick and one compare, however many
+	// faults and DUE hooks are armed.
 	quiet  uint64
 	kindAt [fp.NumOps]uint64
 
-	// strikeAt is the fault's next strike: the first counter value (all
-	// for AnyKind, byKind[Kind] otherwise) not yet passed at the last
-	// rearm that the fault strikes, or ^0 when none can. Every
-	// operation between two rearms lies before it, so struck compares
-	// against it instead of recomputing, and rearm moves it one Modulo
-	// step at a time (strikeOn, for a scheduled fault, as many steps as
-	// strikes it records).
-	strikeAt uint64
-
-	// mask is the fault's struck bits, FlipBits of zero, set per run by
-	// reset: every corruption the fault applies is one XOR with it.
-	mask fp.Bits
+	// faults is the run's schedule, one entry per op fault (merged
+	// where they strike the same operations), in a slice reused across
+	// runs. Entries that strike one operation compose by XOR of their
+	// masks, on its operands and on its result.
+	faults []entry
 
 	// replay, when non-nil, is the fault-free per-operation result trace
 	// of this configuration (exec.Artifacts.Results). Until the first
@@ -184,48 +178,49 @@ type Env struct {
 	statTiles uint64
 }
 
-// NewEnv wraps inner with the given operation fault.
-func NewEnv(inner fp.Env, fault OpFault) *Env {
+// entry is one op fault of the schedule with its per-run state.
+type entry struct {
+	fault OpFault
+
+	// at is the next strike: the first value of its counter (counter)
+	// not yet passed at the last rearm that the fault strikes, or noStrike.
+	// Every operation between two rearms lies before it, so struck
+	// compares against it, and rearm moves it one Modulo step at a time
+	// (strikeOn, for a scheduled fault, as many as it records).
+	at uint64
+
+	// mask is the entry's struck bits, FlipBits of zero (XORed over its
+	// merged faults): every corruption it applies is one XOR with it.
+	mask fp.Bits
+}
+
+// NewEnv wraps inner with a schedule of the given operation faults.
+func NewEnv(inner fp.Env, faults ...OpFault) *Env {
 	e := &Env{inner: inner}
-	e.reset(&fault)
+	e.reset(nil, faults)
 	return e
 }
 
-// Applied returns how many corruptions were performed (0 means the fault
-// index was beyond the executed operation count).
+// Applied returns how many corruptions were performed (0 means every
+// fault index was beyond the executed operation count).
 func (e *Env) Applied() uint64 { return e.applied }
 
-// noStrike is strikeAt's value when the fault cannot strike again.
+// noStrike is an entry's next strike when it cannot strike again.
 const noStrike = ^uint64(0)
-
-// firstStrike returns the counter value of fault's first strike in a
-// fresh run: Index, reduced modulo a persistent fault's Modulo.
-// TargetIntState faults strike through IntDecision only.
-func firstStrike(fault OpFault) uint64 {
-	if t := fault.Target; t != TargetOperand && t != TargetResult {
-		return noStrike
-	}
-	if m := fault.Modulo; m > 0 {
-		return fault.Index % m
-	}
-	return fault.Index
-}
 
 // rearm recomputes the quiet horizon from the current counters and DUE
 // state. It runs after every slow-path operation, so it sees every event
 // that moves a gate: a strike (a Modulo fault's next instance), the
 // control strike and its effects (including a loop counter's jump of
-// all), and a consumed pending operand. It first moves strikeAt past a
-// strike the counters have passed, even in skip mode, where every
+// all), and a consumed pending operand. It first moves every entry's
+// next strike past the counters, even in skip mode, where every
 // operation takes the slow path and struck still reads it.
 //
 //mixedrelvet:hotpath re-arms the quiet horizon after every slow-path operation
 func (e *Env) rearm() {
-	ctr := e.all
-	if !e.fault.AnyKind {
-		ctr = e.byKind[e.fault.Kind]
+	for i := range e.faults {
+		e.pass(&e.faults[i])
 	}
-	e.passStrike(ctr)
 	for k := range e.kindAt {
 		e.kindAt[k] = noStrike
 	}
@@ -240,29 +235,40 @@ func (e *Env) rearm() {
 	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site < e.quiet {
 		e.quiet = e.ctl.Site
 	}
-	if !e.fault.AnyKind {
-		e.kindAt[e.fault.Kind] = e.strikeAt
-	} else if e.strikeAt < e.quiet {
-		e.quiet = e.strikeAt
+	for i := range e.faults {
+		s := &e.faults[i]
+		if !s.fault.AnyKind {
+			e.kindAt[s.fault.Kind] = min(e.kindAt[s.fault.Kind], s.at)
+		} else if s.at < e.quiet {
+			e.quiet = s.at
+		}
 	}
 }
 
-// passStrike moves strikeAt on once the fault's counter, now ctr, has
-// passed it: a one-shot fault is spent, and a persistent one's next
-// instance is one Modulo step on, unless a loop counter's jump of all
-// skipped several.
-func (e *Env) passStrike(ctr uint64) {
-	at := e.strikeAt
+// counter returns the counter s strikes on: all for an AnyKind fault,
+// its kind's otherwise.
+func (e *Env) counter(s *entry) uint64 {
+	if s.fault.AnyKind {
+		return e.all
+	}
+	return e.byKind[s.fault.Kind]
+}
+
+// pass moves s's next strike on once its counter has passed it: a
+// one-shot fault is spent, and a persistent one's next instance is one
+// Modulo step on, unless a loop counter's jump of all skipped several.
+func (e *Env) pass(s *entry) {
+	at, ctr := s.at, e.counter(s)
 	if at >= ctr {
 		return
 	}
-	switch m := e.fault.Modulo; {
+	switch m := s.fault.Modulo; {
 	case m == 0:
-		e.strikeAt = noStrike
+		s.at = noStrike
 	case ctr-at <= m:
-		e.strikeAt = at + m
+		s.at = at + m
 	default:
-		e.strikeAt = ctr + (at%m+m-ctr%m)%m
+		s.at = ctr + (at%m+m-ctr%m)%m
 	}
 }
 
@@ -272,11 +278,6 @@ func (e *Env) tick(kind fp.Op) bool {
 	e.all++
 	e.byKind[kind]++
 	return e.all <= e.quiet && e.byKind[kind] <= e.kindAt[kind]
-}
-
-// flip corrupts b per the fault's bit position and width.
-func (e *Env) flip(b fp.Bits) fp.Bits {
-	return fp.FlipMask(b, e.mask)
 }
 
 // FlipBits flips width adjacent bits of b starting at position bit,
@@ -292,43 +293,75 @@ func FlipBits(f fp.Format, b fp.Bits, bit, width int) fp.Bits {
 	return b
 }
 
-// struck reports whether the fault strikes the operation of the given
+// struck reports whether entry s strikes the operation of the given
 // kind that tick just counted (its counter before the increment).
-func (e *Env) struck(kind fp.Op) bool {
+func (e *Env) struck(s *entry, kind fp.Op) bool {
 	ctr := e.all - 1
-	if !e.fault.AnyKind {
-		if kind != e.fault.Kind {
+	if !s.fault.AnyKind {
+		if kind != s.fault.Kind {
 			return false
 		}
 		ctr = e.byKind[kind] - 1
 	}
-	return ctr == e.strikeAt
+	return ctr == s.at
+}
+
+// strikes returns how many entries strike the operation tick just
+// counted and the XOR of their masks on its operands a, b, c (m[0..2])
+// and on its result (m[3]).
+func (e *Env) strikes(kind fp.Op) (m [4]fp.Bits, n uint64) {
+	for i := range e.faults {
+		s := &e.faults[i]
+		if !e.struck(s, kind) {
+			continue
+		}
+		n++
+		j := 3
+		if s.fault.Target == TargetOperand {
+			j = operand(kind, s.fault.OperandIdx)
+		}
+		m[j] = fp.FlipMask(m[j], s.mask)
+	}
+	return m, n
+}
+
+// operand returns the operand slot (0, 1, 2 for a, b, c) that idx picks
+// on an operation of the kind: idx modulo the kind's arity.
+func operand(kind fp.Op, idx int) int {
+	switch kind {
+	case fp.OpSqrt, fp.OpExp:
+		return 0
+	case fp.OpFMA:
+		if r := idx % 3; r == 0 || r == 1 {
+			return r
+		}
+		return 2
+	}
+	if idx%2 == 0 {
+		return 0
+	}
+	return 1
 }
 
 // slow executes an operation that tick placed past the quiet horizon,
-// with the exact per-operation semantics: strike matching, the watchdog
-// and control-state hooks, serving, corruption, skip mode and the trap.
-// It then re-arms the horizon. Unused operand slots are ignored per the
-// kind's arity.
+// with the exact per-operation semantics: strike matching over the
+// schedule, the watchdog and control-state hooks, serving, corruption,
+// skip mode and the trap. It then re-arms the horizon. Unused operand
+// slots are ignored per the kind's arity.
 //
-// Its first branch is the struck-result exit, taken when the fault's
-// strikes on operations of this kind are a fixed schedule (scheduled)
-// and this operation is struck: the operation is then its inner compute
+// Its first branch is the struck-result exit, taken when the strikes on
+// operations of this kind are fixed in advance (scheduled) and this
+// operation is struck: the operation is then its inner compute
 // and one XOR with the fault's mask, and the re-arm reduces to moving
 // the strike one Modulo step on (strikeOn).
 //
 //mixedrelvet:hotpath outlined per-operation slow path of the injection fast path
 func (e *Env) slow(kind fp.Op, a, b, c fp.Bits) fp.Bits {
-	if e.scheduled(kind) && e.struck(kind) {
-		res := fp.FlipMask(e.compute(kind, a, b, c), e.mask)
+	if e.scheduled(kind) && e.struck(&e.faults[0], kind) {
 		e.strikeOn(1)
-		return res
+		return fp.FlipMask(e.compute(kind, a, b, c), e.faults[0].mask)
 	}
-	var hitOperand, hitResult bool
-	if e.struck(kind) {
-		hitOperand = e.fault.Target == TargetOperand
-		hitResult = e.fault.Target == TargetResult
-	}
+	m, n := e.strikes(kind)
 	if e.budget > 0 && e.all > e.budget {
 		panic(dueSignal{outcome: HangDUE, cause: CauseWatchdog})
 	}
@@ -336,70 +369,52 @@ func (e *Env) slow(kind fp.Op, a, b, c fp.Bits) fp.Bits {
 		e.ctlArmed = false
 		e.applyControl()
 	}
-	res := e.execute(kind, hitOperand, hitResult, a, b, c)
+	res := e.execute(kind, m, n, a, b, c)
 	e.rearm()
 	return res
 }
 
-// scheduled reports whether the fault's strikes on operations of the
-// given kind are a fixed schedule: a persistent (Modulo) result fault
-// that matches the kind, in a run with no DUE hook armed. A result
-// strike is then all that can gate such an operation, and none of the
-// hooks can act on it: there is no watchdog, control site, skip mode,
-// pending operand or trap, and a struck result is never served. So every
-// operation whose counter is ≡ Index (mod Modulo) is its inner compute
-// followed by one XOR with the fault's mask, and every other one is
-// plain compute. This is every instance of a persistent FPGA
-// configuration fault. The slow path's struck-result exit and the
-// struck grid of GemmFMA both take it from here.
+// scheduled reports whether the strikes on operations of the given kind
+// are fixed in advance: the schedule is one entry, a persistent (Modulo)
+// result fault that matches the kind, in a run with no DUE hook armed. A
+// result strike is then all that can gate such an operation, and none of
+// the hooks can act on it: there is no watchdog, control site, skip
+// mode, pending operand or trap, and a struck result is never served. So
+// every operation whose counter is ≡ Index (mod Modulo) is its inner
+// compute followed by one XOR with the fault's mask, and every other one
+// is plain compute: every FPGA configuration fault, alone or accumulated
+// on MxM. The struck-result exit and GemmFMA's struck grid take it here.
 func (e *Env) scheduled(kind fp.Op) bool {
-	return !e.due && e.fault.Target == TargetResult && e.fault.Modulo > 0 &&
-		(e.fault.AnyKind || e.fault.Kind == kind)
+	if e.due || len(e.faults) != 1 {
+		return false
+	}
+	f := &e.faults[0].fault
+	return f.Target == TargetResult && f.Modulo > 0 && (f.AnyKind || f.Kind == kind)
 }
 
-// strikeOn records n strikes of a scheduled fault, the next n
-// instances from strikeAt on: the corruption count grows by n, and the
-// strike and the one gate it sets move n Modulo steps on.
+// strikeOn records n strikes of the scheduled fault, the next n
+// instances from its next strike on: the corruption count grows by n,
+// and the strike and the one gate it sets move n Modulo steps on.
 func (e *Env) strikeOn(n uint64) {
+	s := &e.faults[0]
 	e.applied += n
-	e.strikeAt += n * e.fault.Modulo
-	if e.fault.AnyKind {
-		e.quiet = e.strikeAt
+	s.at += n * s.fault.Modulo
+	if s.fault.AnyKind {
+		e.quiet = s.at
 	} else {
-		e.kindAt[e.fault.Kind] = e.strikeAt
+		e.kindAt[s.fault.Kind] = s.at
 	}
 }
 
 // execute is the body of a slow-path operation after its hooks ran.
-func (e *Env) execute(kind fp.Op, hitOperand, hitResult bool, a, b, c fp.Bits) fp.Bits {
-	if !hitOperand && !hitResult {
+func (e *Env) execute(kind fp.Op, m [4]fp.Bits, n uint64, a, b, c fp.Bits) fp.Bits {
+	if n == 0 {
 		if res, ok := e.served(kind, a, b, c); ok {
 			return res
 		}
 	}
-	if hitOperand {
-		// The operand is OperandIdx modulo the operation's arity.
-		switch kind {
-		case fp.OpSqrt, fp.OpExp:
-			a = e.flip(a)
-		case fp.OpFMA:
-			switch e.fault.OperandIdx % 3 {
-			case 0:
-				a = e.flip(a)
-			case 1:
-				b = e.flip(b)
-			default:
-				c = e.flip(c)
-			}
-		default:
-			if e.fault.OperandIdx%2 == 0 {
-				a = e.flip(a)
-			} else {
-				b = e.flip(b)
-			}
-		}
-		e.applied++
-	}
+	e.applied += n
+	a, b, c = fp.FlipMask(a, m[0]), fp.FlipMask(b, m[1]), fp.FlipMask(c, m[2])
 	a, skipped := e.duePre(a)
 	var res fp.Bits
 	switch {
@@ -412,11 +427,7 @@ func (e *Env) execute(kind fp.Op, hitOperand, hitResult bool, a, b, c fp.Bits) f
 	default:
 		res = e.compute(kind, a, b, c)
 	}
-	if hitResult {
-		res = e.flip(res)
-		e.applied++
-	}
-	return e.duePost(res)
+	return e.duePost(fp.FlipMask(res, m[3]))
 }
 
 // compute runs one operation through the inner environment.
@@ -491,22 +502,17 @@ func (e *Env) served(kind fp.Op, a, b, c fp.Bits) (fp.Bits, bool) {
 	return e.duePost(res), true
 }
 
-// neverFault is an operation fault that cannot match any dynamic
-// operation (no campaign executes 2^64 of them); it lets one injecting
-// environment chain serve memory-fault-only runs unchanged.
-var neverFault = OpFault{AnyKind: true, Index: ^uint64(0)}
-
-// reset re-arms e for a fresh run with a new fault, clearing every
-// counter. A nil fault installs neverFault, so the environment passes
+// reset re-arms e for a fresh run with the schedule of op (when non-nil)
+// and ops, clearing every counter. With no fault the environment passes
 // all arithmetic through untouched.
-func (e *Env) reset(fault *OpFault) {
-	if fault != nil {
-		e.fault = *fault
-	} else {
-		e.fault = neverFault
+func (e *Env) reset(op *OpFault, ops []OpFault) {
+	e.faults = e.faults[:0]
+	if op != nil {
+		e.schedule(*op)
 	}
-	e.strikeAt = firstStrike(e.fault)
-	e.mask = FlipBits(e.inner.Format(), 0, e.fault.Bit, e.fault.Width)
+	for _, f := range ops {
+		e.schedule(f)
+	}
 	e.all = 0
 	e.byKind = [fp.NumOps]uint64{}
 	e.intCtr = 0
@@ -531,14 +537,38 @@ func (e *Env) reset(fault *OpFault) {
 	e.rearm()
 }
 
+// schedule adds f to the schedule, its first strike Index reduced modulo
+// a persistent fault's Modulo (an int-state fault strikes through
+// IntDecision only). An entry that strikes exactly the same operations
+// (the same fault but for its bits, at the same first strike) takes f's
+// bits into its mask instead: XOR composes them.
+func (e *Env) schedule(f OpFault) {
+	mask, at := FlipBits(e.inner.Format(), 0, f.Bit, f.Width), noStrike
+	if f.Target == TargetOperand || f.Target == TargetResult {
+		at = f.Index
+		if f.Modulo > 0 {
+			at %= f.Modulo
+		}
+	}
+	for i := range e.faults {
+		s, g := &e.faults[i], e.faults[i].fault
+		g.Index, g.Bit, g.Width = f.Index, f.Bit, f.Width
+		if at != noStrike && s.at == at && g == f {
+			s.mask = fp.FlipMask(s.mask, mask)
+			return
+		}
+	}
+	e.faults = append(e.faults, entry{fault: f, at: at, mask: mask})
+}
+
 // resetSpec re-arms e for a fresh run with the full fault
-// specification: the optional operation fault plus the behavioral-DUE
+// specification: the schedule of operation faults plus the behavioral-DUE
 // machinery (control-state fault, watchdog budget, FP trap). goldenOps
 // is the configuration's fault-free dynamic operation count; mem is the
 // run's (possibly corrupted) input encoding, which index/pointer
 // corruption reads through.
 func (e *Env) resetSpec(spec FaultSpec, goldenOps uint64, mem [][]fp.Bits) {
-	e.reset(spec.Op)
+	e.reset(spec.Op, spec.Ops)
 	e.goldenOps = goldenOps
 	if spec.Control != nil {
 		e.ctl = *spec.Control
@@ -699,9 +729,11 @@ func (e *Env) IntDecision(k int) int {
 	if d, ok := e.inner.(fp.IntDecider); ok {
 		k = d.IntDecision(k)
 	}
-	if e.fault.Target == TargetIntState && e.intCtr == e.fault.Index {
-		k ^= 1 << uint(e.fault.Bit%5)
-		e.applied++
+	for i := range e.faults {
+		if f := &e.faults[i].fault; f.Target == TargetIntState && e.intCtr == f.Index {
+			k ^= 1 << uint(f.Bit%5)
+			e.applied++
+		}
 	}
 	e.intCtr++
 	return k
@@ -756,16 +788,18 @@ func (e *Env) Tile(t int, in, out []fp.Bits) (fp.Bits, bool) {
 		return 0, false
 	}
 	sh := tt.Shape(t)
-	ctr, span := e.all, sh.Ops
-	if !e.fault.AnyKind {
-		k := e.fault.Kind
-		ctr, span = e.byKind[k], sh.ByOp[k]
-	}
-	if e.strikeAt < ctr+span {
-		return 0, false
-	}
-	if e.fault.Target == TargetIntState && e.fault.Index >= e.intCtr && e.fault.Index < e.intCtr+sh.IntSites {
-		return 0, false
+	for i := range e.faults {
+		s := &e.faults[i]
+		span := sh.Ops
+		if !s.fault.AnyKind {
+			span = sh.ByOp[s.fault.Kind]
+		}
+		if s.at < e.counter(s)+span {
+			return 0, false
+		}
+		if f := &s.fault; f.Target == TargetIntState && f.Index >= e.intCtr && f.Index < e.intCtr+sh.IntSites {
+			return 0, false
+		}
 	}
 	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site < e.all+sh.Ops {
 		return 0, false

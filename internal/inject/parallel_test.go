@@ -92,13 +92,21 @@ func TestRunSpecSharesTraceAcrossSamples(t *testing.T) {
 	if raceEnabled {
 		return
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, abort := r.RunSpec(spec, false); abort != nil {
-			t.Fatal(abort)
+	// An eight-fault schedule (FPGA upsets accumulated without
+	// scrubbing) reuses the pooled environment's schedule as well.
+	eight := FaultSpec{Ops: make([]OpFault, 8)}
+	for i := range eight.Ops {
+		eight.Ops[i] = OpFault{Kind: fp.OpFMA, Index: uint64(i * 37), Modulo: uint64(64 + i), Bit: i, Target: Target(i % 2)}
+	}
+	for _, spec := range []FaultSpec{spec, eight} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, abort := r.RunSpec(spec, false); abort != nil {
+				t.Fatal(abort)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("%s: RunSpec allocates %.0f objects per run; trace sharing broken?", spec.Desc(), allocs)
 		}
-	})
-	if allocs > 8 {
-		t.Errorf("RunSpec allocates %.0f objects per run; trace sharing broken?", allocs)
 	}
 }
 

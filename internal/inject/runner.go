@@ -18,9 +18,12 @@ import (
 //     per configuration instead of once per run;
 //   - inputs are copied from the cached pristine encoding instead of
 //     re-encoded from float64 on every run;
-//   - the injecting environment chain, input buffers, and the decode
-//     buffer live in a per-worker scratch pool, so steady-state runs
-//     allocate almost nothing.
+//   - the injecting environment, input buffers, and the decode buffer
+//     live in a per-worker scratch pool, so steady-state runs allocate
+//     almost nothing.
+//
+// Every op fault of a run, however many, is one schedule in one
+// injecting environment, run by RunSpec.
 //
 // A Runner is safe for concurrent use.
 type Runner struct {
@@ -85,57 +88,12 @@ func (r *Runner) get() *scratch {
 	if sc, ok := r.scratch.Get().(*scratch); ok {
 		return sc
 	}
-	sc := &scratch{ienv: NewEnv(fp.NewMachine(r.format), neverFault)}
+	sc := &scratch{ienv: NewEnv(fp.NewMachine(r.format))}
 	sc.env = fp.Env(sc.ienv)
 	if r.wrap != nil {
 		sc.env = r.wrap(sc.env)
 	}
 	return sc
-}
-
-// Run executes one faulty run under any number of simultaneous
-// operation faults plus any number of memory faults, and classifies the
-// outcome against the golden output. A panic in the kernel propagates:
-// a single run has no campaign to degrade gracefully into.
-//
-// Zero or one operation fault runs through RunSpec. Two or more (FPGA
-// configuration upsets accumulated without scrubbing) get one injecting
-// layer each, chained over a fresh fp.Machine, so every fault strikes
-// independently within the same run. The chain has no replay trace or
-// compiled program installed: an outer layer that served an operation
-// would answer it before the inner layers saw it, so their strikes on
-// it would be skipped.
-func (r *Runner) Run(opFaults []OpFault, memFaults []MemFault, keepOutput bool) RunResult {
-	if len(opFaults) <= 1 {
-		spec := FaultSpec{Mem: memFaults}
-		if len(opFaults) == 1 {
-			spec.Op = &opFaults[0]
-		}
-		rr, abort := r.RunSpec(spec, keepOutput)
-		if abort != nil {
-			panic(abort.Value)
-		}
-		return rr
-	}
-	sc := r.get()
-	r.prepare(sc, memFaults)
-	var env fp.Env = fp.NewMachine(r.format)
-	layers := make([]*Env, len(opFaults))
-	for i, f := range opFaults {
-		layers[i] = NewEnv(env, f)
-		env = layers[i]
-	}
-	if r.wrap != nil {
-		env = r.wrap(env)
-	}
-	res := r.classify(sc, r.runKernel(sc, env), keepOutput)
-	res.FaultApplied = len(memFaults) > 0
-	for _, l := range layers {
-		res.FaultApplied = res.FaultApplied || l.Applied() > 0
-	}
-	flushRunStats(layers[len(layers)-1], res.Outcome, CauseNone, false)
-	r.scratch.Put(sc)
-	return res
 }
 
 // RunSpec executes one faulty run under the full fault specification —

@@ -11,6 +11,16 @@ import (
 	"mixedrel/internal/kernels"
 )
 
+// mustRun runs spec through r and fails the test if the run aborts.
+func mustRun(t *testing.T, r *inject.Runner, spec inject.FaultSpec, keepOutput bool) inject.RunResult {
+	t.Helper()
+	res, abort := r.RunSpec(spec, keepOutput)
+	if abort != nil {
+		t.Fatalf("%s: run aborted: %v", spec.Desc(), abort.Value)
+	}
+	return res
+}
+
 func TestTMRFaultFreeMatchesInner(t *testing.T) {
 	g := kernels.NewGEMM(8, 1)
 	tmr := NewTMR(g)
@@ -36,7 +46,7 @@ func TestTMROutvotesSingleReplicaFault(t *testing.T) {
 	// Strike an operation in the second replica: the vote must fix it.
 	fault := inject.OpFault{AnyKind: true, Index: innerOps + 7,
 		Bit: f.MantBits() - 1, Target: inject.TargetResult}
-	res := inject.NewRunner(tmr, f, "", nil).Run([]inject.OpFault{fault}, nil, false)
+	res := mustRun(t, inject.NewRunner(tmr, f, "", nil), inject.FaultSpec{Op: &fault}, false)
 	if !res.FaultApplied {
 		t.Fatal("fault did not fire")
 	}
@@ -51,7 +61,7 @@ func TestTMRCannotFixInputFault(t *testing.T) {
 	tmr := NewTMR(g)
 	f := fp.Single
 	mf := inject.MemFault{Array: 0, Elem: 0, Bit: f.MantBits() - 1}
-	res := inject.NewRunner(tmr, f, "", nil).Run(nil, []inject.MemFault{mf}, false)
+	res := mustRun(t, inject.NewRunner(tmr, f, "", nil), inject.FaultSpec{Mem: []inject.MemFault{mf}}, false)
 	if res.Outcome != inject.SDC {
 		t.Error("common-mode input corruption must defeat TMR")
 	}
@@ -94,7 +104,7 @@ func TestABFTCorrectsSingleElementFault(t *testing.T) {
 	gemmOps := kernels.Profile(g, f).Total()
 	fault := inject.OpFault{AnyKind: true, Index: gemmOps - 5,
 		Bit: 51, Target: inject.TargetResult}
-	res := inject.NewRunner(a, f, "", nil).Run([]inject.OpFault{fault}, nil, true)
+	res := mustRun(t, inject.NewRunner(a, f, "", nil), inject.FaultSpec{Op: &fault}, true)
 	if !res.FaultApplied {
 		t.Fatal("fault did not fire")
 	}
@@ -117,7 +127,7 @@ func TestABFTDetectsPersistentRowFault(t *testing.T) {
 	// many elements: uncorrectable, but must be *detected*.
 	fault := inject.OpFault{Kind: fp.OpFMA, Index: 3, Modulo: 8,
 		Bit: 50, Target: inject.TargetResult}
-	res := inject.NewRunner(a, f, "", nil).Run([]inject.OpFault{fault}, nil, true)
+	res := mustRun(t, inject.NewRunner(a, f, "", nil), inject.FaultSpec{Op: &fault}, true)
 	if !res.FaultApplied {
 		t.Fatal("fault did not fire")
 	}
