@@ -95,32 +95,78 @@ func tileCount(tt *TileTable) int {
 	return tt.Len()
 }
 
+// TestTileTableSpansTheRun checks the closed tiles of LavaMD: one per
+// (home box, neighbour box) pair in loop order, each naming a2, the two
+// boxes' positions, the neighbour's charges and the home box's
+// accumulators as they enter it, and each but a home box's last naming
+// the accumulators it leaves as its outputs. The tiles follow the
+// prologue back to back and span the run.
 func TestTileTableSpansTheRun(t *testing.T) {
-	k := kernels.NewLavaMD(2, 2, 11)
+	const dim, perBox = 2, 2
+	k := kernels.NewLavaMD(dim, perBox, 11)
 	art := Artifact(k, fp.Single, "", nil)
 	tiles := art.Tiles()
-	if n := tileCount(tiles); n != 8 {
-		t.Fatalf("LavaMD(2,2): %d tiles, want one per home box (8)", n)
+	boxes := dim * dim * dim
+	if n := tileCount(tiles); n != boxes*boxes {
+		t.Fatalf("LavaMD(%d,%d): %d tiles, want one per box pair (%d)", dim, perBox, n, boxes*boxes)
 	}
 	// The prologue is the one a2 multiply; tiles follow back to back,
 	// and the last ends with the run.
 	if got := tiles.Start(0); got != 1 {
 		t.Errorf("tile 0 starts at op %d, want 1", got)
 	}
+	a2 := art.Results()[0]
+	in := art.CopyInputs(nil)
+	rv, qv, golden := in[0], in[1], art.GoldenBits()
 	ops := [fp.NumOps]uint64{fp.OpMul: 1}
-	for i := 0; i < tiles.Len(); i++ {
-		sh := tiles.Shape(i)
-		if i > 0 && tiles.Start(i) != tiles.Start(i-1)+tiles.Shape(i-1).Ops {
-			t.Errorf("tile %d starts at %d, tile %d ends at %d", i, tiles.Start(i), i-1, tiles.Start(i-1)+tiles.Shape(i-1).Ops)
+	tile := 0
+	for home := 0; home < boxes; home++ {
+		// In a 2-box grid every box neighbours every other, in index order.
+		acc := make([]fp.Bits, 4*perBox)
+		for i := range acc {
+			acc[i] = fp.Single.FromFloat64(0)
 		}
-		if sh.LiveIns != Open {
-			t.Errorf("tile %d names %d live-ins; a home box is open", i, sh.LiveIns)
-		}
-		for k, n := range sh.ByOp {
-			ops[k] += n
-		}
-		if tiles.NonFinite(i) {
-			t.Errorf("tile %d: LavaMD records a non-finite result", i)
+		for nb := 0; nb < boxes; nb++ {
+			sh := tiles.Shape(tile)
+			if tile > 0 && tiles.Start(tile) != tiles.Start(tile-1)+tiles.Shape(tile-1).Ops {
+				t.Errorf("tile %d starts at %d, tile %d ends at %d", tile, tiles.Start(tile), tile-1, tiles.Start(tile-1)+tiles.Shape(tile-1).Ops)
+			}
+			if sh.LiveIns != 1+13*perBox {
+				t.Errorf("tile %d names %d live-ins, want 1+13*perBox = %d", tile, sh.LiveIns, 1+13*perBox)
+			}
+			var want []fp.Bits
+			want = append(want, a2)
+			want = append(want, rv[4*home*perBox:4*(home+1)*perBox]...)
+			want = append(want, rv[4*nb*perBox:4*(nb+1)*perBox]...)
+			want = append(want, qv[nb*perBox:(nb+1)*perBox]...)
+			want = append(want, acc...)
+			if got := tiles.LiveIns(tile); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("tile %d (home %d, neighbour %d): live-ins %x, want %x", tile, home, nb, got, want)
+			}
+			outs := tiles.Outputs(tile)
+			if nb == boxes-1 {
+				if len(outs) != 0 {
+					t.Errorf("tile %d, home box %d's last, names %d outputs", tile, home, len(outs))
+				}
+				if last, g := tiles.Last(tile), golden[4*(home+1)*perBox-1]; last != g {
+					t.Errorf("tile %d ends with %#x, the home box's last golden accumulator is %#x", tile, last, g)
+				}
+			} else {
+				if len(outs) != 4*perBox {
+					t.Fatalf("tile %d names %d outputs, want 4*perBox = %d", tile, len(outs), 4*perBox)
+				}
+				if outs[len(outs)-1] != tiles.Last(tile) {
+					t.Errorf("tile %d's last output %#x is not its last result %#x", tile, outs[len(outs)-1], tiles.Last(tile))
+				}
+				acc = append(acc[:0], outs...)
+			}
+			for k, n := range sh.ByOp {
+				ops[k] += n
+			}
+			if tiles.NonFinite(tile) {
+				t.Errorf("tile %d: LavaMD records a non-finite result", tile)
+			}
+			tile++
 		}
 	}
 	if ops != art.Counts.ByOp {
@@ -131,61 +177,95 @@ func TestTileTableSpansTheRun(t *testing.T) {
 	}
 }
 
-// TestHotspotTileTable checks the closed tiles of Hotspot: one per cell
-// update, (n-2)^2 per step, each of the cell's 9 operations, with the
-// stencil temperatures and the power as its live-ins, and one shape for
-// all of them.
+// hotspotStep is a reference Hotspot step with m: next's interior cells
+// from grid and power, in the kernel's operation order.
+func hotspotStep(m *fp.Machine, next, grid, power []fp.Bits, n int) {
+	c := func(x float64) fp.Bits { return m.FromFloat64(x) }
+	for r := 1; r < n-1; r++ {
+		for col := 1; col < n-1; col++ {
+			i := r*n + col
+			tc := grid[i]
+			dv := m.FMA(c(-2), tc, m.Add(grid[i+n], grid[i-n]))
+			dh := m.FMA(c(-2), tc, m.Add(grid[i+1], grid[i-1]))
+			acc := m.FMA(dv, c(0.25), power[i])
+			acc = m.FMA(dh, c(0.25), acc)
+			acc = m.FMA(m.Sub(c(80), tc), c(0.0625), acc)
+			next[i] = m.FMA(c(0.0625), acc, tc)
+		}
+	}
+}
+
+// TestHotspotTileTable checks the closed tiles of Hotspot: one per row
+// update, n-2 per step, each of the row's 9(n-2) operations, with the
+// grid rows around it and its power row as its live-ins, and the row's
+// new cells as its outputs on every step but the last, whose rows go to
+// the output buffer. The live-ins are checked against rows replayed
+// from the recorded outputs, and both against a reference stencil.
 func TestHotspotTileTable(t *testing.T) {
 	const n, steps = 5, 3
 	k := kernels.NewHotspot(n, steps, 4)
 	art := Artifact(k, fp.Half, "", nil)
 	tiles := art.Tiles()
-	if got := tileCount(tiles); got != (n-2)*(n-2)*steps {
-		t.Fatalf("Hotspot(%d,%d): %d tiles, want (n-2)^2*steps = %d", n, steps, got, (n-2)*(n-2)*steps)
+	if got := tileCount(tiles); got != (n-2)*steps {
+		t.Fatalf("Hotspot(%d,%d): %d tiles, want (n-2)*steps = %d", n, steps, got, (n-2)*steps)
 	}
-	if len(tiles.shapes) != 1 {
-		t.Errorf("Hotspot's cells take %d shapes, want 1", len(tiles.shapes))
+	if len(tiles.shapes) != 2 {
+		t.Errorf("Hotspot's rows take %d shapes, want 2 (naming outputs or not)", len(tiles.shapes))
 	}
-	want := TileShape{Ops: 9, LiveIns: 6}
-	want.ByOp[fp.OpAdd], want.ByOp[fp.OpSub], want.ByOp[fp.OpFMA] = 2, 1, 6
-	if sh := tiles.Shape(0); *sh != want {
-		t.Errorf("cell shape %+v, want %+v", *sh, want)
-	}
+	want := TileShape{Ops: 9 * (n - 2), LiveIns: 4 * n, Outs: n - 2}
+	want.ByOp[fp.OpAdd], want.ByOp[fp.OpSub], want.ByOp[fp.OpFMA] = 2*(n-2), n-2, 6*(n-2)
+	wantLast := want
+	wantLast.Outs = 0
 	got := 0
 	for _, c := range tiles.liveIns {
 		got += len(c)
 	}
-	if got != 6*tiles.Len() {
-		t.Errorf("live-in slab holds %d values, want 6 per tile (%d)", got, 6*tiles.Len())
+	if wantSlab := 4*n*tiles.Len() + (n-2)*(n-2)*(steps-1); got != wantSlab {
+		t.Errorf("live-in slab holds %d values, want 4n per tile and n-2 per output row (%d)", got, wantSlab)
 	}
-	// Step 0 reads the inputs; every later step reads the cells the step
-	// before wrote, which are its tiles' last results, or the inputs on
-	// the border.
+	// Step 0 reads the inputs; every later step reads the rows the step
+	// before wrote, which are its tiles' outputs, or the inputs on the
+	// border.
+	m := fp.NewMachine(fp.Half)
 	in := art.CopyInputs(nil)
 	grid := append([]fp.Bits(nil), in[0]...)
 	next := append([]fp.Bits(nil), in[0]...)
+	ref := append([]fp.Bits(nil), in[0]...)
 	tile := 0
 	for s := 0; s < steps; s++ {
+		hotspotStep(m, ref, grid, in[1], n)
 		for r := 1; r < n-1; r++ {
-			for c := 1; c < n-1; c++ {
-				i := r*n + c
-				wantIn := []fp.Bits{grid[i+n], grid[i-n], grid[i+1], grid[i-1], grid[i], in[1][i]}
-				if got := tiles.LiveIns(tile); fmt.Sprint(got) != fmt.Sprint(wantIn) {
-					t.Fatalf("tile %d (step %d, cell %d,%d): live-ins %x, want %x", tile, s, r, c, got, wantIn)
-				}
-				if tiles.Start(tile) != uint64(9*tile) {
-					t.Fatalf("tile %d starts at op %d, want %d", tile, tiles.Start(tile), 9*tile)
-				}
-				next[i] = tiles.Last(tile)
-				tile++
+			sh := want
+			if s == steps-1 {
+				sh = wantLast
 			}
+			if got := tiles.Shape(tile); *got != sh {
+				t.Errorf("tile %d (step %d, row %d): shape %+v, want %+v", tile, s, r, *got, sh)
+			}
+			wantIn := append(append([]fp.Bits(nil), grid[(r-1)*n:(r+2)*n]...), in[1][r*n:(r+1)*n]...)
+			if got := tiles.LiveIns(tile); fmt.Sprint(got) != fmt.Sprint(wantIn) {
+				t.Fatalf("tile %d (step %d, row %d): live-ins %x, want %x", tile, s, r, got, wantIn)
+			}
+			if tiles.Start(tile) != uint64(9*(n-2)*tile) {
+				t.Fatalf("tile %d starts at op %d, want %d", tile, tiles.Start(tile), 9*(n-2)*tile)
+			}
+			row := ref[r*n+1 : (r+1)*n-1]
+			if tiles.Last(tile) != row[n-3] {
+				t.Errorf("tile %d ends with %#x, the reference row with %#x", tile, tiles.Last(tile), row[n-3])
+			}
+			if s < steps-1 {
+				outs := tiles.Outputs(tile)
+				if fmt.Sprint(outs) != fmt.Sprint(row) {
+					t.Fatalf("tile %d (step %d, row %d): outputs %x, the reference stencil %x", tile, s, r, outs, row)
+				}
+				copy(next[r*n+1:], outs)
+			}
+			tile++
 		}
 		grid, next = next, grid
 	}
-	for i, b := range art.GoldenBits() {
-		if grid[i] != b {
-			t.Fatalf("golden cell %d is %#x, the tiles' last results give %#x", i, b, grid[i])
-		}
+	if fmt.Sprint(ref) != fmt.Sprint(art.GoldenBits()) {
+		t.Fatalf("golden grid %x, the reference stencil %x", art.GoldenBits(), ref)
 	}
 }
 
@@ -395,11 +475,11 @@ func TestYOLOInsideAnotherKernelHasNoTiles(t *testing.T) {
 
 // TestTileLiveInSlab round-trips live-ins and named outputs of every
 // size through the table's chunked slab: a tile that would straddle two
-// chunks, one naming more than a chunk holds, an open tile naming an
-// output, and small ones around them. Each tile writes its outputs
+// chunks, one naming more than a chunk holds, one naming no live-ins
+// but an output, and small ones around them. Each tile writes its outputs
 // after its call, so the slab must take them at the next one.
 func TestTileLiveInSlab(t *testing.T) {
-	sizes := []int{3, 1<<chunkBits - 5, 5, 1<<chunkBits + 7, Open, 2}
+	sizes := []int{3, 1<<chunkBits - 5, 5, 1<<chunkBits + 7, 0, 2}
 	outs := []int{2, 4, 1 << chunkBits, 3, 1, 0}
 	b := &tileBuilder{kernel: "slab"}
 	var at fp.OpCounts
@@ -429,9 +509,6 @@ func TestTileLiveInSlab(t *testing.T) {
 		}
 		if got := tt.Outputs(i); fmt.Sprint(got) != fmt.Sprint(wantOut[i]) {
 			t.Errorf("tile %d: %d outputs differ from the %d the tile wrote", i, len(got), outs[i])
-		}
-		if n == Open {
-			continue
 		}
 		if got := tt.LiveIns(i); fmt.Sprint(got) != fmt.Sprint(want[i]) {
 			t.Errorf("tile %d: live-ins differ from the %d recorded", i, n)

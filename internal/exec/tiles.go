@@ -10,7 +10,7 @@ import (
 
 // TileTable is the output tile table of a fault-free run (see
 // kernels.OutputKernel). It is compact, because a kernel may mark
-// thousands of small tiles (each Hotspot cell update is one): per tile
+// thousands of small tiles (each Hotspot row update is one): per tile
 // it keeps where the tile ends in the result trace, the index of its
 // shape, and where its live-ins start in the slab, followed by its
 // named outputs; per distinct shape, the counts a skip adds and how
@@ -43,8 +43,8 @@ const chunkBits = 12
 
 // TileShape is what skipping a tile adds to a run's counters, the
 // tile's operations by kind and in all and its integer sequencing
-// sites, how many live-ins it names (Open for an open tile), and how
-// many outputs outside the output buffer it names.
+// sites, how many live-ins it names, and how many outputs outside the
+// output buffer it names.
 type TileShape struct {
 	ByOp     [fp.NumOps]uint64
 	Ops      uint64
@@ -52,9 +52,6 @@ type TileShape struct {
 	LiveIns  int
 	Outs     int
 }
-
-// Open is TileShape.LiveIns of an open tile, which names no live-ins.
-const Open = -1
 
 // Len returns the number of tiles.
 func (tt *TileTable) Len() int { return len(tt.tiles) }
@@ -69,7 +66,7 @@ func (tt *TileTable) Start(t int) uint64 {
 	return uint64(e.end) - tt.shapes[e.shape].Ops
 }
 
-// LiveIns returns closed tile t's live-ins in the fault-free run, in
+// LiveIns returns tile t's live-ins in the fault-free run, in
 // the order the kernel named them. Shared; do not mutate.
 func (tt *TileTable) LiveIns(t int) []fp.Bits {
 	e := tt.tiles[t]
@@ -86,7 +83,7 @@ func (tt *TileTable) Outputs(t int) []fp.Bits {
 	if sh.Outs == 0 {
 		return nil
 	}
-	off := int(e.in&(1<<chunkBits-1)) + max(sh.LiveIns, 0)
+	off := int(e.in&(1<<chunkBits-1)) + sh.LiveIns
 	return tt.liveIns[e.in>>chunkBits][off : off+sh.Outs]
 }
 
@@ -132,7 +129,7 @@ type tileBuilder struct {
 	liveIns [][]fp.Bits
 	at      fp.OpCounts // counts at the last Tile call
 	pos     uint64      // operation index at the last tile's start
-	in      int         // live-ins the last tile named, or Open
+	in      int         // live-ins the last tile named
 	out     []fp.Bits   // the outputs the last tile named, in the kernel's storage
 	outAt   []fp.Bits   // their place in the slab
 	dropped bool        // the run outgrew the result trace: no table
@@ -157,10 +154,7 @@ func (b *tileBuilder) RecordTile(t int, in, out []fp.Bits, at *fp.OpCounts) {
 		b.tiles, b.liveIns, b.index, b.outAt = nil, nil, nil, nil
 		return
 	}
-	b.pos, b.in = start, Open
-	if in != nil {
-		b.in = len(in)
-	}
+	b.pos, b.in = start, len(in)
 	var pos uint32
 	pos, b.outAt = b.reserve(in, len(out))
 	b.tiles = append(b.tiles, tileEntry{in: pos})

@@ -206,8 +206,8 @@ func (c *OpCounts) Add(other OpCounts) {
 // Tiler is implemented by environments that can stand in for whole
 // output tiles of a kernel (see kernels.OutputKernel). A kernel calls
 // Tile(t, in, out) at the start of tile t. in names the tile's
-// live-ins, every value the tile reads, for a closed tile, and is nil
-// for an open one. out names every value the tile writes that is read
+// live-ins, every value the tile reads, and is nil when there is none.
+// out names every value the tile writes that is read
 // after it and is not in the kernel's output buffer, and is nil when
 // there is none; the last tile must name none. A true return means the
 // environment accounts for the tile's operations, out and the tile's
@@ -219,7 +219,7 @@ type Tiler interface {
 }
 
 // SkipTile reports whether the kernel may skip output tile t, with
-// live-ins in (nil for an open tile) and named outputs out, under env,
+// live-ins in and named outputs out, under env,
 // and if so the result of the tile's last operation: env's Tile(t, in,
 // out), or false for an env that does not implement Tiler. It is small
 // enough to inline into a kernel's tile loop.

@@ -169,12 +169,9 @@ type Env struct {
 	// tiles, when non-nil, is the fault-free run's output tile table
 	// (exec.Artifacts.Tiles), installed with the output buffer already
 	// holding the golden output. Tile then skips each tile no fault or
-	// hook can reach (see Tile). tilesOK records, at tile 0, that the
-	// inputs were pristine and the prologue ran clean, so open tiles may
-	// skip; statTiles counts the tiles skipped, flushed with the serve
-	// statistics above.
+	// hook can reach (see Tile); statTiles counts the tiles skipped,
+	// flushed with the serve statistics above.
 	tiles     *exec.TileTable
-	tilesOK   bool
 	statTiles uint64
 }
 
@@ -523,7 +520,6 @@ func (e *Env) reset(op *OpFault, ops []OpFault) {
 	e.statJumped = 0
 	e.statTiles = 0
 	e.tiles = nil
-	e.tilesOK = false
 	e.due = false
 	e.ctlArmed = false
 	e.ctlPending = false
@@ -750,14 +746,9 @@ func (e *Env) IntDecision(k int) int {
 // and rewrite its golden outputs bit for bit.
 //
 // What the tile reads is golden while replay induction holds (pristine
-// inputs, nothing corrupted yet), and otherwise:
-//
-//   - for a closed tile, when every live-in it names equals the golden
-//     run's bits (the tile table keeps them), even in a memory-fault run
-//     or after a strike;
-//   - for an open tile, which names nothing, only when the inputs are
-//     pristine and nothing had been corrupted at tile 0: it reads only
-//     the inputs and values computed before tile 0.
+// inputs, nothing corrupted yet), and otherwise when every live-in it
+// names equals the golden run's bits (the tile table keeps them), even
+// in a memory-fault run or after a strike.
 //
 // Nothing acts inside the tile when all of these hold:
 //
@@ -780,10 +771,6 @@ func (e *Env) Tile(t int, in, out []fp.Bits) (fp.Bits, bool) {
 	if tt == nil || t >= tt.Len() {
 		return 0, false
 	}
-	induction := e.applied == 0 && e.replay != nil
-	if t == 0 {
-		e.tilesOK = induction
-	}
 	if e.skip || e.ctlPending {
 		return 0, false
 	}
@@ -804,14 +791,8 @@ func (e *Env) Tile(t int, in, out []fp.Bits) (fp.Bits, bool) {
 	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site < e.all+sh.Ops {
 		return 0, false
 	}
-	if !induction {
-		if sh.LiveIns == exec.Open {
-			if !e.tilesOK {
-				return 0, false
-			}
-		} else if !slices.Equal(in, tt.LiveIns(t)) {
-			return 0, false
-		}
+	if induction := e.applied == 0 && e.replay != nil; !induction && !slices.Equal(in, tt.LiveIns(t)) {
+		return 0, false
 	}
 	if e.trapLive() && tt.NonFinite(t) {
 		return 0, false

@@ -165,8 +165,8 @@ func TestScheduleMatchesChainGEMMPairs(t *testing.T) {
 }
 
 // TestScheduleMatchesChainMixedKinds draws schedules of two and three
-// faults on Hotspot(5,3) (closed tiles; Add, Sub and FMA) and LavaMD(2,1)
-// (open tiles, Exp, and int-state sites under a software exp):
+// faults on Hotspot(5,3) (row tiles; Add, Sub and FMA) and LavaMD(2,1)
+// (box-pair tiles, Exp, and int-state sites under a software exp):
 // one-shot and persistent, AnyKind and Kind-specific, result, operand and
 // int-state targets, some with a memory fault, some pairs on one
 // operation. -short draws a fifth as many.

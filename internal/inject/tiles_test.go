@@ -14,9 +14,9 @@ import (
 // the golden output, while the interpreted runner (disableCompiledReplay)
 // executes every tile. These tests hold the two to byte-identical
 // journaled samples over every fault class, and check that tiles were
-// in fact skipped, so the comparison is not vacuous. LavaMD(1,·) has a
-// single tile, which no fault can leave unreached, so the sweeps use
-// dim 2.
+// in fact skipped, so the comparison is not vacuous. LavaMD's tiles are
+// its (home box, neighbour box) pairs; LavaMD(1,·) has a single one,
+// which no fault can leave unreached, so the sweeps use dim 2 and 3.
 
 // tileWrap is an environment the sweeps run LavaMD under.
 type tileWrap struct {
@@ -63,6 +63,10 @@ func armed(spec FaultSpec) FaultSpec {
 	return spec
 }
 
+// TestTileSkipEquivalenceEveryIndex sweeps LavaMD(2,1) over every
+// operation index, control site and int-state site, and then over every
+// bit of every input element: a box pair skips under corrupted inputs
+// when the positions, charges and accumulators it names are golden.
 func TestTileSkipEquivalenceEveryIndex(t *testing.T) {
 	k := kernels.NewLavaMD(2, 1, 5)
 	stride := uint64(1)
@@ -105,6 +109,15 @@ func TestTileSkipEquivalenceEveryIndex(t *testing.T) {
 					check(FaultSpec{Op: &OpFault{Index: idx, Bit: int(idx), Target: TargetIntState}})
 				}
 				requireSkips(t, before)
+				before = mTilesSkipped.Load()
+				for a, n := range compiled.ArrayLens() {
+					for e := 0; e < n; e++ {
+						for bit := 0; bit < f.Width(); bit += int(stride) {
+							check(FaultSpec{Mem: []MemFault{{Array: a, Elem: e, Bit: bit}}})
+						}
+					}
+				}
+				requireSkips(t, before)
 			})
 		}
 	}
@@ -140,6 +153,17 @@ func randomTileSpec(r *rng.Rand, counts fp.OpCounts, f fp.Format) FaultSpec {
 	return spec
 }
 
+// randomTileSpecMem is randomTileSpec with every 4th sample (i) a
+// memory fault instead.
+func randomTileSpecMem(r *rng.Rand, c *Runner, f fp.Format, i int) FaultSpec {
+	spec := randomTileSpec(r, c.Counts(), f)
+	if i%4 == 0 {
+		spec.Op, spec.Control = nil, nil
+		spec.Mem = []MemFault{SampleMemFault(r, c.ArrayLens(), f)}
+	}
+	return spec
+}
+
 func TestTileSkipEquivalenceSampled(t *testing.T) {
 	k := kernels.NewLavaMD(2, 2, 9)
 	samples := 400
@@ -153,7 +177,35 @@ func TestTileSkipEquivalenceSampled(t *testing.T) {
 				before := mTilesSkipped.Load()
 				r := rng.New(0x711E + uint64(f))
 				for i := 0; i < samples; i++ {
-					checkEquivalent(t, compiled, interpreted, randomTileSpec(r, compiled.Counts(), f), i%5 == 0)
+					checkEquivalent(t, compiled, interpreted, randomTileSpecMem(r, compiled, f, i), i%5 == 0)
+				}
+				requireSkips(t, before)
+			})
+		}
+	}
+}
+
+// TestTileSkipEquivalenceBoundaryBoxes samples LavaMD(3,2), whose corner,
+// edge, face and centre boxes have 8, 12, 18 and 27 neighbours, so the
+// home boxes' last pairs fall at varying places and the boxes' tile
+// counts differ.
+func TestTileSkipEquivalenceBoundaryBoxes(t *testing.T) {
+	k := kernels.NewLavaMD(3, 2, 17)
+	samples := 200
+	if testing.Short() {
+		samples = 40
+	}
+	for _, f := range []fp.Format{fp.Half, fp.Double} {
+		for _, w := range tileWraps(f) {
+			t.Run(fmt.Sprintf("%v/%s", f, w.name), func(t *testing.T) {
+				compiled, interpreted := tileRunners(t, k, f, w.key, w.wrap)
+				if n := compiled.art.Tiles().Len(); n != 8*8+12*12+6*18+27 {
+					t.Fatalf("LavaMD(3,2): %d tiles, want one per box pair (343)", n)
+				}
+				before := mTilesSkipped.Load()
+				r := rng.New(0xB0C5 + uint64(f))
+				for i := 0; i < samples; i++ {
+					checkEquivalent(t, compiled, interpreted, randomTileSpecMem(r, compiled, f, i), i%5 == 0)
 				}
 				requireSkips(t, before)
 			})
@@ -162,17 +214,17 @@ func TestTileSkipEquivalenceSampled(t *testing.T) {
 }
 
 // tileProbe is an OutputKernel built so that each skip rule of
-// Env.Tile decides an outcome. Tiles 0-3 are open: its prologue value p
-// feeds each of them, each runs one Exp (integer sequencing sites under
-// a software exp), and tile 1 overflows to +Inf on its way to a finite
-// output. Tiles 4-6 are closed, each a multiply-add over its named
-// live-ins from the second input array, and tile 5 also reads tile 4's
-// output.
+// Env.Tile decides an outcome. Tiles 0-3 read its prologue value p and
+// one element of the first input array, which they name: each runs one
+// Exp (integer sequencing sites under a software exp), and tile 1
+// overflows to +Inf on its way to a finite output. Tiles 4-6 are each a
+// multiply-add over its named live-ins from the second input array, and
+// tile 5 also reads tile 4's output.
 type tileProbe struct{}
 
-// probeOpen is the number of the probe's open tiles, which precede its
-// closed ones.
-const probeOpen = 4
+// probeExp is the number of the probe's Exp tiles, which precede its
+// multiply-add ones.
+const probeExp = 4
 
 func (tileProbe) Name() string { return "tile-probe" }
 func (tileProbe) Key() string  { return "tile-probe" }
@@ -198,7 +250,7 @@ func (tileProbe) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	out = out[:len(x)+len(y)]
 	p := env.Mul(env.FromFloat64(1.5), env.FromFloat64(1.5))
 	for t := range x {
-		if _, skip := fp.SkipTile(env, t, nil, nil); skip {
+		if _, skip := fp.SkipTile(env, t, []fp.Bits{p, x[t]}, nil); skip {
 			continue
 		}
 		v := env.Exp(env.Mul(p, x[t]))
@@ -209,7 +261,7 @@ func (tileProbe) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 		out[t] = env.Add(v, p)
 	}
 	for i := range y {
-		t := probeOpen + i
+		t := probeExp + i
 		live := []fp.Bits{y[i], y[i]}
 		if i == 1 {
 			live[0] = out[t-1]
@@ -298,8 +350,8 @@ func TestTileSkipRules(t *testing.T) {
 		skipped uint64 // tiles the compiled run skips
 	}{
 		{
-			// A struck prologue value reaches every open tile; the
-			// closed ones name golden live-ins.
+			// A struck prologue value reaches every Exp tile, which
+			// names it; the multiply-add ones name golden live-ins.
 			name: "prologue", runners: bare, want: SDC, skipped: 3,
 			spec: func(*Runner) FaultSpec {
 				return FaultSpec{Op: &OpFault{AnyKind: true, Index: 0, Bit: lowBit}}
@@ -330,8 +382,8 @@ func TestTileSkipRules(t *testing.T) {
 		},
 		{
 			// With nothing struck before it, tile 1's +Inf cannot trap.
-			// After the strike in tile 2, the open tile 3 skips on a
-			// clean prologue and the closed tiles on golden live-ins.
+			// After the strike in tile 2, tiles 3-6 skip on golden
+			// live-ins.
 			name: "trap-not-live", runners: bare, want: SDC, skipped: 3 + 3,
 			spec: func(c *Runner) FaultSpec {
 				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileStart(c, 2), Bit: lowBit}, TrapNonFinite: true}
@@ -342,27 +394,28 @@ func TestTileSkipRules(t *testing.T) {
 			// must run, and tile 6, whose live-ins match, skips.
 			name: "live-in-differs", runners: bare, want: SDC, skipped: 4 + 1,
 			spec: func(c *Runner) FaultSpec {
-				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileEnd(c, probeOpen) - 1, Bit: lowBit}}
+				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileEnd(c, probeExp) - 1, Bit: lowBit}}
 			},
 		},
 		{
 			// A strike in tile 5 leaves tile 6's live-ins golden.
 			name: "live-ins-match", runners: bare, want: SDC, skipped: 4 + 2,
 			spec: func(c *Runner) FaultSpec {
-				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileStart(c, probeOpen+1), Bit: lowBit}}
+				return FaultSpec{Op: &OpFault{AnyKind: true, Index: probeTileStart(c, probeExp+1), Bit: lowBit}}
 			},
 		},
 		{
-			// A corrupted open input: no open tile may skip, and every
-			// closed one does.
-			name: "memory-open", runners: bare, want: SDC, skipped: 3,
+			// A corrupted live-in of Exp tile 2: it runs, and every
+			// other tile skips.
+			name: "memory-exp", runners: bare, want: SDC, skipped: 3 + 3,
 			spec: func(*Runner) FaultSpec {
 				return FaultSpec{Mem: []MemFault{{Array: 0, Elem: 2, Bit: lowBit}}}
 			},
 		},
 		{
-			// A corrupted live-in of tile 6: tiles 4 and 5 skip.
-			name: "memory-closed", runners: bare, want: SDC, skipped: 2,
+			// A corrupted live-in of tile 6: it runs, and every other
+			// tile skips.
+			name: "memory-closed", runners: bare, want: SDC, skipped: 4 + 2,
 			spec: func(*Runner) FaultSpec {
 				return FaultSpec{Mem: []MemFault{{Array: 1, Elem: 2, Bit: lowBit}}}
 			},
@@ -429,12 +482,12 @@ func TestTileSkipRules(t *testing.T) {
 	}
 }
 
-// Hotspot's cells are closed tiles: they skip after a strike and under
-// corrupted inputs whenever the stencil values they read are golden, so
-// an injected run recomputes only its fault's cone. Skipping under
-// corrupted inputs is what open tiles never do, so the sweep covers
-// every memory element and bit besides every operation index and
-// control site, each bare and with the trap and a tight watchdog armed.
+// Hotspot's row updates are closed tiles: they skip after a strike and
+// under corrupted inputs whenever the grid and power rows they read are
+// golden, so an injected run recomputes only its fault's cone. The
+// sweep covers every memory element and bit besides every operation
+// index and control site, each bare and with the trap and a tight
+// watchdog armed.
 func TestHotspotTileSkipEquivalenceEveryIndex(t *testing.T) {
 	k := kernels.NewHotspot(5, 3, 8)
 	for _, f := range []fp.Format{fp.Half, fp.Single, fp.Double} {
@@ -486,12 +539,7 @@ func TestHotspotTileSkipEquivalenceSampled(t *testing.T) {
 			before := mTilesSkipped.Load()
 			r := rng.New(0x4075 + uint64(f))
 			for i := 0; i < samples; i++ {
-				spec := randomTileSpec(r, compiled.Counts(), f)
-				if i%4 == 0 {
-					spec.Op, spec.Control = nil, nil
-					spec.Mem = []MemFault{SampleMemFault(r, compiled.ArrayLens(), f)}
-				}
-				checkEquivalent(t, compiled, interpreted, spec, i%5 == 0)
+				checkEquivalent(t, compiled, interpreted, randomTileSpecMem(r, compiled, f, i), i%5 == 0)
 			}
 			requireSkips(t, before)
 		})

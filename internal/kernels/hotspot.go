@@ -79,13 +79,16 @@ func (h *Hotspot) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 }
 
 // RunInto implements OutputKernel. The double-buffered grids come from
-// the scratch pool; only the final copy touches out. Each cell update
-// of each step is one closed output tile, numbered in update order,
-// whose live-ins are the five stencil temperatures and the cell's
-// power: an injected run recomputes only the cells its fault reaches.
+// the scratch pool. Each row update of each step is one closed output
+// tile, numbered in update order, whose live-ins are the current grid's
+// rows r-1..r+1 and power row r: an injected run recomputes only the
+// rows its fault reaches. Every step but the last writes its rows into
+// the next grid and names the row's interior cells as the tile's
+// outputs; the last writes its rows into out, after the border cells,
+// and names none.
 func (h *Hotspot) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	n := h.n
-	buf := getBuf(2*n*n + hotspotLiveIns)
+	buf := getBuf(2*n*n + 4*n)
 	defer putBuf(buf)
 	cur := buf.s[:n*n]
 	copy(cur, in[0])
@@ -93,6 +96,7 @@ func (h *Hotspot) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	copy(next, in[0]) // borders keep their boundary temperature
 	live := buf.s[2*n*n:]
 	power := in[1]
+	res := ensureBits(out, n*n)
 
 	k := env.FromFloat64(hotspotK)
 	rx := env.FromFloat64(hotspotRx)
@@ -102,42 +106,53 @@ func (h *Hotspot) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	negTwo := env.FromFloat64(-2)
 
 	tile := 0
-	// Every cell's update is one dependent chain mixing Add/Sub/FMA over
-	// five neighbours; batching across cells would reorder the op stream.
-	//mixedrelvet:allow batchops dependent per-cell stencil chain
 	for s := 0; s < h.steps; s++ {
+		last := s == h.steps-1
+		if last {
+			copyBorder(res, in[0], n)
+			next = res
+		}
 		for r := 1; r < n-1; r++ {
+			copy(live, cur[(r-1)*n:(r+2)*n])
+			copy(live[3*n:], power[r*n:(r+1)*n])
+			row := next[r*n+1 : (r+1)*n-1]
+			named := row
+			if last {
+				named = nil
+			}
+			_, skip := fp.SkipTile(env, tile, live, named)
+			tile++
+			if skip {
+				continue
+			}
+			// Every cell's update is one dependent chain mixing
+			// Add/Sub/FMA over five neighbours; batching across cells
+			// would reorder the op stream.
+			//mixedrelvet:allow batchops dependent per-cell stencil chain
 			for c := 1; c < n-1; c++ {
-				i := r*n + c
-				live[0], live[1] = cur[i+n], cur[i-n]
-				live[2], live[3] = cur[i+1], cur[i-1]
-				live[4], live[5] = cur[i], power[i]
-				v, skip := fp.SkipTile(env, tile, live, nil)
-				tile++
-				if skip {
-					next[i] = v
-					continue
-				}
-				t := live[4]
+				t := live[n+c]
 				// Vertical and horizontal second differences.
-				dv := env.Add(live[0], live[1])
+				dv := env.Add(live[2*n+c], live[c])
 				dv = env.FMA(negTwo, t, dv)
-				dh := env.Add(live[2], live[3])
+				dh := env.Add(live[n+c+1], live[n+c-1])
 				dh = env.FMA(negTwo, t, dh)
-				acc := live[5]
+				acc := live[3*n+c]
 				acc = env.FMA(dv, ry, acc)
 				acc = env.FMA(dh, rx, acc)
 				acc = env.FMA(env.Sub(tamb, t), rz, acc)
-				next[i] = env.FMA(k, acc, t)
+				row[c-1] = env.FMA(k, acc, t)
 			}
 		}
 		cur, next = next, cur
 	}
-	res := ensureBits(out, n*n)
-	copy(res, cur)
 	return res
 }
 
-// hotspotLiveIns is the number of live-ins of a Hotspot cell update:
-// the cell's temperature, its four neighbours' and its power.
-const hotspotLiveIns = 6
+// copyBorder copies the border cells of the n x n grid src to dst.
+func copyBorder(dst, src []fp.Bits, n int) {
+	copy(dst[:n], src[:n])
+	copy(dst[(n-1)*n:], src[(n-1)*n:])
+	for r := 1; r < n-1; r++ {
+		dst[r*n], dst[r*n+n-1] = src[r*n], src[r*n+n-1]
+	}
+}

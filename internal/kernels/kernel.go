@@ -62,22 +62,22 @@ type Kernel interface {
 // A RunInto whose output splits into independent tiles may mark each
 // tile with fp.SkipTile(env, t, in, out) and skip the tile's body when
 // it reports a skip. Injected runs use this to execute only the tiles a
-// fault can reach. A tile is one of two kinds:
-//
-//   - closed: in names the tile's live-ins, every value the tile reads
-//     that an operation computed or an input holds (constants from
-//     FromFloat64 need no naming), in a fixed order. A closed tile may
-//     read values computed anywhere before it, since the environment
-//     compares the live-ins with the fault-free run's (Hotspot: each
-//     cell update names its five stencil temperatures and its power;
-//     YOLO: each layer stage names its input tensor, weights and bias);
-//   - open: in is nil, and the tile reads only the inputs and values
-//     computed before tile 0 (LavaMD: each home box).
+// fault can reach. in names the tile's live-ins, every value the tile
+// reads that an operation computed or an input holds (constants from
+// FromFloat64 need no naming), in a fixed order, or nil when there is
+// none. A tile may read values computed anywhere before it, since the
+// environment compares the live-ins with the fault-free run's (Hotspot:
+// each row update names the three grid rows around it and its power
+// row; LavaMD: each box pair names a2, both boxes' positions, the
+// neighbour's charges and the home box's accumulators; YOLO: each layer
+// stage names its input tensor, weights and bias).
 //
 // SkipTile's out names the tile's outputs outside the output buffer:
 // every value the tile writes that is read after it and is not in the
-// output buffer, in a fixed order (YOLO: the pooled tensor a stage
-// hands the next), or nil when there is none. The fault-free artifact
+// output buffer, in a fixed order (Hotspot: a row's new cells in the
+// next grid; LavaMD: the home box's accumulators a box pair hands the
+// next; YOLO: the pooled tensor a stage hands the next), or nil when
+// there is none. The fault-free artifact
 // build records their values at the next tile's call, so the last tile
 // must name none: once RunInto returns, their storage may already be
 // reused (exec.Artifact panics otherwise).

@@ -71,32 +71,40 @@ func (l *LavaMD) Run(env fp.Env, in [][]fp.Bits) []fp.Bits {
 	return l.RunInto(env, in, nil)
 }
 
-// RunInto implements OutputKernel. Each home box is one open output
-// tile: its particles' accumulators, zeroed and summed inside the tile
-// from the inputs and the prologue constants alone.
+// RunInto implements OutputKernel. Each (home box, neighbour box)
+// interaction is one closed output tile, numbered in loop order, whose
+// live-ins are a2, the home box's rv, the neighbour box's rv and qv, and
+// the home box's accumulators as they enter the tile (zeros before the
+// first neighbour), laid out in one pooled buffer that interact reads.
+// Every tile but a home box's last names the accumulators it leaves as
+// its outputs, kept in that buffer; the last writes them to fA and names
+// none. An injected run recomputes only the box pairs its fault reaches.
 func (l *LavaMD) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	rv, qv := in[0], in[1]
 	dim, perBox := l.dim, l.perBx
 	fA := ensureBits(out, 4*l.Particles())
+	buf := getBuf(1 + 13*perBox)
+	defer putBuf(buf)
+	live := buf.s
+	homeRV, nbRV, nbQV, acc := l.split(live)
 	zero := env.FromFloat64(0)
-	a2 := env.Mul(env.FromFloat64(l.alpha), env.FromFloat64(l.alpha))
+	live[0] = env.Mul(env.FromFloat64(l.alpha), env.FromFloat64(l.alpha)) // a2
 	two := env.FromFloat64(2)
 	negOne := env.FromFloat64(-1)
 
 	boxIndex := func(bx, by, bz int) int { return (bz*dim+by)*dim + bx }
 
+	tile := 0
 	for bz := 0; bz < dim; bz++ {
 		for by := 0; by < dim; by++ {
 			for bx := 0; bx < dim; bx++ {
-				box := boxIndex(bx, by, bz)
-				if _, skip := fp.SkipTile(env, box, nil, nil); skip {
-					continue
-				}
-				home := box * perBox
-				acc := fA[4*home : 4*(home+perBox)]
+				home := boxIndex(bx, by, bz) * perBox
+				copy(homeRV, rv[4*home:4*(home+perBox)])
 				for i := range acc {
 					acc[i] = zero
 				}
+				// The home box's last neighbour, the last in loop order.
+				last := boxIndex(min(bx+1, dim-1), min(by+1, dim-1), min(bz+1, dim-1))
 				// Home box plus the 26 neighbors, clamped at the
 				// grid boundary (Rodinia uses no periodic wrap).
 				for dz := -1; dz <= 1; dz++ {
@@ -106,8 +114,19 @@ func (l *LavaMD) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 							if nx < 0 || ny < 0 || nz < 0 || nx >= dim || ny >= dim || nz >= dim {
 								continue
 							}
-							nb := boxIndex(nx, ny, nz) * perBox
-							l.interact(env, rv, qv, fA, home, nb, a2, two, negOne)
+							box := boxIndex(nx, ny, nz)
+							nb := box * perBox
+							copy(nbRV, rv[4*nb:4*(nb+perBox)])
+							copy(nbQV, qv[nb:nb+perBox])
+							dst, named := acc, acc
+							if box == last {
+								dst, named = fA[4*home:4*(home+perBox)], nil
+							}
+							_, skip := fp.SkipTile(env, tile, live, named)
+							tile++
+							if !skip {
+								l.interact(env, live, dst, two, negOne)
+							}
 						}
 					}
 				}
@@ -117,17 +136,28 @@ func (l *LavaMD) RunInto(env fp.Env, in [][]fp.Bits, out []fp.Bits) []fp.Bits {
 	return fA
 }
 
-// interact accumulates the contribution of the perBox particles starting
-// at box nb onto the particles starting at box home.
-func (l *LavaMD) interact(env fp.Env, rv, qv, fA []fp.Bits, home, nb int, a2, two, negOne fp.Bits) {
+// split returns the parts of a tile's live-ins after a2: the home box's
+// rv, the neighbour box's rv and qv, and the home box's accumulators.
+func (l *LavaMD) split(live []fp.Bits) (homeRV, nbRV, nbQV, acc []fp.Bits) {
+	p := l.perBx
+	return live[1 : 1+4*p], live[1+4*p : 1+8*p], live[1+8*p : 1+9*p], live[1+9*p : 1+13*p]
+}
+
+// interact accumulates the contribution of the neighbour box's particles
+// onto the home box's, reading a tile's live-ins (see RunInto) and
+// writing the home box's accumulators to dst, which may alias them.
+func (l *LavaMD) interact(env fp.Env, live, dst []fp.Bits, two, negOne fp.Bits) {
+	perBox := l.perBx
+	a2 := live[0]
+	homeRV, nbRV, nbQV, acc := l.split(live)
 	// Every pair interaction is one dependent chain through exp with
 	// four interleaved accumulators; Rodinia's op order is the spec.
 	//mixedrelvet:allow batchops dependent pair chain with interleaved accumulators
-	for i := home; i < home+l.perBx; i++ {
-		riV, riX, riY, riZ := rv[4*i], rv[4*i+1], rv[4*i+2], rv[4*i+3]
-		accV, accX, accY, accZ := fA[4*i], fA[4*i+1], fA[4*i+2], fA[4*i+3]
-		for j := nb; j < nb+l.perBx; j++ {
-			rjV, rjX, rjY, rjZ := rv[4*j], rv[4*j+1], rv[4*j+2], rv[4*j+3]
+	for i := 0; i < perBox; i++ {
+		riV, riX, riY, riZ := homeRV[4*i], homeRV[4*i+1], homeRV[4*i+2], homeRV[4*i+3]
+		accV, accX, accY, accZ := acc[4*i], acc[4*i+1], acc[4*i+2], acc[4*i+3]
+		for j := 0; j < perBox; j++ {
+			rjV, rjX, rjY, rjZ := nbRV[4*j], nbRV[4*j+1], nbRV[4*j+2], nbRV[4*j+3]
 			// dot(ri, rj) over the spatial components.
 			dot := env.Mul(riX, rjX)
 			dot = env.FMA(riY, rjY, dot)
@@ -142,13 +172,13 @@ func (l *LavaMD) interact(env fp.Env, rv, qv, fA []fp.Bits, home, nb int, a2, tw
 			dX := env.Sub(riX, rjX)
 			dY := env.Sub(riY, rjY)
 			dZ := env.Sub(riZ, rjZ)
-			q := qv[j]
+			q := nbQV[j]
 			accV = env.FMA(q, vij, accV)
 			qfs := env.Mul(q, fs)
 			accX = env.FMA(qfs, dX, accX)
 			accY = env.FMA(qfs, dY, accY)
 			accZ = env.FMA(qfs, dZ, accZ)
 		}
-		fA[4*i], fA[4*i+1], fA[4*i+2], fA[4*i+3] = accV, accX, accY, accZ
+		dst[4*i], dst[4*i+1], dst[4*i+2], dst[4*i+3] = accV, accX, accY, accZ
 	}
 }
